@@ -1,7 +1,6 @@
 """Consensus dynamics on switching interaction graphs: simulation,
 graph metrics, persistence certification and decay measurement."""
 
-from ._kernels import NUMBA_ENABLED
 from .analysis import (
     ContractionReport,
     DecayFit,

@@ -1,126 +1,19 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every kernel exists in two flavours: an explicit-loop version that numba
-compiles with ``@njit``, and a vectorized pure-numpy fallback.  Setting the
-environment variable ``CONSENSUSLAB_NO_NUMBA=1`` (before import) forces the
-numpy path; ``consensuslab.bench`` times the two against each other.
+`dynamics` and `graphs` look these up by name on this module.
 """
-import os
-
 import numpy as np
 
 KERNEL_CONSTANT = 0
 KERNEL_CUCKER_SMALE = 1
 
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
-_disabled = os.environ.get("CONSENSUSLAB_NO_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
+def rhs_velocity(pos, adj, kind, p1, p2):
+    """Coupling velocity field of the interaction dynamics, shape (n, d).
 
-njit = None
-if not _disabled:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-
-NUMBA_ENABLED = njit is not None
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba source)
-# ---------------------------------------------------------------------------
-
-def _rhs_into_loop(pos, adj, kind, p1, p2, out):
-    # velocity_i = (1/n) sum_j a_ij * phi(|x_i - x_j|) * (x_j - x_i)
-    n, d = pos.shape
-    for i in range(n):
-        for c in range(d):
-            out[i, c] = 0.0
-        for j in range(n):
-            a = adj[i, j]
-            if a == 0.0:
-                continue
-            r2 = 0.0
-            for c in range(d):
-                diff = pos[j, c] - pos[i, c]
-                r2 += diff * diff
-            if kind == KERNEL_CONSTANT:
-                w = a * p1
-            else:
-                w = a * p1 / (1.0 + r2) ** p2
-            for c in range(d):
-                out[i, c] += w * (pos[j, c] - pos[i, c])
-        for c in range(d):
-            out[i, c] /= n
-    return out
-
-
-def _scrambling_loop(adj):
-    # min over ordered pairs (i, j), i = j included, of (1/n) sum_k min(a_ik, a_jk)
-    n = adj.shape[0]
-    best = np.inf
-    for i in range(n):
-        for j in range(n):
-            s = 0.0
-            for k in range(n):
-                x = adj[i, k]
-                y = adj[j, k]
-                s += x if x < y else y
-            if s < best:
-                best = s
-    return best / n
-
-
-def _jacobi_loop(b, off_tol, max_sweeps):
-    # cyclic Jacobi rotations; returns the smallest eigenvalue of symmetric b.
-    # b is mutated in place.
-    m = b.shape[0]
-    if m == 1:
-        return b[0, 0]
-    for _ in range(max_sweeps):
-        off2 = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                off2 += 2.0 * b[p, q] * b[p, q]
-        if off2**0.5 < off_tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                bpq = b[p, q]
-                if bpq == 0.0:
-                    continue
-                theta = (b[q, q] - b[p, p]) / (2.0 * bpq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + (1.0 + theta * theta) ** 0.5)
-                else:
-                    t = -1.0 / (-theta + (1.0 + theta * theta) ** 0.5)
-                c = 1.0 / (1.0 + t * t) ** 0.5
-                s = t * c
-                for k in range(m):
-                    bkp = b[k, p]
-                    bkq = b[k, q]
-                    b[k, p] = c * bkp - s * bkq
-                    b[k, q] = s * bkp + c * bkq
-                for k in range(m):
-                    bpk = b[p, k]
-                    bqk = b[q, k]
-                    b[p, k] = c * bpk - s * bqk
-                    b[q, k] = s * bpk + c * bqk
-    lam = b[0, 0]
-    for i in range(1, m):
-        if b[i, i] < lam:
-            lam = b[i, i]
-    return lam
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def _rhs_numpy(pos, adj, kind, p1, p2):
+    velocity_i = (1/n) sum_j a_ij * phi(|x_i - x_j|) * (x_j - x_i), with
+    phi = p1 for the constant kernel and p1 / (1 + r^2)^p2 otherwise.
+    """
     diff = pos[None, :, :] - pos[:, None, :]  # diff[i, j] = x_j - x_i
     r2 = np.einsum("ijc,ijc->ij", diff, diff)
     if kind == KERNEL_CONSTANT:
@@ -130,148 +23,11 @@ def _rhs_numpy(pos, adj, kind, p1, p2):
     return np.einsum("ij,ijc->ic", w, diff) / pos.shape[0]
 
 
-def _scrambling_numpy(adj):
+def scrambling_min(adj):
+    """Minimum over ordered index pairs of the normalized shared-weight sum."""
     n = adj.shape[0]
     pair_sums = np.minimum(adj[:, None, :], adj[None, :, :]).sum(axis=2)
     return float(pair_sums.min() / n)
-
-
-def _jacobi_numpy(b, off_tol, max_sweeps):
-    m = b.shape[0]
-    if m == 1:
-        return float(b[0, 0])
-    for _ in range(max_sweeps):
-        off2 = 2.0 * float(np.sum(np.triu(b, 1) ** 2))
-        if off2**0.5 < off_tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                bpq = b[p, q]
-                if bpq == 0.0:
-                    continue
-                theta = (b[q, q] - b[p, p]) / (2.0 * bpq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + (1.0 + theta * theta) ** 0.5)
-                else:
-                    t = -1.0 / (-theta + (1.0 + theta * theta) ** 0.5)
-                c = 1.0 / (1.0 + t * t) ** 0.5
-                s = t * c
-                col_p = b[:, p].copy()
-                col_q = b[:, q].copy()
-                b[:, p] = c * col_p - s * col_q
-                b[:, q] = s * col_p + c * col_q
-                row_p = b[p, :].copy()
-                row_q = b[q, :].copy()
-                b[p, :] = c * row_p - s * row_q
-                b[q, :] = s * row_p + c * row_q
-    return float(np.min(np.diag(b)))
-
-
-def _rk4_numpy(x0, pieces, piece_idx, hs, rec, kind, p1, p2, out):
-    x = x0.copy()
-    r = 0
-    if rec[0]:
-        out[r] = x
-        r += 1
-    for s in range(hs.shape[0]):
-        h = hs[s]
-        adj = pieces[piece_idx[s]]
-        k1 = _rhs_numpy(x, adj, kind, p1, p2)
-        k2 = _rhs_numpy(x + 0.5 * h * k1, adj, kind, p1, p2)
-        k3 = _rhs_numpy(x + 0.5 * h * k2, adj, kind, p1, p2)
-        k4 = _rhs_numpy(x + h * k3, adj, kind, p1, p2)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if rec[s + 1]:
-            out[r] = x
-            r += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba compilation and dispatch
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    _rhs_into_nb = njit(cache=True)(_rhs_into_loop)
-    _scrambling_nb = njit(cache=True)(_scrambling_loop)
-    _jacobi_nb = njit(cache=True)(_jacobi_loop)
-
-    @njit(cache=True)
-    def _rk4_nb(x0, pieces, piece_idx, hs, rec, kind, p1, p2, out):
-        n, d = x0.shape
-        x = x0.copy()
-        k1 = np.empty((n, d))
-        k2 = np.empty((n, d))
-        k3 = np.empty((n, d))
-        k4 = np.empty((n, d))
-        xt = np.empty((n, d))
-        r = 0
-        if rec[0]:
-            out[r] = x
-            r += 1
-        for s in range(hs.shape[0]):
-            h = hs[s]
-            adj = pieces[piece_idx[s]]
-            _rhs_into_nb(x, adj, kind, p1, p2, k1)
-            for i in range(n):
-                for c in range(d):
-                    xt[i, c] = x[i, c] + 0.5 * h * k1[i, c]
-            _rhs_into_nb(xt, adj, kind, p1, p2, k2)
-            for i in range(n):
-                for c in range(d):
-                    xt[i, c] = x[i, c] + 0.5 * h * k2[i, c]
-            _rhs_into_nb(xt, adj, kind, p1, p2, k3)
-            for i in range(n):
-                for c in range(d):
-                    xt[i, c] = x[i, c] + h * k3[i, c]
-            _rhs_into_nb(xt, adj, kind, p1, p2, k4)
-            for i in range(n):
-                for c in range(d):
-                    x[i, c] += (h / 6.0) * (
-                        k1[i, c] + 2.0 * k2[i, c] + 2.0 * k3[i, c] + k4[i, c]
-                    )
-            if rec[s + 1]:
-                out[r] = x
-                r += 1
-        return out
-
-    def _rhs_numba(pos, adj, kind, p1, p2):
-        out = np.empty_like(pos)
-        return _rhs_into_nb(pos, adj, kind, p1, p2, out)
-
-    def _scrambling_numba(adj):
-        return float(_scrambling_nb(adj))
-
-    def _jacobi_numba(b, off_tol, max_sweeps):
-        return float(_jacobi_nb(b, off_tol, max_sweeps))
-
-
-def rhs_velocity(pos, adj, kind, p1, p2):
-    """Coupling velocity field of the interaction dynamics, shape (n, d)."""
-    if NUMBA_ENABLED:
-        return _rhs_numba(pos, adj, kind, p1, p2)
-    return _rhs_numpy(pos, adj, kind, p1, p2)
-
-
-def scrambling_min(adj):
-    """Minimum over ordered index pairs of the normalized shared-weight sum."""
-    if NUMBA_ENABLED:
-        return _scrambling_numba(adj)
-    return _scrambling_numpy(adj)
-
-
-def jacobi_min_eigenvalue(sym, off_tol=_JACOBI_OFF_TOL, max_sweeps=_JACOBI_MAX_SWEEPS):
-    """Smallest eigenvalue of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps stop once the off-diagonal Frobenius mass drops below ``off_tol``.
-    The input is copied, not mutated.
-    """
-    b = np.array(sym, dtype=np.float64)
-    if b.shape[0] == 0:
-        return 0.0
-    if NUMBA_ENABLED:
-        return _jacobi_numba(b, off_tol, max_sweeps)
-    return _jacobi_numpy(b, off_tol, max_sweeps)
 
 
 def rk4_run(x0, pieces, piece_idx, hs, rec, kind, p1, p2):
@@ -282,28 +38,20 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kind, p1, p2):
     grid points to record.
     """
     out = np.empty((int(np.count_nonzero(rec)), x0.shape[0], x0.shape[1]))
-    if NUMBA_ENABLED:
-        _rk4_nb(x0, pieces, piece_idx, hs, rec, kind, p1, p2, out)
-    else:
-        _rk4_numpy(x0, pieces, piece_idx, hs, rec, kind, p1, p2, out)
+    x = x0.copy()
+    r = 0
+    if rec[0]:
+        out[r] = x
+        r += 1
+    for s in range(hs.shape[0]):
+        h = hs[s]
+        adj = pieces[piece_idx[s]]
+        k1 = rhs_velocity(x, adj, kind, p1, p2)
+        k2 = rhs_velocity(x + 0.5 * h * k1, adj, kind, p1, p2)
+        k3 = rhs_velocity(x + 0.5 * h * k2, adj, kind, p1, p2)
+        k4 = rhs_velocity(x + h * k3, adj, kind, p1, p2)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if rec[s + 1]:
+            out[r] = x
+            r += 1
     return out
-
-
-def implementations():
-    """Both kernel families, keyed by path name; used by the benchmark."""
-    impls = {
-        "numpy": {
-            "rhs": _rhs_numpy,
-            "scrambling": _scrambling_numpy,
-            "jacobi": _jacobi_numpy,
-            "rk4": _rk4_numpy,
-        }
-    }
-    if NUMBA_ENABLED:
-        impls["numba"] = {
-            "rhs": _rhs_numba,
-            "scrambling": _scrambling_numba,
-            "jacobi": _jacobi_numba,
-            "rk4": lambda *a: _rk4_nb(*a),
-        }
-    return impls

@@ -1,7 +1,6 @@
-"""Benchmark the numba-jitted kernels against the pure-numpy fallback.
+"""Time the hot numeric kernels: best-of-`repeats` wall time per kernel.
 
-Run with `python -m consensuslab.bench`.  When numba is disabled (missing or
-CONSENSUSLAB_NO_NUMBA=1) only the numpy path is timed.
+Run with `python -m consensuslab.bench`.
 """
 import argparse
 import time
@@ -9,16 +8,11 @@ import time
 import numpy as np
 
 from . import _kernels
-
-
-def _random_adjacency(rng, n):
-    entries = rng.random((n, n))
-    np.fill_diagonal(entries, 1.0)
-    return entries
+from .graphs import AdjacencyMatrix, algebraic_connectivity
 
 
 def _time(fn, repeats):
-    fn()  # warm up (JIT compile / cache touch)
+    fn()  # warm up (cache touch)
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
@@ -28,51 +22,37 @@ def _time(fn, repeats):
 
 
 def _cases(rng, n_agents, dim, steps):
-    adj = _random_adjacency(rng, n_agents)
+    adj = rng.random((n_agents, n_agents))
+    adj = 0.5 * (adj + adj.T)  # symmetric, hence balanced, for lambda2
+    np.fill_diagonal(adj, 1.0)
     pos = rng.normal(size=(n_agents, dim))
-    sym = rng.normal(size=(n_agents, n_agents))
-    sym = sym + sym.T
+    balanced = AdjacencyMatrix(n_agents, adj)
 
     pieces = np.stack([adj])
     piece_idx = np.zeros(steps, dtype=np.int64)
     hs = np.full(steps, 1e-3)
     rec = np.zeros(steps + 1, dtype=bool)
     rec[0] = rec[-1] = True
-
-    def rk4_case(impl):
-        out = np.empty((2, n_agents, dim))
-        return lambda: impl(pos, pieces, piece_idx, hs, rec,
-                            _kernels.KERNEL_CUCKER_SMALE, 1.0, 1.0, out)
+    cs = _kernels.KERNEL_CUCKER_SMALE
 
     return {
-        "rhs": lambda impl: lambda: impl(
-            pos, adj, _kernels.KERNEL_CUCKER_SMALE, 1.0, 1.0),
-        "scrambling": lambda impl: lambda: impl(adj),
-        "jacobi": lambda impl: lambda: impl(sym.copy(), 1e-12, 100),
-        "rk4": rk4_case,
+        "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs, 1.0, 1.0),
+        "scrambling": lambda: _kernels.scrambling_min(adj),
+        "lambda2": lambda: algebraic_connectivity(balanced),
+        "rk4": lambda: _kernels.rk4_run(pos, pieces, piece_idx, hs, rec,
+                                        cs, 1.0, 1.0),
     }
 
 
 def run(n_agents=6, dim=2, steps=2000, repeats=5):
     rng = np.random.default_rng(7)
-    impls = _kernels.implementations()
     cases = _cases(rng, n_agents, dim, steps)
 
     print(f"kernel benchmark: n={n_agents}, d={dim}, rk4 steps={steps}, "
           f"best of {repeats}")
-    print(f"numba enabled: {_kernels.NUMBA_ENABLED}")
-    header = f"{'kernel':<12} {'numpy [ms]':>12}"
-    if "numba" in impls:
-        header += f" {'numba [ms]':>12} {'speedup':>9}"
-    print(header)
-    for name, make in cases.items():
-        t_numpy = _time(make(impls["numpy"][name]), repeats) * 1e3
-        line = f"{name:<12} {t_numpy:>12.3f}"
-        if "numba" in impls:
-            # rk4's numba impl needs a fresh out buffer closure
-            t_numba = _time(make(impls["numba"][name]), repeats) * 1e3
-            line += f" {t_numba:>12.3f} {t_numpy / t_numba:>8.1f}x"
-        print(line)
+    print(f"{'kernel':<12} {'time [ms]':>12}")
+    for name, fn in cases.items():
+        print(f"{name:<12} {_time(fn, repeats) * 1e3:>12.3f}")
 
 
 def main(argv=None):

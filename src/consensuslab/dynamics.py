@@ -81,13 +81,6 @@ class CuckerSmale:
 Kernel = Union[Constant, CuckerSmale]
 
 
-def phi(kernel: Kernel, r):
-    """Kernel weight at inter-agent distance r (scalar or array)."""
-    if isinstance(kernel, Constant):
-        return kernel.c * np.ones_like(np.asarray(r, dtype=np.float64))
-    return kernel.K / (1.0 + np.asarray(r, dtype=np.float64) ** 2) ** kernel.beta
-
-
 def kernel_bounds(kernel: Kernel, diam_max: float):
     """(c_phi, C_phi): inf and sup of the kernel on [0, diam_max]."""
     if diam_max < 0:

@@ -138,8 +138,10 @@ def algebraic_connectivity(adj: AdjacencyMatrix, tol: float = BALANCE_TOL) -> fl
     """Smallest eigenvalue of the symmetric part of the Laplacian on the
     complement of the constant vector; defined for balanced graphs only.
 
-    Tiny negative roundoff (>= -tol) is clamped to 0.  Raises UnbalancedGraph
-    when the balance check fails.
+    The projected matrix goes to LAPACK's symmetric eigensolver
+    (`numpy.linalg.eigvalsh`), which raises instead of returning an
+    unconverged value.  Tiny negative roundoff (>= -tol) is clamped to 0.
+    Raises UnbalancedGraph when the balance check fails.
     """
     if not is_balanced(adj, tol):
         raise UnbalancedGraph(
@@ -149,7 +151,7 @@ def algebraic_connectivity(adj: AdjacencyMatrix, tol: float = BALANCE_TOL) -> fl
         return 0.0
     lap = laplacian(adj).entries
     sym = 0.5 * (lap + lap.T)
-    lam = _kernels.jacobi_min_eigenvalue(_project_off_constants(sym))
+    lam = float(np.linalg.eigvalsh(_project_off_constants(sym))[0])
     return max(lam, 0.0)
 
 

@@ -226,34 +226,32 @@ def _critical_starts(sig, tau, horizon):
 
     These are the kink locations of t -> (1/tau) * integral over [t, t+tau]:
     every start where t or t+tau crosses a breakpoint, plus the endpoints of
-    the scanned interval.  In periodic mode one period suffices.
+    the scanned interval [0, horizon].  In periodic mode the kinks repeat with
+    the period, so a horizon of at least one period is scanned as [0, period].
     """
     bp = sig.breakpoints
     if sig.mode == PERIODIC:
         period = sig.period
-        cands = np.concatenate([np.mod(bp, period), np.mod(bp - tau, period),
-                                [0.0, period]])
-        cands = cands[(cands >= 0.0) & (cands <= period)]
-        horizon_used = period
+        kinks = np.concatenate([np.mod(bp, period), np.mod(bp - tau, period)])
+        horizon = min(horizon, period)
     else:
         if bp[-1] + _TIME_TOL < horizon + tau:
             raise HorizonUncovered(
                 f"clamped signal covers [0, {bp[-1]}] but certification needs "
                 f"[0, {horizon + tau}]"
             )
-        cands = np.concatenate([bp, bp - tau, [0.0, horizon]])
-        cands = cands[(cands >= 0.0) & (cands <= horizon + _TIME_TOL)]
-        cands = np.minimum(cands, horizon)
-        horizon_used = horizon
-    cands = np.sort(cands)
+        kinks = np.concatenate([bp, bp - tau])
+    cands = np.concatenate([kinks, [0.0, horizon]])
+    cands = cands[(cands >= 0.0) & (cands <= horizon + _TIME_TOL)]
+    cands = np.sort(np.minimum(cands, horizon))
     keep = np.concatenate([[True], np.diff(cands) > _TIME_TOL])
-    return cands[keep], horizon_used
+    return cands[keep]
 
 
 def _certify(sig, window, horizon, metric, kind):
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    starts, _ = _critical_starts(sig, window.tau, horizon)
+    starts = _critical_starts(sig, window.tau, horizon)
     values = np.array([metric(window_average(sig, float(t), window.tau))
                        for t in starts])
     worst = int(np.argmin(values))

@@ -11,7 +11,7 @@ import consensuslab as cl
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Trigger numba compilation once so timed tests measure steady state."""
+    """Run every pipeline stage once so timed tests measure steady state."""
     sig = cl.gen_rotating_star(3, 0.5)
     x0 = cl.Configuration.from_positions(np.array([[0.1], [0.2], [-0.3]]))
     traj = cl.integrate(x0, sig, cl.CuckerSmale(1.0, 1.0), 0.2, 0.05)

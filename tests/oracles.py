@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the package's computational paths: the scrambling
-oracle is a literal triple loop, the connectivity oracles use either a dense
+oracle is a literal triple loop, the velocity field a literal double loop
+over agent pairs (stepped by a plain RK4 loop), the connectivity oracles use either a dense
 symmetric eigensolver with the constant direction shifted away or brute-force
 Rayleigh-quotient minimization over direction grids, and window averages are
 cross-checked by Riemann summation.
@@ -21,6 +22,39 @@ def scrambling_direct(entries):
             if best is None or total < best:
                 best = total
     return best / n
+
+
+def rhs_direct(pos, adj, constant, p1, p2):
+    """Literal velocity field: (1/n) sum_j a_ij phi(|x_i - x_j|) (x_j - x_i),
+    phi = p1 when `constant`, else p1 / (1 + r^2)^p2."""
+    n, d = pos.shape
+    out = np.zeros((n, d))
+    for i in range(n):
+        for j in range(n):
+            a = adj[i, j]
+            if a == 0.0:
+                continue
+            r2 = 0.0
+            for c in range(d):
+                diff = pos[j, c] - pos[i, c]
+                r2 += diff * diff
+            w = a * p1 if constant else a * p1 / (1.0 + r2) ** p2
+            for c in range(d):
+                out[i, c] += w * (pos[j, c] - pos[i, c])
+    return out / n
+
+
+def rk4_direct(x0, adj, h, steps, constant, p1, p2):
+    """Classical RK4 on `rhs_direct` with one adjacency; every state, (steps+1, n, d)."""
+    states = [np.array(x0, dtype=np.float64)]
+    for _ in range(steps):
+        x = states[-1]
+        k1 = rhs_direct(x, adj, constant, p1, p2)
+        k2 = rhs_direct(x + 0.5 * h * k1, adj, constant, p1, p2)
+        k3 = rhs_direct(x + 0.5 * h * k2, adj, constant, p1, p2)
+        k4 = rhs_direct(x + h * k3, adj, constant, p1, p2)
+        states.append(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.stack(states)
 
 
 def laplacian_sym(entries):

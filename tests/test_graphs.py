@@ -198,6 +198,11 @@ class TestAlgebraicConnectivity:
             entries = random_balanced_adjacency(rng, n)
             lam = cl.algebraic_connectivity(adj(entries))
             assert lam == pytest.approx(lambda2_eigh(entries), abs=1e-10)
+        for n in (8, 16, 40, 64):
+            for _ in range(3):
+                entries = random_balanced_adjacency(rng, n)
+                lam = cl.algebraic_connectivity(adj(entries))
+                assert lam == pytest.approx(lambda2_eigh(entries), abs=1e-10)
 
     def test_matches_rayleigh_grid_small(self):
         rng = np.random.default_rng(18)

@@ -1,15 +1,12 @@
-import os
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import consensuslab as cl
 import consensuslab._kernels as kernels
 
-
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                                 reason="numba path disabled")
+from oracles import lambda2_eigh, rhs_direct, rk4_direct
 
 
 def random_case(seed, n=7, d=3):
@@ -20,61 +17,42 @@ def random_case(seed, n=7, d=3):
     return pos, adj
 
 
-@needs_numba
-class TestPathsAgree:
-    def test_rhs(self):
-        impls = kernels.implementations()
-        for seed in range(10):
-            pos, adj = random_case(seed)
-            for kind, p1, p2 in ((kernels.KERNEL_CONSTANT, 1.3, 0.0),
-                                 (kernels.KERNEL_CUCKER_SMALE, 0.9, 1.4)):
-                a = impls["numpy"]["rhs"](pos, adj, kind, p1, p2)
-                b = impls["numba"]["rhs"](pos, adj, kind, p1, p2)
-                assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
-
-    def test_scrambling(self):
-        impls = kernels.implementations()
-        for seed in range(20):
-            _, adj = random_case(seed)
-            assert impls["numpy"]["scrambling"](adj) == pytest.approx(
-                impls["numba"]["scrambling"](adj), abs=1e-14)
-
-    def test_jacobi_against_eigensolver(self):
-        impls = kernels.implementations()
-        rng = np.random.default_rng(5)
-        for m in (1, 2, 3, 5, 12, 40):
-            sym = rng.normal(size=(m, m))
-            sym = sym + sym.T
-            expected = float(np.linalg.eigvalsh(sym)[0])
-            for path in ("numpy", "numba"):
-                got = impls[path]["jacobi"](sym.copy(), 1e-12, 100)
-                assert got == pytest.approx(expected, abs=1e-10)
-
-    def test_rk4(self):
-        rng = np.random.default_rng(9)
-        pos, adj = random_case(3, n=5, d=2)
-        pieces = np.stack([adj])
-        steps = 50
-        piece_idx = np.zeros(steps, dtype=np.int64)
-        hs = np.full(steps, 0.02)
-        rec = np.ones(steps + 1, dtype=bool)
-        impls = kernels.implementations()
-        outs = {}
-        for path in ("numpy", "numba"):
-            out = np.empty((steps + 1, 5, 2))
-            impls[path]["rk4"](pos, pieces, piece_idx, hs, rec,
-                               kernels.KERNEL_CUCKER_SMALE, 1.0, 1.0, out)
-            outs[path] = out
-        assert np.allclose(outs["numpy"], outs["numba"], rtol=1e-12, atol=1e-14)
+KERNEL_CASES = ((kernels.KERNEL_CONSTANT, 1.3, 0.0),
+                (kernels.KERNEL_CUCKER_SMALE, 0.9, 1.4))
 
 
-def test_env_flag_disables_numba():
-    env = dict(os.environ, CONSENSUSLAB_NO_NUMBA="1")
-    code = ("import consensuslab._kernels as k; "
-            "print(k.NUMBA_ENABLED); print('numba' in k.implementations())")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+@pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
+def test_rhs_matches_double_loop(kind, p1, p2):
+    for seed in range(10):
+        pos, adj = random_case(seed)
+        got = kernels.rhs_velocity(pos, adj, kind, p1, p2)
+        want = rhs_direct(pos, adj, kind == kernels.KERNEL_CONSTANT, p1, p2)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
+def test_rk4_matches_loop_rk4(kind, p1, p2):
+    pos, adj = random_case(3, n=5, d=2)
+    steps, h = 50, 0.02
+    rec = np.zeros(steps + 1, dtype=bool)
+    rec[::7] = True
+    rec[-1] = True
+    got = kernels.rk4_run(pos, np.stack([adj]), np.zeros(steps, dtype=np.int64),
+                          np.full(steps, h), rec, kind, p1, p2)
+    want = rk4_direct(pos, adj, h, steps, kind == kernels.KERNEL_CONSTANT, p1, p2)
+    assert np.allclose(got, want[rec], rtol=1e-12, atol=1e-14)
+
+
+def test_certify_lambda2_n64_warning_free():
+    # at n=64 the eigensolver must neither warn nor drift from the oracle
+    sig = cl.gen_rotating_star(64, 0.1)
+    tau = 0.35
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cl.certify_lambda2(sig, cl.Window(tau, 0.01), sig.period)
+    avg = cl.window_average(sig, rep.worst_start, tau)
+    assert rep.infimum_value == pytest.approx(lambda2_eigh(avg.entries), abs=1e-12)
+    assert rep.infimum_value > 0.0
 
 
 def test_benchmark_runs():

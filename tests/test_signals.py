@@ -177,20 +177,33 @@ class TestCertify:
         rep = cl.certify_eta(sig, cl.Window(1.0, 0.5), 1.0)  # covered
         assert rep.passes
 
+    def test_periodic_short_horizon_scans_only_horizon(self):
+        # the all-ones half of the period covers every window starting in [0, 2]
+        sig = cl.PiecewiseConstantSignal(
+            3, np.array([0.0, 5.0, 10.0]),
+            (cl.AdjacencyMatrix.ones(3), cl.AdjacencyMatrix.identity(3)), "periodic")
+        for certify in (cl.certify_eta, cl.certify_lambda2):
+            rep = certify(sig, cl.Window(1.0, 0.5), 2.0)
+            assert rep.passes and rep.infimum_value == pytest.approx(1.0)
+            assert 0.0 <= rep.worst_start <= 2.0
+        assert not cl.certify_eta(sig, cl.Window(1.0, 0.5), 20.0).passes
+
     def test_certified_matches_dense_scan(self):
         rng = np.random.default_rng(34)
         for case in range(8):
             sig = lattice_random_signal(rng, 3, pieces=int(rng.integers(2, 7)),
                                         balanced=True)
             tau = float(rng.integers(20, 180)) / 200.0
-            rep = cl.certify_eta(sig, cl.Window(tau, 0.5), 10.0)
-            starts = sig.period * np.arange(2000) / 2000.0
-            scan = min(
-                cl.scrambling(cl.window_average(sig, float(t), tau))
-                for t in starts
-            )
-            assert rep.infimum_value <= scan + 1e-9
-            assert rep.infimum_value >= scan - 1e-9
+            for horizon in (10.0, 0.37 * sig.period):
+                rep = cl.certify_eta(sig, cl.Window(tau, 0.5), horizon)
+                span = min(horizon, sig.period)
+                starts = span * np.arange(2001) / 2000.0
+                scan = min(
+                    cl.scrambling(cl.window_average(sig, float(t), tau))
+                    for t in starts
+                )
+                assert rep.infimum_value <= scan + 1e-9
+                assert rep.infimum_value >= scan - 1e-9
 
     def test_shift_invariance_over_periods(self):
         # scanning any period-length interval yields the same infimum
