@@ -21,6 +21,7 @@ from .dynamics import (
     Kernel,
     Trajectory,
     integrate,
+    integrate_batch,
     kernel_bounds,
     rescale_dilation,
     rhs,

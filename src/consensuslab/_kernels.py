@@ -9,18 +9,19 @@ KERNEL_CUCKER_SMALE = 1
 
 
 def rhs_velocity(pos, adj, kind, p1, p2):
-    """Coupling velocity field of the interaction dynamics, shape (n, d).
+    """Coupling velocity field of the interaction dynamics, shape (..., n, d).
 
     velocity_i = (1/n) sum_j a_ij * phi(|x_i - x_j|) * (x_j - x_i), with
     phi = p1 for the constant kernel and p1 / (1 + r^2)^p2 otherwise.
+    Leading axes of ``pos`` are independent configurations sharing ``adj``.
     """
-    diff = pos[None, :, :] - pos[:, None, :]  # diff[i, j] = x_j - x_i
-    r2 = np.einsum("ijc,ijc->ij", diff, diff)
+    diff = pos[..., None, :, :] - pos[..., :, None, :]  # diff[i, j] = x_j - x_i
+    r2 = np.einsum("...ijc,...ijc->...ij", diff, diff)
     if kind == KERNEL_CONSTANT:
         w = adj * p1
     else:
         w = adj * (p1 / (1.0 + r2) ** p2)
-    return np.einsum("ij,ijc->ic", w, diff) / pos.shape[0]
+    return np.einsum("...ij,...ijc->...ic", w, diff) / pos.shape[-2]
 
 
 def scrambling_min(adj):
@@ -33,11 +34,12 @@ def scrambling_min(adj):
 def rk4_run(x0, pieces, piece_idx, hs, rec, kind, p1, p2):
     """Fixed-step RK4 over a prebuilt step grid; returns recorded states.
 
-    ``pieces`` is the (m, n, n) stack of adjacency matrices, ``piece_idx``
-    assigns one piece per step, ``hs`` the step sizes and ``rec`` flags which
-    grid points to record.
+    ``x0`` holds states of shape (..., n, d), all stepped on the same grid;
+    the result has shape (recorded,) + x0.shape.  ``pieces`` is the
+    (m, n, n) stack of adjacency matrices, ``piece_idx`` assigns one piece per
+    step, ``hs`` the step sizes and ``rec`` flags which grid points to record.
     """
-    out = np.empty((int(np.count_nonzero(rec)), x0.shape[0], x0.shape[1]))
+    out = np.empty((int(np.count_nonzero(rec)),) + x0.shape)
     x = x0.copy()
     r = 0
     if rec[0]:

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Configuration, Constant, Trajectory, _breakpoint_events
-from .errors import InvalidPair, NonPositiveValue, SpanTooShort, UnbalancedGraph
-from .graphs import BALANCE_TOL, dirichlet_energy, is_balanced
-from .signals import evaluate
+from .dynamics import (Configuration, Constant, Trajectory, _breakpoint_events,
+                       diameters, reduce_squared_distances, squared_distances)
+from .errors import (DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort,
+                     UnbalancedGraph)
+from .graphs import BALANCE_TOL, is_balanced
 
 PAIR_TOL = 1e-9
 STRICT_MARGIN = 1e-12
@@ -68,9 +69,7 @@ class DiameterPairSet:
 
 def diameter(x: Configuration) -> float:
     """Maximum pairwise Euclidean distance (0 for a single agent)."""
-    pos = x.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    return float(np.sqrt(np.einsum("ijc,ijc->ij", diff, diff)).max())
+    return float(diameters(x.positions))
 
 
 def variance(x: Configuration) -> float:
@@ -88,9 +87,7 @@ def diameter_pairs(x: Configuration, tol: float = PAIR_TOL) -> DiameterPairSet:
     """All ordered pairs whose distance is within tol of the diameter."""
     if x.n < 2:
         raise ValueError("need at least two agents")
-    pos = x.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.einsum("ijc,ijc->ij", diff, diff))
+    dist = np.sqrt(squared_distances(x.positions))
     value = float(dist.max())
     ii, jj = np.nonzero(dist >= value - tol)
     pairs = frozenset((int(i), int(j)) for i, j in zip(ii, jj) if i != j)
@@ -132,18 +129,19 @@ def window_contraction(traj: Trajectory, tau: float,
     if times[-1] - times[0] + 1e-12 < tau:
         raise SpanTooShort(f"trajectory spans {times[-1] - times[0]}, need {tau}")
 
-    factors = []
-    for i, t in enumerate(times):
-        target = t + tau
-        if target > times[-1] + _MATCH_TOL:
-            break
-        j = int(np.searchsorted(times, target))
-        for cand in (j - 1, j):
-            if 0 <= cand < len(times) and abs(times[cand] - target) <= _MATCH_TOL:
-                if series[i] > CONSENSUS_FLOOR:
-                    factors.append(series[cand] / series[i])
-                break
-    factors = np.asarray(factors)
+    targets = times + tau
+    starts = np.flatnonzero(targets <= times[-1] + _MATCH_TOL)
+    targets = targets[starts]
+    # the endpoint is the sample just below the target if that matches, else
+    # the one just above; clipping at either end only repeats the other index
+    above = np.searchsorted(times, targets)
+    below = np.maximum(above - 1, 0)
+    above = np.minimum(above, len(times) - 1)
+    hit_below = np.abs(times[below] - targets) <= _MATCH_TOL
+    hit_above = np.abs(times[above] - targets) <= _MATCH_TOL
+    ends = np.where(hit_below, below, above)
+    keep = (hit_below | hit_above) & (series[starts] > CONSENSUS_FLOOR)
+    factors = series[ends[keep]] / series[starts[keep]]
     kappa_hat = float(factors.max()) if factors.size else 0.0
     all_strict = bool(np.all(factors < 1.0 - STRICT_MARGIN)) if factors.size else True
     return ContractionReport(tau, factors, kappa_hat, all_strict)
@@ -201,20 +199,29 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
     for k, piece in enumerate(sig.pieces):
         if not is_balanced(piece, BALANCE_TOL):
             raise UnbalancedGraph(f"signal piece {k} is not balanced")
+    if sig.n != traj.n:
+        raise DimensionMismatch(f"signal n={sig.n}, trajectory n={traj.n}")
 
     times = traj.times
     var = traj.variances
-    switch_times, _ = _breakpoint_events(sig, float(times[-1]) + 1e-12)
-    worst = 0.0
-    for i in range(1, len(times) - 1):
-        left, right = times[i - 1], times[i + 1]
-        if abs((right - times[i]) - (times[i] - left)) > 1e-9 * (right - left):
-            continue
-        lo = np.searchsorted(switch_times, left + 1e-12)
-        hi = np.searchsorted(switch_times, right - 1e-12)
-        if hi > lo:  # a switch lies strictly inside the stencil
-            continue
-        slope = (var[i + 1] - var[i - 1]) / (right - left)
-        energy = dirichlet_energy(evaluate(sig, float(times[i])), traj.state(i))
-        worst = max(worst, abs(slope + 2.0 * energy))
-    return worst
+    switch_times, switch_piece = _breakpoint_events(sig, float(times[-1]) + 1e-12)
+    left, mid, right = times[:-2], times[1:-1], times[2:]
+    even = np.abs((right - mid) - (mid - left)) <= 1e-9 * (right - left)
+    # a switch strictly inside a stencil makes lo < hi
+    lo = np.searchsorted(switch_times, left + 1e-12)
+    hi = np.searchsorted(switch_times, right - 1e-12)
+    mids = np.flatnonzero(even & (hi <= lo)) + 1
+    if mids.size == 0:
+        return 0.0
+    slope = (var[mids + 1] - var[mids - 1]) / (times[mids + 1] - times[mids - 1])
+
+    # Dirichlet energy (1/(2 n^2)) sum_ij a_ij |x_i - x_j|^2, batched per piece
+    piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
+    energy = np.empty(mids.size)
+    for k in np.unique(piece):
+        sel = piece == k
+        weights = sig.pieces[k].entries.ravel()
+        energy[sel] = reduce_squared_distances(
+            traj.states[mids[sel]], lambda sq, w=weights: (w * sq).sum(axis=1))
+    energy /= 2.0 * traj.n**2
+    return float(np.abs(slope + 2.0 * energy).max())

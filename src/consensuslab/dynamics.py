@@ -53,6 +53,39 @@ class Configuration:
         )
 
 
+# floats in one chunk of the (samples, n, n, d) pairwise-difference array
+_CHUNK_FLOATS = 1 << 20
+
+
+def squared_distances(positions) -> np.ndarray:
+    """|x_i - x_j|^2 for (..., n, d) positions; shape (..., n, n)."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    return np.einsum("...ijc,...ijc->...ij", diff, diff)
+
+
+def reduce_squared_distances(positions, reduce) -> np.ndarray:
+    """`reduce` applied to the flattened squared distances of every sample.
+
+    ``positions`` has shape (..., n, d); ``reduce`` maps an (s, n * n) block
+    of samples to s values.  Samples go through in chunks of
+    _CHUNK_FLOATS / (n * n * d), so memory stays bounded for any sample count.
+    Returns shape positions.shape[:-2].
+    """
+    n, d = positions.shape[-2:]
+    flat = positions.reshape(-1, n, d)
+    step = max(1, _CHUNK_FLOATS // (n * n * d))
+    out = np.empty(flat.shape[0])
+    for lo in range(0, flat.shape[0], step):
+        sq = squared_distances(flat[lo:lo + step])
+        out[lo:lo + step] = reduce(sq.reshape(sq.shape[0], -1))
+    return out.reshape(positions.shape[:-2])
+
+
+def diameters(positions) -> np.ndarray:
+    """Largest pairwise distance of each (n, d) configuration in (..., n, d)."""
+    return reduce_squared_distances(positions, lambda sq: np.sqrt(sq.max(axis=1)))
+
+
 @dataclass(frozen=True)
 class Constant:
     """Constant communication kernel phi(r) = c > 0."""
@@ -139,9 +172,7 @@ class Trajectory:
 
     @cached_property
     def diameters(self) -> np.ndarray:
-        diff = self.states[:, :, None, :] - self.states[:, None, :, :]
-        dist = np.sqrt(np.einsum("tijc,tijc->tij", diff, diff))
-        return dist.reshape(len(self.times), -1).max(axis=1)
+        return diameters(self.states)
 
     @cached_property
     def variances(self) -> np.ndarray:
@@ -232,18 +263,25 @@ def _build_grid(sig, t_end, dt, forced_times):
     return times, step_piece, is_forced
 
 
-def integrate(x0: Configuration, sig: PiecewiseConstantSignal, kernel: Kernel,
-              t_end: float, dt: float, sample_every: int = 1, *,
-              forced_times=()) -> Trajectory:
-    """Fixed-step RK4 run over [0, t_end], breakpoint-aligned.
+def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
+                    t_end: float, dt: float, sample_every: int = 1, *,
+                    forced_times=()):
+    """Integrate a batch of starts, shape (B, n, d), in one RK4 run.
 
-    Records every `sample_every`-th accepted step plus the final state;
-    `forced_times` are additionally snapped onto the grid and always recorded
-    (used to place window endpoints on the sample grid).  Deterministic.
-    Raises NonFiniteState if a coordinate diverges.
+    Every start is stepped on the same breakpoint-aligned grid as
+    `integrate` would use.  Returns an iterator of B Trajectory objects, in
+    batch order; each is copied out of the shared (T, B, n, d) record only
+    when it is reached, so one per-run copy is alive at a time.
+    Raises NonFiniteState if a coordinate of any start diverges.
     """
-    if sig.n != x0.n:
-        raise DimensionMismatch(f"signal n={sig.n}, configuration n={x0.n}")
+    x0s = np.asarray(x0s, dtype=np.float64)
+    if x0s.ndim != 3 or x0s.shape[0] < 1:
+        raise ValueError(f"starts must have shape (B, n, d) with B >= 1, "
+                         f"got {x0s.shape}")
+    if sig.n != x0s.shape[1]:
+        raise DimensionMismatch(f"signal n={sig.n}, configuration n={x0s.shape[1]}")
+    if not np.all(np.isfinite(x0s)):
+        raise ValueError("positions must be finite")
     if not t_end > 0:
         raise ValueError("t_end must be > 0")
     if not dt > 0:
@@ -257,17 +295,46 @@ def integrate(x0: Configuration, sig: PiecewiseConstantSignal, kernel: Kernel,
 
     kind, p1, p2 = _kernel_code(kernel)
     states = _kernels.rk4_run(
-        x0.positions, sig.piece_stack, step_piece, np.diff(times), rec,
-        kind, p1, p2,
+        x0s, sig.piece_stack, step_piece, np.diff(times), rec, kind, p1, p2,
     )
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("integration produced non-finite coordinates")
-    return Trajectory(times[rec], states, sig, kernel)
+    rec_times = times[rec]
+    return (Trajectory(rec_times, states[:, b], sig, kernel)
+            for b in range(states.shape[1]))
+
+
+def integrate(x0: Configuration, sig: PiecewiseConstantSignal, kernel: Kernel,
+              t_end: float, dt: float, sample_every: int = 1, *,
+              forced_times=()) -> Trajectory:
+    """Fixed-step RK4 run over [0, t_end], breakpoint-aligned.
+
+    Records every `sample_every`-th accepted step plus the final state;
+    `forced_times` are additionally snapped onto the grid and always recorded
+    (used to place window endpoints on the sample grid).  Deterministic.
+    Raises NonFiniteState if a coordinate diverges.
+    """
+    return next(integrate_batch(x0.positions[None], sig, kernel, t_end, dt,
+                                sample_every, forced_times=forced_times))
 
 
 def default_dt(dwell_min: float, tau: float, cap: float = 1e-2) -> float:
     """Step size resolving both switching and window structure."""
     return min(cap, dwell_min / 20.0, tau / 100.0)
+
+
+def dilate(states, origin) -> np.ndarray:
+    """Map states (..., n, d) to (x - mean(origin)) / diameter(origin).
+
+    ``origin`` is one (n, d) configuration or a stack of them that
+    broadcasts against ``states``.  Raises DegenerateDiameter when a
+    diameter of ``origin`` is 0.
+    """
+    diam = diameters(origin)
+    if np.any(diam <= 0.0):
+        raise DegenerateDiameter("cannot rescale a zero-diameter configuration")
+    center = origin.mean(axis=-2, keepdims=True)
+    return (states - center) / diam[..., None, None]
 
 
 def rescale_dilation(x0: Configuration, traj: Trajectory) -> Trajectory:
@@ -276,11 +343,5 @@ def rescale_dilation(x0: Configuration, traj: Trajectory) -> Trajectory:
     The rescaled initial state is centered, has diameter 1 and lies in the
     unit max-norm ball.  Raises DegenerateDiameter when diameter(x0) is 0.
     """
-    pos = x0.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    diam = float(np.sqrt(np.einsum("ijc,ijc->ij", diff, diff)).max())
-    if diam <= 0.0:
-        raise DegenerateDiameter("cannot rescale a zero-diameter configuration")
-    center = pos.mean(axis=0)
-    return Trajectory((traj.times).copy(), (traj.states - center) / diam,
+    return Trajectory(traj.times.copy(), dilate(traj.states, x0.positions),
                       traj.signal_ref, traj.kernel_ref)

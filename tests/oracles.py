@@ -5,9 +5,14 @@ oracle is a literal triple loop, the velocity field a literal double loop
 over agent pairs (stepped by a plain RK4 loop), the connectivity oracles use either a dense
 symmetric eigensolver with the constant direction shifted away or brute-force
 Rayleigh-quotient minimization over direction grids, and window averages are
-cross-checked by Riemann summation.
+cross-checked by Riemann summation.  Window contraction factors and the
+variance dissipation residual are literal per-sample loops, and diameters a
+full (T, n, n, d) broadcast.
 """
 import numpy as np
+
+import consensuslab as cl
+from consensuslab.dynamics import _breakpoint_events
 
 
 def scrambling_direct(entries):
@@ -169,3 +174,50 @@ def two_agent_closed_form(times, x0=(-1.0, 1.0)):
     mean = 0.5 * (x0[0] + x0[1])
     half_gap = 0.5 * (x0[1] - x0[0]) * np.exp(-times)
     return np.stack([mean - half_gap, mean + half_gap], axis=1)
+
+
+def diameters_broadcast(states):
+    """Diameter of every sample of (T, n, d) states from one unchunked broadcast."""
+    diff = states[:, :, None, :] - states[:, None, :, :]
+    dist = np.sqrt(np.einsum("tijc,tijc->tij", diff, diff))
+    return dist.reshape(len(states), -1).max(axis=1)
+
+
+def contraction_factors_loop(times, series, tau, match_tol=1e-9, floor=1e-10):
+    """series(t + tau) / series(t) per sample t whose endpoint matches a sample
+    within match_tol (the one just below the target first), skipping starts
+    with series(t) <= floor; stops at the first endpoint past the last sample."""
+    factors = []
+    for i, t in enumerate(times):
+        target = t + tau
+        if target > times[-1] + match_tol:
+            break
+        j = int(np.searchsorted(times, target))
+        for cand in (j - 1, j):
+            if 0 <= cand < len(times) and abs(times[cand] - target) <= match_tol:
+                if series[i] > floor:
+                    factors.append(series[cand] / series[i])
+                break
+    return np.asarray(factors)
+
+
+def dissipation_residual_loop(traj, sig):
+    """Max |centered dV/dt + 2 * Dirichlet energy| by a per-sample loop that
+    builds each state's Configuration and calls `dirichlet_energy`."""
+    times = traj.times
+    var = traj.variances
+    switch_times, _ = _breakpoint_events(sig, float(times[-1]) + 1e-12)
+    worst = 0.0
+    for i in range(1, len(times) - 1):
+        left, right = times[i - 1], times[i + 1]
+        if abs((right - times[i]) - (times[i] - left)) > 1e-9 * (right - left):
+            continue
+        lo = np.searchsorted(switch_times, left + 1e-12)
+        hi = np.searchsorted(switch_times, right - 1e-12)
+        if hi > lo:  # a switch lies strictly inside the stencil
+            continue
+        slope = (var[i + 1] - var[i - 1]) / (right - left)
+        energy = cl.dirichlet_energy(cl.evaluate(sig, float(times[i])),
+                                     traj.state(i))
+        worst = max(worst, abs(slope + 2.0 * energy))
+    return worst

@@ -9,6 +9,8 @@ from consensuslab.errors import (
     UnbalancedGraph,
 )
 
+from oracles import contraction_factors_loop, dissipation_residual_loop
+
 
 def config(positions):
     return cl.Configuration.from_positions(np.asarray(positions, dtype=float))
@@ -148,6 +150,29 @@ class TestWindowContraction:
         report = cl.window_contraction(traj, 1.0, observable="variance")
         assert np.abs(report.factors - np.exp(-2.0)).max() <= 1e-6
 
+    def test_matches_loop_oracle(self):
+        # uneven grid; some endpoints on the grid, some within the match
+        # tolerance (one or two samples), some off it; some starts under the
+        # consensus floor
+        rng = np.random.default_rng(82)
+        tau = 1.0
+        base = np.sort(rng.uniform(0.0, 8.0, size=60))
+        times = np.unique(np.concatenate([
+            [0.0], base, base[::3] + tau, base[1::5] + tau + 4e-10,
+            base[2::5] + tau - 4e-10, base[2::5] + tau + 4e-10,
+            base[4::7] + tau + 3e-9, [9.5]]))
+        series = np.exp(-0.3 * times) * (1.0 + 0.2 * rng.random(times.size))
+        series[rng.random(times.size) < 0.2] = 1e-12
+        states = np.stack([np.zeros_like(series), series], axis=1)[:, :, None]
+        traj = cl.Trajectory(times, states, all_ones_signal(), cl.Constant(1.0))
+        for observable, values in (("diameter", traj.diameters),
+                                   ("variance", traj.variances)):
+            want = contraction_factors_loop(times, values, tau)
+            got = cl.window_contraction(traj, tau, observable).factors
+            assert np.array_equal(got, want)
+            assert want.size > 0
+        assert np.any(series <= 1e-10)
+
     def test_span_too_short(self):
         traj = cl.integrate(config([-1.0, 1.0]), all_ones_signal(),
                             cl.Constant(1.0), 0.5, 1e-2)
@@ -211,6 +236,35 @@ class TestVarianceDissipation:
         x0 = config(rng.normal(size=(4, 2)))
         traj = cl.integrate(x0, sig, cl.Constant(1.0), 2.0, 1e-3)
         assert cl.variance_dissipation_residual(traj, sig) <= 1e-5
+
+    def test_matches_loop_oracle(self):
+        # clamped and periodic signals, several laps, uneven samples from
+        # forced record times and sample_every > 1
+        rng = np.random.default_rng(2028)
+        for run in range(9):
+            n = int(rng.integers(2, 6))
+            pick = run % 3
+            if pick == 0:
+                sig = cl.gen_rotating_star(n, dwell=0.25)
+            elif pick == 1:
+                sig = cl.gen_blinking_pairs(n + (n % 2), dwell=0.3, duty=0.5)
+            else:
+                mats = []
+                for _ in range(3):
+                    entries = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+                    entries = 0.5 * (entries + entries.T)
+                    np.fill_diagonal(entries, 1.0)
+                    mats.append(cl.AdjacencyMatrix.from_entries(entries))
+                bp = np.array([0.0, 0.13, 0.5, 0.71])
+                sig = cl.PiecewiseConstantSignal(n, bp, tuple(mats),
+                                                 ("periodic", "clamped")[run % 2])
+            x0 = config(rng.normal(size=(sig.n, int(rng.integers(1, 4)))))
+            traj = cl.integrate(x0, sig, cl.Constant(1.0), 1.5, 2e-3,
+                                sample_every=1 + run % 2,
+                                forced_times=rng.uniform(0.0, 1.5, size=5))
+            want = dissipation_residual_loop(traj, sig)
+            got = cl.variance_dissipation_residual(traj, sig)
+            assert abs(got - want) <= 1e-12 * want
 
     def test_unbalanced_rejected(self):
         piece = cl.AdjacencyMatrix.from_entries([[1.0, 1.0], [0.0, 1.0]])

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import consensuslab as cl
-from consensuslab.cli import cmd_certify, cmd_simulate, cmd_verify, main, parse_config
+from consensuslab.analysis import analysis_report_json
+from consensuslab.cli import (
+    _write_json,
+    cmd_certify,
+    cmd_simulate,
+    cmd_verify,
+    main,
+    parse_config,
+)
 from consensuslab.errors import ConfigError
 
 
@@ -191,6 +199,63 @@ class TestVerify:
         bundle = cmd_verify(parse_config(data))
         assert bundle.summary["runs"][0]["consensus_at_t0"] is True
 
+        # with no live run there is no worst rate: strict JSON null, not Infinity
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["worst_gamma"] is None
+        check = summary["checks"][-1]
+        assert check["name"] == "every_gamma_positive"
+        assert (check["value"], check["verdict"]) == (None, "pass")
+
+    def test_malformed_init_set_rejected(self, tmp_path):
+        start = np.zeros((5, 2))
+        start[2, 1] = np.nan
+        for init_set in ([start.tolist()], [np.zeros((4, 2)).tolist()], []):
+            data = self.verify_config(tmp_path)
+            data["sweep"] = {"init_set": init_set}
+            with pytest.raises(ConfigError) as err:
+                cmd_verify(parse_config(data))
+            assert err.value.field == "sweep.init_set"
+
+    @pytest.mark.parametrize("observable", ("diameter", "variance"))
+    def test_mixed_sweep_matches_per_run_reference(self, tmp_path, observable):
+        rng = np.random.default_rng(46)
+        starts = [rng.normal(size=(5, 2)), np.full((5, 2), 0.3),
+                  rng.normal(size=(5, 2)) * 4.0, rng.uniform(size=(5, 2))]
+        data = self.verify_config(tmp_path, observable)
+        data["sweep"] = {"init_set": [s.tolist() for s in starts]}
+        cfg = parse_config(data)
+        bundle = cmd_verify(cfg)
+
+        runs, reports, fits = [], [], []
+        for idx, start in enumerate(starts):
+            diam = cl.diameter(cl.Configuration.from_positions(start))
+            if diam == 0.0:
+                runs.append({"run": idx, "consensus_at_t0": True})
+                continue
+            x0 = cl.Configuration.from_positions((start - start.mean(axis=0)) / diam)
+            traj = cl.integrate(x0, cfg.signal, cfg.kernel, cfg.t_end, cfg.dt,
+                                forced_times=np.arange(5) * cfg.window.tau)
+            series = traj.diameters if observable == "diameter" else traj.variances
+            contraction = cl.window_contraction(traj, cfg.window.tau, observable)
+            keep = series > 1e-14 * series[0]
+            fit = cl.fit_exponential(traj.times[keep], series[keep])
+            runs.append({"run": idx, "consensus_at_t0": False,
+                         "kappa_hat": contraction.kappa_hat,
+                         "all_strict": contraction.all_strict,
+                         "gamma": fit.gamma, "alpha": fit.alpha,
+                         "rms_log_residual": fit.rms_log_residual})
+            reports.append(analysis_report_json(observable, contraction, fit))
+            fits.append(fit.to_json_dict())
+
+        assert [r["consensus_at_t0"] for r in runs] == [False, True, False, False]
+        assert bundle.summary["runs"] == runs
+        assert json.loads((tmp_path / "analysis_reports.json").read_text()) == reports
+        assert json.loads((tmp_path / "decay_fits.json").read_text()) == fits
+
     def test_sweep_required(self, tmp_path):
         data = self.verify_config(tmp_path)
         del data["sweep"]
@@ -246,6 +311,10 @@ class TestDeterminismAndOverrides:
         kappa_b = json.loads(
             (tmp_path / "b" / "summary.json").read_text())["worst_kappa_hat"]
         assert kappa_a != kappa_b
+
+    def test_non_finite_value_fails_loudly(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", {"value": float("inf")})
 
     def test_config_json_round_trip(self, tmp_path):
         data = blinking_config(tmp_path)

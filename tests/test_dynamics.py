@@ -8,7 +8,9 @@ from consensuslab.errors import (
     NonFiniteState,
 )
 
-from oracles import two_agent_closed_form
+from consensuslab import dynamics
+
+from oracles import diameters_broadcast, two_agent_closed_form
 
 
 def config(positions):
@@ -186,6 +188,50 @@ class TestStabilityEstimates:
             _, c_phi = cl.kernel_bounds(kernel, d0)
             floor = d0 * np.exp(-2.0 * c_phi * traj.times) - 1e-8
             assert np.all(traj.diameters >= floor)
+
+
+class TestIntegrateBatch:
+    def test_each_start_equals_its_own_run(self):
+        rng = np.random.default_rng(44)
+        sig = cl.gen_rotating_star(4, 0.15)
+        starts = rng.normal(size=(3, 4, 2))
+        kernel = cl.CuckerSmale(1.0, 1.0)
+        runs = list(cl.integrate_batch(starts, sig, kernel, 1.0, 2e-2, 2,
+                                       forced_times=[0.33]))
+        assert len(runs) == 3
+        for start, got in zip(starts, runs):
+            want = cl.integrate(config(start), sig, kernel, 1.0, 2e-2, 2,
+                                forced_times=[0.33])
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.states, want.states)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            cl.integrate_batch(np.zeros((0, 2, 1)), all_ones_signal(),
+                               cl.Constant(1.0), 1.0, 1e-2)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            cl.integrate_batch(np.zeros((2, 3, 1)), all_ones_signal(),
+                               cl.Constant(1.0), 1.0, 1e-2)
+
+
+class TestDiameters:
+    def test_chunks_match_one_broadcast(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        states = rng.normal(size=(37, 6, 3))
+        want = diameters_broadcast(states)
+        # 108 floats per sample: chunks of 1, 4 (uneven tail) and all samples
+        for chunk in (1, 500, dynamics._CHUNK_FLOATS):
+            monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", chunk)
+            assert np.array_equal(dynamics.diameters(states), want)
+            traj = cl.Trajectory(np.arange(37.0), states, all_ones_signal(6),
+                                 cl.Constant(1.0))
+            assert np.array_equal(traj.diameters, want)
+
+    def test_batch_shape_and_single_agent(self):
+        assert dynamics.diameters(np.zeros((4, 2, 1, 3))).shape == (4, 2)
+        assert dynamics.diameters(np.ones((1, 2))) == 0.0
 
 
 class TestRescaleDilation:

@@ -43,6 +43,27 @@ def test_rk4_matches_loop_rk4(kind, p1, p2):
     assert np.allclose(got, want[rec], rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("batch", (1, 3))
+@pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
+def test_rk4_batch_equals_single_starts(kind, p1, p2, batch):
+    # a batch shares the grid but not the arithmetic: every start is bitwise
+    # what its own run gives
+    rng = np.random.default_rng(11)
+    n, d, steps = 5, 2, 40
+    pieces = rng.random((3, n, n))
+    piece_idx = rng.integers(0, 3, size=steps)
+    hs = rng.uniform(0.005, 0.02, size=steps)
+    rec = np.zeros(steps + 1, dtype=bool)
+    rec[::4] = True
+    rec[-1] = True
+    x0s = rng.normal(size=(batch, n, d))
+    got = kernels.rk4_run(x0s, pieces, piece_idx, hs, rec, kind, p1, p2)
+    assert got.shape == (np.count_nonzero(rec), batch, n, d)
+    for b in range(batch):
+        one = kernels.rk4_run(x0s[b], pieces, piece_idx, hs, rec, kind, p1, p2)
+        assert np.array_equal(got[:, b], one)
+
+
 def test_certify_lambda2_n64_warning_free():
     # at n=64 the eigensolver must neither warn nor drift from the oracle
     sig = cl.gen_rotating_star(64, 0.1)
