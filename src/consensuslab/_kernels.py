@@ -14,13 +14,17 @@ def rhs_velocity(pos, adj, kind, p1, p2):
     velocity_i = (1/n) sum_j a_ij * phi(|x_i - x_j|) * (x_j - x_i), with
     phi = p1 for the constant kernel and p1 / (1 + r^2)^p2 otherwise.
     Leading axes of ``pos`` are independent configurations sharing ``adj``.
+
+    The constant kernel needs no distances: its field is the Laplacian form
+    -(p1/n) L x = (p1/n) (A x - deg * x), with deg_i = sum_j a_ij, for any
+    adjacency, balanced or not.  It costs one (n, n) @ (n, d) product instead
+    of an (n, n, d) difference array.
     """
+    if kind == KERNEL_CONSTANT:
+        return p1 * (adj @ pos - adj.sum(axis=-1)[:, None] * pos) / pos.shape[-2]
     diff = pos[..., None, :, :] - pos[..., :, None, :]  # diff[i, j] = x_j - x_i
     r2 = np.einsum("...ijc,...ijc->...ij", diff, diff)
-    if kind == KERNEL_CONSTANT:
-        w = adj * p1
-    else:
-        w = adj * (p1 / (1.0 + r2) ** p2)
+    w = adj * (p1 / (1.0 + r2) ** p2)
     return np.einsum("...ij,...ijc->...ic", w, diff) / pos.shape[-2]
 
 

@@ -38,6 +38,7 @@ def _cases(rng, n_agents, dim, steps):
     rec = np.zeros(steps + 1, dtype=bool)
     rec[0] = rec[-1] = True
     cs = _kernels.KERNEL_CUCKER_SMALE
+    linear = _kernels.KERNEL_CONSTANT
 
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs, 1.0, 1.0),
@@ -45,6 +46,8 @@ def _cases(rng, n_agents, dim, steps):
         "lambda2": lambda: algebraic_connectivity(balanced),
         "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec,
                                         cs, 1.0, 1.0),
+        "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
+                                               rec, linear, 1.0, 0.0),
     }
 
 

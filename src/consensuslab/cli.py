@@ -24,6 +24,12 @@ from .signals import PiecewiseConstantSignal, Window
 
 SERIES_FLOOR_REL = 1e-14
 
+# Largest step grid a config may ask for, ceil(run.t_end / run.dt).  The grid
+# is built by a Python walk over every step and the integrator records all its
+# samples in one array, so a mistyped dt must fail here instead of stalling or
+# exhausting memory; the reference configs use 1000 steps.
+MAX_GRID_STEPS = 1_000_000
+
 
 @dataclass
 class ExperimentConfig:
@@ -130,6 +136,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     dt = float(dt)
     if not dt > 0:
         raise ConfigError("run.dt", "must be > 0")
+    if t_end / dt > MAX_GRID_STEPS:
+        raise ConfigError("run.dt", f"t_end/dt = {t_end / dt:.6g} steps exceeds "
+                                    f"the cap of {MAX_GRID_STEPS}")
     sample_every = int(run.get("sample_every", 1))
     if sample_every < 1:
         raise ConfigError("run.sample_every", "must be >= 1")
@@ -189,10 +198,8 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _observables_csv(path: Path, traj: Trajectory) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,diameter,variance\n")
-        for t, dia, var in zip(traj.times, traj.diameters, traj.variances):
-            fh.write(f"{t:.17g},{dia:.17g},{var:.17g}\n")
+    dynamics.write_csv(path, ["t", "diameter", "variance"], traj.times,
+                       np.column_stack([traj.diameters, traj.variances]))
 
 
 def _check(name, value, threshold, ok):

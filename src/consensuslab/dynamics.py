@@ -3,8 +3,10 @@
 Integrates x_i' = (1/n) sum_j a_ij(t) phi(|x_i - x_j|) (x_j - x_i) with
 classic fixed-step RK4.  Every signal breakpoint inside the horizon is forced
 onto the step grid (steps shorten to land on it), so the right-hand side is
-smooth within each step.  With the constant unit kernel this is exactly the
-linear balanced consensus system.
+smooth within each step.  With the constant kernel phi = c the field is the
+Laplacian form x' = -(c/n) L(t) x, L = diag(A 1) - A, evaluated as one matrix
+product per stage; on balanced graphs this is exactly the linear balanced
+consensus system.
 """
 from __future__ import annotations
 
@@ -187,12 +189,22 @@ class Trajectory:
         """Write t, x_1_1, ..., x_N_d rows with 17 significant digits."""
         header = ["t"] + [f"x_{i + 1}_{c + 1}" for i in range(self.n)
                           for c in range(self.d)]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            flat = self.states.reshape(len(self.times), -1)
-            for t, row in zip(self.times, flat):
-                cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-                fh.write(",".join(cells) + "\n")
+        write_csv(path, header, self.times,
+                  self.states.reshape(len(self.times), -1))
+
+
+def write_csv(path, header, times, rows) -> None:
+    """Write the header, then one ``t, row...`` line per sample.
+
+    Every value is printed with 17 significant digits, which round-trips
+    float64.  ``rows`` has shape (T, k); one row at a time is converted to
+    Python floats, so the writer holds no text copy of the table.
+    """
+    line = ",".join(["%.17g"] * (1 + rows.shape[1])) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, row in zip(times.tolist(), rows):
+            fh.write(line % (t, *row.tolist()))
 
 
 def _breakpoint_events(sig, t_end):

@@ -6,8 +6,8 @@ over agent pairs (stepped by a plain RK4 loop), the connectivity oracles use eit
 symmetric eigensolver with the constant direction shifted away or brute-force
 Rayleigh-quotient minimization over direction grids, and window averages are
 cross-checked by Riemann summation.  Window contraction factors and the
-variance dissipation residual are literal per-sample loops, and diameters a
-full (T, n, n, d) broadcast.
+variance dissipation residual are literal per-sample loops, diameters a
+full (T, n, n, d) broadcast, and CSV output a per-cell f-string writer.
 """
 import numpy as np
 
@@ -181,6 +181,16 @@ def diameters_broadcast(states):
     diff = states[:, :, None, :] - states[:, None, :, :]
     dist = np.sqrt(np.einsum("tijc,tijc->tij", diff, diff))
     return dist.reshape(len(states), -1).max(axis=1)
+
+
+def csv_per_cell(path, header, times, rows):
+    """Header, then `t, row...` lines, each cell formatted on its own as
+    f"{v:.17g}"."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, row in zip(times, rows):
+            cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
+            fh.write(",".join(cells) + "\n")
 
 
 def contraction_factors_loop(times, series, tau, match_tol=1e-9, floor=1e-10):

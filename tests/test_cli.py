@@ -6,6 +6,7 @@ import pytest
 import consensuslab as cl
 from consensuslab.analysis import analysis_report_json
 from consensuslab.cli import (
+    MAX_GRID_STEPS,
     _write_json,
     cmd_certify,
     cmd_simulate,
@@ -67,6 +68,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert err.value.field == "run.dt"
+
+    @pytest.mark.parametrize("route", ("config", "--dt"))
+    def test_step_grid_cap(self, tmp_path, capsys, monkeypatch, route):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a config past the step cap")
+
+        monkeypatch.setattr(cl._kernels, "rk4_run", no_integration)
+        data = two_agent_config(tmp_path)
+        dt = data["run"]["t_end"] / (MAX_GRID_STEPS + 1)
+        argv = []
+        if route == "config":
+            data["run"]["dt"] = dt
+        else:
+            argv = ["--dt", repr(dt)]
+        path = write_config(tmp_path, data)
+        assert main(["simulate", "--config", str(path)] + argv) == 1
+        assert "run.dt" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_default_dt_rule(self, tmp_path):
         data = blinking_config(tmp_path)

@@ -10,7 +10,7 @@ from consensuslab.errors import (
 
 from consensuslab import dynamics
 
-from oracles import diameters_broadcast, two_agent_closed_form
+from oracles import csv_per_cell, diameters_broadcast, two_agent_closed_form
 
 
 def config(positions):
@@ -80,10 +80,36 @@ class TestIntegrate:
 
     def test_identity_signal_is_frozen(self):
         x0 = config([[0.4, -1.0], [2.0, 0.5], [-0.7, 0.1]])
-        traj = cl.integrate(x0, identity_signal(3), cl.CuckerSmale(0.8, 1.2),
-                            2.0, 1e-2)
-        assert np.array_equal(traj.states, np.broadcast_to(
-            x0.positions, traj.states.shape))
+        for kernel in (cl.CuckerSmale(0.8, 1.2), cl.Constant(1.3)):
+            traj = cl.integrate(x0, identity_signal(3), kernel, 2.0, 1e-2)
+            assert np.array_equal(traj.states, np.broadcast_to(
+                x0.positions, traj.states.shape))
+
+    def test_linear_matches_eigendecomposition(self):
+        # x(t) = V exp(-c Lambda t / n) V^T x0 for one symmetric piece; RK4's
+        # stability polynomial misses exp(z) by at most |z|^5/120 per step
+        # (z = -h c lambda / n), so over N steps the state error is at most
+        # N (h rho)^5 / 120 |x0| with rho = c lambda_max / n, plus a few ulps
+        # of rounding per step
+        rng = np.random.default_rng(23)
+        n, d, c, h, t_end = 6, 2, 1.7, 1e-2, 2.0
+        entries = rng.random((n, n))
+        entries = 0.5 * (entries + entries.T)
+        np.fill_diagonal(entries, 1.0)
+        sig = cl.PiecewiseConstantSignal(
+            n, np.array([0.0, 1.0]), (cl.AdjacencyMatrix(n, entries),),
+            "periodic")
+        x0 = config(rng.normal(size=(n, d)))
+        traj = cl.integrate(x0, sig, cl.Constant(c), t_end, h)
+
+        lam, vec = np.linalg.eigh(np.diag(entries.sum(axis=1)) - entries)
+        decay = np.exp(-c * lam[None, :] * traj.times[:, None] / n)  # (T, n)
+        exact = np.einsum("ik,tk,jk,jc->tic", vec, decay, vec, x0.positions)
+        steps = len(traj.times) - 1
+        rho = c * lam[-1] / n
+        bound = (steps * (h * rho) ** 5 / 120.0
+                 + 8 * steps * np.finfo(float).eps) * np.linalg.norm(x0.positions)
+        assert np.abs(traj.states - exact).max() <= bound
 
     def test_mean_conserved_on_balanced_linear(self):
         rng = np.random.default_rng(41)
@@ -265,6 +291,39 @@ class TestRescaleDilation:
 
 
 class TestTrajectoryExport:
+    # -0.0, subnormals, +-1e300 and integer-valued floats, in the times too
+    SPECIAL = np.array([-0.0, 5e-324, 2.5e-310, 1e-300, 1.0, 3.0, 1e16, 1e300])
+
+    def special_trajectory(self):
+        rng = np.random.default_rng(8)
+        states = rng.normal(size=(len(self.SPECIAL), 3, 2))
+        states.reshape(-1)[::2][:len(self.SPECIAL)] = self.SPECIAL
+        states.reshape(-1)[1::5][:len(self.SPECIAL)] = -self.SPECIAL
+        return cl.Trajectory(self.SPECIAL, states, all_ones_signal(3),
+                             cl.Constant(1.0))
+
+    def test_csv_matches_per_cell_writer(self, tmp_path):
+        traj = self.special_trajectory()
+        traj.to_csv(tmp_path / "got.csv")
+        header = ["t"] + [f"x_{i}_{c}" for i in (1, 2, 3) for c in (1, 2)]
+        csv_per_cell(tmp_path / "want.csv", header, traj.times,
+                     traj.states.reshape(len(traj.times), -1))
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def test_observables_csv_matches_per_cell_writer(self, tmp_path):
+        from consensuslab.cli import _observables_csv
+
+        traj = cl.integrate(config([[0.0, 3.0], [-0.0, 1e-300], [2.0, -1.0]]),
+                            cl.gen_rotating_star(3, 0.2), cl.Constant(1.0),
+                            1.0, 0.05)
+        _observables_csv(tmp_path / "got.csv", traj)
+        csv_per_cell(tmp_path / "want.csv", ["t", "diameter", "variance"],
+                     traj.times,
+                     np.column_stack([traj.diameters, traj.variances]))
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
     def test_csv_round_trip(self, tmp_path):
         traj = cl.integrate(config([-1.0, 1.0]), all_ones_signal(),
                             cl.Constant(1.0), 1.0, 0.1)

@@ -23,11 +23,12 @@ KERNEL_CASES = ((kernels.KERNEL_CONSTANT, 1.3, 0.0),
 
 @pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
 def test_rhs_matches_double_loop(kind, p1, p2):
-    for seed in range(10):
-        pos, adj = random_case(seed)
-        got = kernels.rhs_velocity(pos, adj, kind, p1, p2)
-        want = rhs_direct(pos, adj, kind == kernels.KERNEL_CONSTANT, p1, p2)
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+    for d in (1, 2, 3):
+        for seed in range(10):
+            pos, adj = random_case(seed, d=d)
+            got = kernels.rhs_velocity(pos, adj, kind, p1, p2)
+            want = rhs_direct(pos, adj, kind == kernels.KERNEL_CONSTANT, p1, p2)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
