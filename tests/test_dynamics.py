@@ -9,6 +9,7 @@ from consensuslab.errors import (
 )
 
 from consensuslab import dynamics
+from consensuslab.cli import _observables_csv
 
 from oracles import csv_per_cell, diameters_broadcast, two_agent_closed_form
 
@@ -312,8 +313,6 @@ class TestTrajectoryExport:
                 == (tmp_path / "want.csv").read_bytes())
 
     def test_observables_csv_matches_per_cell_writer(self, tmp_path):
-        from consensuslab.cli import _observables_csv
-
         traj = cl.integrate(config([[0.0, 3.0], [-0.0, 1e-300], [2.0, -1.0]]),
                             cl.gen_rotating_star(3, 0.2), cl.Constant(1.0),
                             1.0, 0.05)
