@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Configuration, Constant, Trajectory, _breakpoint_events,
-                       diameters, reduce_squared_distances, squared_distances)
+from .dynamics import (Configuration, Constant, Trajectory, diameters,
+                       reduce_squared_distances)
 from .errors import (DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort,
                      UnbalancedGraph)
-from .graphs import BALANCE_TOL, is_balanced
+from .graphs import BALANCE_TOL, is_balanced, squared_distances
 
 PAIR_TOL = 1e-9
 STRICT_MARGIN = 1e-12
@@ -174,14 +174,8 @@ def fit_exponential(times, values) -> DecayFit:
 def analysis_report_json(kind: str, contraction: ContractionReport,
                          fit: DecayFit | None) -> dict:
     """Combined per-run report: observable kind, contraction and fit."""
-    return {
-        "kind": kind,
-        "kappa_hat": contraction.kappa_hat,
-        "factors": np.asarray(contraction.factors).tolist(),
-        "all_strict": contraction.all_strict,
-        "tau": contraction.tau,
-        "fit": fit.to_json_dict() if fit is not None else None,
-    }
+    return {"kind": kind, **contraction.to_json_dict(),
+            "fit": fit.to_json_dict() if fit is not None else None}
 
 
 def variance_dissipation_residual(traj: Trajectory, sig) -> float:
@@ -204,7 +198,7 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
 
     times = traj.times
     var = traj.variances
-    switch_times, switch_piece = _breakpoint_events(sig, float(times[-1]) + 1e-12)
+    switch_times, switch_piece = sig.piece_starts(float(times[-1]) + 1e-12)
     left, mid, right = times[:-2], times[1:-1], times[2:]
     even = np.abs((right - mid) - (mid - left)) <= 1e-9 * (right - left)
     # a switch strictly inside a stencil makes lo < hi

@@ -9,9 +9,12 @@ import numpy as np
 
 from . import _kernels
 from .graphs import AdjacencyMatrix, algebraic_connectivity
+from .signals import _critical_starts, gen_rotating_star, window_average_batch
 
 # starts integrated in one `rk4` call: the sweep size of the README verify
 RK4_BATCH = 32
+# window length of the `window_avg` row, over one period of a rotating star
+WINDOW_TAU = 0.35
 
 
 def _time(fn, repeats):
@@ -39,6 +42,8 @@ def _cases(rng, n_agents, dim, steps):
     rec[0] = rec[-1] = True
     cs = _kernels.KERNEL_CUCKER_SMALE
     linear = _kernels.KERNEL_CONSTANT
+    star = gen_rotating_star(n_agents, 0.1)
+    star_starts = _critical_starts(star, WINDOW_TAU, star.period)
 
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs, 1.0, 1.0),
@@ -48,6 +53,7 @@ def _cases(rng, n_agents, dim, steps):
                                         cs, 1.0, 1.0),
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
                                                rec, linear, 1.0, 0.0),
+        "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
     }
 
 
@@ -56,7 +62,8 @@ def run(n_agents=6, dim=2, steps=2000, repeats=5):
     cases = _cases(rng, n_agents, dim, steps)
 
     print(f"kernel benchmark: n={n_agents}, d={dim}, rk4 steps={steps} on a "
-          f"batch of {RK4_BATCH} starts, best of {repeats}")
+          f"batch of {RK4_BATCH} starts, window_avg over the critical starts "
+          f"of a rotating star (tau {WINDOW_TAU}), best of {repeats}")
     print(f"{'kernel':<12} {'time [ms]':>12}")
     for name, fn in cases.items():
         print(f"{name:<12} {_time(fn, repeats) * 1e3:>12.3f}")

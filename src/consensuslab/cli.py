@@ -78,27 +78,36 @@ def _get(data, key, where, expect=None, required=True, default=None):
 
 def _parse_kernel(data):
     form = _get(data, "form", "system.kernel", str)
-    if form == "constant":
-        return Constant(float(_get(data, "c", "system.kernel")))
-    if form == "cucker_smale":
-        return CuckerSmale(float(_get(data, "K", "system.kernel")),
-                           float(_get(data, "beta", "system.kernel")))
+    try:
+        if form == "constant":
+            return Constant(float(_get(data, "c", "system.kernel")))
+        if form == "cucker_smale":
+            return CuckerSmale(float(_get(data, "K", "system.kernel")),
+                               float(_get(data, "beta", "system.kernel")))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("system.kernel", str(exc)) from exc
     raise ConfigError("system.kernel.form", f"unknown kernel form {form!r}")
 
 
 def _parse_signal(data, n):
     kind = _get(data, "type", "signal", str)
-    if kind == "rotating_star":
-        sig = signals.gen_rotating_star(
-            n, float(_get(data, "dwell", "signal")), data.get("seed"))
-    elif kind == "blinking_pairs":
-        sig = signals.gen_blinking_pairs(
-            n, float(_get(data, "dwell", "signal")),
-            float(_get(data, "duty", "signal")), data.get("seed"))
-    elif kind == "inline":
-        sig = PiecewiseConstantSignal.from_json_dict(_get(data, "data", "signal", dict))
-    else:
-        raise ConfigError("signal.type", f"unknown signal type {kind!r}")
+    try:
+        if kind == "rotating_star":
+            sig = signals.gen_rotating_star(
+                n, float(_get(data, "dwell", "signal")), data.get("seed"))
+        elif kind == "blinking_pairs":
+            sig = signals.gen_blinking_pairs(
+                n, float(_get(data, "dwell", "signal")),
+                float(_get(data, "duty", "signal")), data.get("seed"))
+        elif kind == "inline":
+            sig = PiecewiseConstantSignal.from_json_dict(
+                _get(data, "data", "signal", dict))
+        else:
+            raise ConfigError("signal.type", f"unknown signal type {kind!r}")
+    except KeyError as exc:
+        raise ConfigError("signal", f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("signal", str(exc)) from exc
     if sig.n != n:
         raise ConfigError("signal", f"signal has n={sig.n} but system.n={n}")
     return sig

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateDiameter, DimensionMismatch, NonFiniteState
-from .signals import PERIODIC, PiecewiseConstantSignal
+from .graphs import squared_distances
+from .signals import PiecewiseConstantSignal
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,12 +58,6 @@ class Configuration:
 
 # floats in one chunk of the (samples, n, n, d) pairwise-difference array
 _CHUNK_FLOATS = 1 << 20
-
-
-def squared_distances(positions) -> np.ndarray:
-    """|x_i - x_j|^2 for (..., n, d) positions; shape (..., n, n)."""
-    diff = positions[..., :, None, :] - positions[..., None, :, :]
-    return np.einsum("...ijc,...ijc->...ij", diff, diff)
 
 
 def reduce_squared_distances(positions, reduce) -> np.ndarray:
@@ -207,31 +202,6 @@ def write_csv(path, header, times, rows) -> None:
             fh.write(line % (t, *row.tolist()))
 
 
-def _breakpoint_events(sig, t_end):
-    """(times, piece indices) of every piece start inside [0, t_end)."""
-    bp = sig.breakpoints
-    m = len(sig.pieces)
-    ev_t, ev_p = [], []
-    if sig.mode == PERIODIC:
-        period = sig.period
-        lap = 0
-        while lap * period < t_end:
-            base = lap * period
-            for k in range(m):
-                t = base + bp[k]
-                if t >= t_end:
-                    break
-                ev_t.append(t)
-                ev_p.append(k)
-            lap += 1
-    else:
-        for k in range(m):
-            if bp[k] < t_end:
-                ev_t.append(bp[k])
-                ev_p.append(k)
-    return np.asarray(ev_t, dtype=np.float64), np.asarray(ev_p, dtype=np.int64)
-
-
 def _build_grid(sig, t_end, dt, forced_times):
     """Step grid: uniform dt points, breakpoints, forced times and t_end.
 
@@ -239,7 +209,7 @@ def _build_grid(sig, t_end, dt, forced_times):
     values (so signal evaluation at piece starts stays exact).  Returns the
     grid, the per-step piece indices and which grid points are forced records.
     """
-    ev_t, ev_p = _breakpoint_events(sig, t_end)
+    ev_t, ev_p = sig.piece_starts(t_end)
     n_uniform = int(np.ceil(t_end / dt - 1e-9))
     uniform = dt * np.arange(n_uniform)
     forced = np.asarray(forced_times, dtype=np.float64)

@@ -3,7 +3,8 @@
 Adjacency matrices carry weights in [0, 1] with unit diagonal.  The module
 computes the scrambling coefficient, degree vectors, the balance test, the
 normalized Laplacian (D - A)/n, the algebraic connectivity of balanced
-graphs and the Dirichlet energy of a configuration.
+graphs, pairwise squared distances and the Dirichlet energy of a
+configuration.
 """
 from __future__ import annotations
 
@@ -155,6 +156,12 @@ def algebraic_connectivity(adj: AdjacencyMatrix, tol: float = BALANCE_TOL) -> fl
     return max(lam, 0.0)
 
 
+def squared_distances(positions) -> np.ndarray:
+    """|x_i - x_j|^2 for (..., n, d) positions; shape (..., n, n)."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    return np.einsum("...ijc,...ijc->...ij", diff, diff)
+
+
 def dirichlet_energy(adj: AdjacencyMatrix, x) -> float:
     """(1/(2 n^2)) * sum_ij a_ij |x_i - x_j|^2 for a Configuration x."""
     pos = np.asarray(x.positions, dtype=np.float64)
@@ -162,6 +169,4 @@ def dirichlet_energy(adj: AdjacencyMatrix, x) -> float:
         raise DimensionMismatch(
             f"adjacency has n={adj.n} but configuration has n={pos.shape[0]}"
         )
-    diff = pos[:, None, :] - pos[None, :, :]
-    sq = np.einsum("ijc,ijc->ij", diff, diff)
-    return float((adj.entries * sq).sum() / (2.0 * adj.n**2))
+    return float((adj.entries * squared_distances(pos)).sum() / (2.0 * adj.n**2))

@@ -5,14 +5,16 @@ oracle is a literal triple loop, the velocity field a literal double loop
 over agent pairs (stepped by a plain RK4 loop), the connectivity oracles use either a dense
 symmetric eigensolver with the constant direction shifted away or brute-force
 Rayleigh-quotient minimization over direction grids, and window averages are
-cross-checked by Riemann summation.  Window contraction factors and the
-variance dissipation residual are literal per-sample loops, diameters a
-full (T, n, n, d) broadcast, and CSV output a per-cell f-string writer.
+cross-checked by Riemann summation or by a scalar integral that walks one
+time at a time.  Piece starts come from a per-lap loop.  Window contraction
+factors and the variance dissipation residual are literal per-sample loops,
+diameters a full (T, n, n, d) broadcast, and CSV output a per-cell f-string
+writer.
 """
 import numpy as np
 
 import consensuslab as cl
-from consensuslab.dynamics import _breakpoint_events
+from consensuslab.signals import PERIODIC
 
 
 def scrambling_direct(entries):
@@ -167,6 +169,60 @@ def riemann_window_average(sig, t, tau, steps=10_000):
     return avg
 
 
+def integral_scalar(sig, t):
+    """Entrywise integral of the signal over [0, t] for one time t >= 0,
+    from Python `divmod` laps (periodic) or an explicit clamped tail."""
+    bp = sig.breakpoints
+    cum = sig._cumulative
+    if sig.mode == PERIODIC:
+        laps, rem = divmod(t, sig.period)
+        total = laps * cum[-1]
+    else:
+        total = 0.0
+        rem = t
+        if rem > bp[-1]:
+            total = (rem - bp[-1]) * sig.piece_stack[-1]
+            rem = bp[-1]
+    idx = min(max(int(np.searchsorted(bp, rem, side="right")) - 1, 0),
+              len(sig.pieces) - 1)
+    return total + cum[idx] + (rem - bp[idx]) * sig.piece_stack[idx]
+
+
+def window_average_scalar(sig, t, tau):
+    """(1/tau) * integral A over [t, t+tau] from two `integral_scalar` calls,
+    clipped to [0, 1] with a unit diagonal."""
+    avg = (integral_scalar(sig, t + tau) - integral_scalar(sig, t)) / tau
+    np.clip(avg, 0.0, 1.0, out=avg)
+    np.fill_diagonal(avg, 1.0)
+    return avg
+
+
+def breakpoint_events_loop(sig, t_end):
+    """(times, piece indices) of every piece start inside [0, t_end), walking
+    the laps of a periodic signal one piece at a time."""
+    bp = sig.breakpoints
+    m = len(sig.pieces)
+    ev_t, ev_p = [], []
+    if sig.mode == PERIODIC:
+        period = sig.period
+        lap = 0
+        while lap * period < t_end:
+            base = lap * period
+            for k in range(m):
+                t = base + bp[k]
+                if t >= t_end:
+                    break
+                ev_t.append(t)
+                ev_p.append(k)
+            lap += 1
+    else:
+        for k in range(m):
+            if bp[k] < t_end:
+                ev_t.append(bp[k])
+                ev_p.append(k)
+    return np.asarray(ev_t, dtype=np.float64), np.asarray(ev_p, dtype=np.int64)
+
+
 def two_agent_closed_form(times, x0=(-1.0, 1.0)):
     """Exact solution for two agents, all-ones graph, unit constant kernel:
     the gap obeys delta' = -delta, the mean is conserved."""
@@ -216,7 +272,7 @@ def dissipation_residual_loop(traj, sig):
     builds each state's Configuration and calls `dirichlet_energy`."""
     times = traj.times
     var = traj.variances
-    switch_times, _ = _breakpoint_events(sig, float(times[-1]) + 1e-12)
+    switch_times, _ = breakpoint_events_loop(sig, float(times[-1]) + 1e-12)
     worst = 0.0
     for i in range(1, len(times) - 1):
         left, right = times[i - 1], times[i + 1]

@@ -87,6 +87,31 @@ class TestParseConfig:
         assert "run.dt" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("field, edit", [
+        pytest.param("system.kernel", lambda d: d["system"].update(
+            kernel={"form": "cucker_smale", "K": -1.0, "beta": 0.5}),
+            id="negative_K"),
+        pytest.param("system.kernel", lambda d: d["system"]["kernel"].update(
+            c="fast"), id="non_numeric_c"),
+        pytest.param("system.kernel", lambda d: d["system"]["kernel"].update(
+            c=None), id="null_c"),
+        pytest.param("signal", lambda d: d.update(
+            signal={"type": "rotating_star", "dwell": -0.5}),
+            id="negative_dwell"),
+        pytest.param("signal", lambda d: d["signal"]["data"].update(
+            breakpoints=[0.0, 1.0, 0.5],
+            pieces=[{"n": 2, "entries": [[1.0, 1.0], [1.0, 1.0]]}] * 2),
+            id="unsorted_breakpoints"),
+        pytest.param("signal", lambda d: d["signal"]["data"].pop("breakpoints"),
+                     id="missing_breakpoints"),
+    ])
+    def test_invalid_value_names_field(self, tmp_path, capsys, field, edit):
+        data = two_agent_config(tmp_path)
+        edit(data)
+        assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
     def test_default_dt_rule(self, tmp_path):
         data = blinking_config(tmp_path)
         data["run"].pop("dt", None)

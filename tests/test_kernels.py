@@ -77,8 +77,11 @@ def test_certify_lambda2_n64_warning_free():
     assert rep.infimum_value > 0.0
 
 
-def test_benchmark_runs():
+def test_benchmark_runs(capsys):
     from consensuslab import bench
 
     assert bench.main(["--agents", "8", "--dim", "2", "--steps", "20",
                        "--repeats", "1"]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == ["rhs", "scrambling", "lambda2", "rk4", "rk4_linear",
+                    "window_avg"]

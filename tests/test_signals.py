@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import consensuslab as cl
+from consensuslab import signals
 from consensuslab.errors import HorizonUncovered, UnbalancedGraph
 
-from oracles import lambda2_eigh, riemann_window_average, scrambling_direct
+from oracles import (breakpoint_events_loop, lambda2_eigh, riemann_window_average,
+                     scrambling_direct, window_average_scalar)
 
 
 def adj(entries):
@@ -118,12 +120,25 @@ class TestWindowAverage:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(33)
-        sig = lattice_random_signal(rng, 4, pieces=5)
-        starts = rng.random(50) * 3.0
-        batch = cl.window_average_batch(sig, starts, 0.77)
-        for k, t in enumerate(starts):
-            single = cl.window_average(sig, float(t), 0.77)
-            assert np.abs(batch[k] - single.entries).max() <= 1e-14
+        for mode in ("periodic", "clamped"):
+            # a period of 0.7 (not a power of two) makes t - floor(t/P)*P
+            # round differently from divmod on many of these starts
+            sig = lattice_random_signal(rng, 4, pieces=5, total_units=70,
+                                        unit=1e-2, mode=mode)
+            starts = np.concatenate([rng.random(50) * 3.0, sig.breakpoints,
+                                     sig.breakpoints + 1.0, 0.1 * np.arange(40)])
+            batch = cl.window_average_batch(sig, starts, 0.77)
+            for k, t in enumerate(starts):
+                assert np.array_equal(batch[k],
+                                      window_average_scalar(sig, float(t), 0.77))
+
+    def test_negative_start_rejected(self):
+        sig = lattice_random_signal(np.random.default_rng(37), 3, pieces=3,
+                                    mode="clamped")
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            cl.window_average_batch(sig, [0.5, -1.0], 0.5)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            cl.window_average(sig, -1.0, 0.5)
 
     def test_clamped_beyond_coverage(self):
         first = cl.AdjacencyMatrix.ones(2)
@@ -132,7 +147,51 @@ class TestWindowAverage:
                            first.entries)
 
 
+class TestPieceStarts:
+    def test_matches_loop(self):
+        rng = np.random.default_rng(38)
+        for mode in ("periodic", "clamped"):
+            for pieces in (1, 2, 5):
+                sig = lattice_random_signal(rng, 2, pieces=pieces, mode=mode)
+                ends = [1e-9, 0.37, *sig.breakpoints[1:], 2.0, 3.0, 7.3,
+                        10.0 + 1e-12]
+                for t_end in ends:
+                    times, idx = sig.piece_starts(float(t_end))
+                    old_times, old_idx = breakpoint_events_loop(sig, float(t_end))
+                    assert np.array_equal(times, old_times)
+                    assert np.array_equal(idx, old_idx)
+                    assert idx.dtype == old_idx.dtype == np.int64
+
+
 class TestCertify:
+    def test_chunked_matches_single_chunk(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        sig = lattice_random_signal(rng, 3, pieces=5, balanced=True)
+        window = cl.Window(0.3, 0.1)
+        seen = []
+        for name in ("scrambling", "algebraic_connectivity"):
+            metric = getattr(signals, name)
+            monkeypatch.setattr(signals, name, lambda avg, metric=metric:
+                                seen.append(avg.entries) or metric(avg))
+
+        def certify_both():
+            seen.clear()
+            return ([certify(sig, window, 10.0)
+                     for certify in (cl.certify_eta, cl.certify_lambda2)], list(seen))
+
+        whole, whole_seen = certify_both()
+        starts = signals._critical_starts(sig, window.tau, 10.0)
+        expect = [window_average_scalar(sig, float(t), window.tau) for t in starts]
+        assert len(whole_seen) == 2 * len(starts)
+        assert all(np.array_equal(a, b) for a, b in zip(whole_seen, expect * 2))
+        # three starts per chunk, and a short last chunk
+        assert len(starts) > 6 and len(starts) % 3 != 0
+        monkeypatch.setattr(signals, "_CHUNK_FLOATS", 3 * sig.n**2)
+        chunked, chunked_seen = certify_both()
+        assert chunked == whole
+        assert len(chunked_seen) == len(whole_seen)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked_seen, whole_seen))
+
     def test_blinking_full_period_passes(self):
         rep = cl.certify_eta(blinking_two(), cl.Window(1.0, 0.5), 10.0)
         assert rep.passes
