@@ -20,12 +20,24 @@ def rhs_velocity(pos, adj, kind, p1, p2):
     adjacency, balanced or not.  It costs one (n, n) @ (n, d) product instead
     of an (n, n, d) difference array.
     """
+    return _velocity(adj, kind, p1, p2)(pos)
+
+
+def _velocity(adj, kind, p1, p2):
+    """`rhs_velocity` on one adjacency, as a function of the positions.
+
+    The degree vector of the constant kernel is computed here, once.
+    """
     if kind == KERNEL_CONSTANT:
-        return p1 * (adj @ pos - adj.sum(axis=-1)[:, None] * pos) / pos.shape[-2]
-    diff = pos[..., None, :, :] - pos[..., :, None, :]  # diff[i, j] = x_j - x_i
-    r2 = np.einsum("...ijc,...ijc->...ij", diff, diff)
-    w = adj * (p1 / (1.0 + r2) ** p2)
-    return np.einsum("...ij,...ijc->...ic", w, diff) / pos.shape[-2]
+        deg = adj.sum(axis=-1)[:, None]
+        return lambda pos: p1 * (adj @ pos - deg * pos) / pos.shape[-2]
+
+    def field(pos):
+        diff = pos[..., None, :, :] - pos[..., :, None, :]  # diff[i, j] = x_j - x_i
+        r2 = np.einsum("...ijc,...ijc->...ij", diff, diff)
+        w = adj * (p1 / (1.0 + r2) ** p2)
+        return np.einsum("...ij,...ijc->...ic", w, diff) / pos.shape[-2]
+    return field
 
 
 def scrambling_min(adj):
@@ -49,13 +61,17 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kind, p1, p2):
     if rec[0]:
         out[r] = x
         r += 1
+    fields = {}  # piece index -> its velocity, built on the piece's first step
     for s in range(hs.shape[0]):
         h = hs[s]
-        adj = pieces[piece_idx[s]]
-        k1 = rhs_velocity(x, adj, kind, p1, p2)
-        k2 = rhs_velocity(x + 0.5 * h * k1, adj, kind, p1, p2)
-        k3 = rhs_velocity(x + 0.5 * h * k2, adj, kind, p1, p2)
-        k4 = rhs_velocity(x + h * k3, adj, kind, p1, p2)
+        p = piece_idx[s]
+        if p not in fields:
+            fields[p] = _velocity(pieces[p], kind, p1, p2)
+        f = fields[p]
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if rec[s + 1]:
             out[r] = x

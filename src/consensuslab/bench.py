@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, dynamics
 from .graphs import AdjacencyMatrix, algebraic_connectivity
 from .signals import _critical_starts, gen_rotating_star, window_average_batch
 
@@ -15,6 +15,9 @@ from .signals import _critical_starts, gen_rotating_star, window_average_batch
 RK4_BATCH = 32
 # window length of the `window_avg` row, over one period of a rotating star
 WINDOW_TAU = 0.35
+# (samples, n, d) of the `diameters` row, the shape of the states of a
+# 1001-sample simulate at n = 128 in the plane
+DIAMETERS_SHAPE = (1001, 128, 2)
 
 
 def _time(fn, repeats):
@@ -44,6 +47,7 @@ def _cases(rng, n_agents, dim, steps):
     linear = _kernels.KERNEL_CONSTANT
     star = gen_rotating_star(n_agents, 0.1)
     star_starts = _critical_starts(star, WINDOW_TAU, star.period)
+    states = rng.normal(size=DIAMETERS_SHAPE)
 
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs, 1.0, 1.0),
@@ -54,6 +58,7 @@ def _cases(rng, n_agents, dim, steps):
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
                                                rec, linear, 1.0, 0.0),
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
+        "diameters": lambda: dynamics.diameters(states),
     }
 
 
@@ -63,7 +68,8 @@ def run(n_agents=6, dim=2, steps=2000, repeats=5):
 
     print(f"kernel benchmark: n={n_agents}, d={dim}, rk4 steps={steps} on a "
           f"batch of {RK4_BATCH} starts, window_avg over the critical starts "
-          f"of a rotating star (tau {WINDOW_TAU}), best of {repeats}")
+          f"of a rotating star (tau {WINDOW_TAU}), diameters of "
+          f"{DIAMETERS_SHAPE} states, best of {repeats}")
     print(f"{'kernel':<12} {'time [ms]':>12}")
     for name, fn in cases.items():
         print(f"{name:<12} {_time(fn, repeats) * 1e3:>12.3f}")

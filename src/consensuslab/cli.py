@@ -76,6 +76,14 @@ def _get(data, key, where, expect=None, required=True, default=None):
     return value
 
 
+def _number(cast, value, where):
+    """``cast(value)``; a value it cannot convert is a ConfigError for `where`."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
 def _parse_kernel(data):
     form = _get(data, "form", "system.kernel", str)
     try:
@@ -116,8 +124,8 @@ def _parse_signal(data, n):
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dictionary; ConfigError diagnostics name the field."""
     system = _get(data, "system", "config", dict)
-    n = int(_get(system, "n", "system"))
-    d = int(_get(system, "d", "system"))
+    n = _number(int, _get(system, "n", "system"), "system.n")
+    d = _number(int, _get(system, "d", "system"), "system.d")
     if n < 1:
         raise ConfigError("system.n", "must be >= 1")
     if d < 1:
@@ -129,11 +137,11 @@ def parse_config(data: dict) -> ExperimentConfig:
     try:
         window = Window(float(_get(window_data, "tau", "window")),
                         float(_get(window_data, "mu", "window")))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("window", str(exc)) from exc
 
     run = _get(data, "run", "config", dict)
-    t_end = float(_get(run, "t_end", "run"))
+    t_end = _number(float, _get(run, "t_end", "run"), "run.t_end")
     if not t_end > 0:
         raise ConfigError("run.t_end", "must be > 0")
     if window.tau > t_end:
@@ -142,23 +150,26 @@ def parse_config(data: dict) -> ExperimentConfig:
     if dt is None:
         dwell_min = float(np.diff(sig.breakpoints).min())
         dt = dynamics.default_dt(dwell_min, window.tau)
-    dt = float(dt)
+    dt = _number(float, dt, "run.dt")
     if not dt > 0:
         raise ConfigError("run.dt", "must be > 0")
     if t_end / dt > MAX_GRID_STEPS:
         raise ConfigError("run.dt", f"t_end/dt = {t_end / dt:.6g} steps exceeds "
                                     f"the cap of {MAX_GRID_STEPS}")
-    sample_every = int(run.get("sample_every", 1))
+    sample_every = _number(int, run.get("sample_every", 1), "run.sample_every")
     if sample_every < 1:
         raise ConfigError("run.sample_every", "must be >= 1")
 
     initial = data.get("initial")
     if initial is not None:
-        initial = np.asarray(initial, dtype=np.float64)
+        initial = _number(lambda v: np.asarray(v, dtype=np.float64), initial,
+                          "initial")
         if initial.ndim == 1:
             initial = initial[:, None]
         if initial.shape != (n, d):
             raise ConfigError("initial", f"must be {n}x{d}, got {initial.shape}")
+        if not np.all(np.isfinite(initial)):
+            raise ConfigError("initial", "positions must be finite")
 
     sweep = data.get("sweep")
     if sweep is not None:
@@ -166,8 +177,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         sweep.setdefault("num_initial", 32)
         sweep.setdefault("init_set", "unit_ball")
         sweep.setdefault("seed", 0)
-        if int(sweep["num_initial"]) < 1:
+        if _number(int, sweep["num_initial"], "sweep.num_initial") < 1:
             raise ConfigError("sweep.num_initial", "must be >= 1")
+        if not 0 <= _number(int, sweep["seed"], "sweep.seed") < 2**128:
+            raise ConfigError("sweep.seed", "must be in [0, 2**128)")
         init_set = sweep["init_set"]
         if not (init_set == "unit_ball" or isinstance(init_set, list)):
             raise ConfigError("sweep.init_set",

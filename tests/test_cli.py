@@ -104,6 +104,28 @@ class TestParseConfig:
             id="unsorted_breakpoints"),
         pytest.param("signal", lambda d: d["signal"]["data"].pop("breakpoints"),
                      id="missing_breakpoints"),
+        pytest.param("window", lambda d: d["window"].update(tau=None),
+                     id="null_tau"),
+        pytest.param("system.n", lambda d: d["system"].update(n="two"),
+                     id="non_numeric_n"),
+        pytest.param("system.d", lambda d: d["system"].update(d=[1]),
+                     id="list_d"),
+        pytest.param("run.t_end", lambda d: d["run"].update(t_end="soon"),
+                     id="non_numeric_t_end"),
+        pytest.param("run.dt", lambda d: d["run"].update(dt="small"),
+                     id="non_numeric_dt"),
+        pytest.param("run.sample_every", lambda d: d["run"].update(
+            sample_every="x"), id="non_numeric_sample_every"),
+        pytest.param("sweep.num_initial", lambda d: d.update(
+            sweep={"num_initial": "many"}), id="non_numeric_num_initial"),
+        pytest.param("sweep.seed", lambda d: d.update(sweep={"seed": "abc"}),
+                     id="non_numeric_seed"),
+        pytest.param("sweep.seed", lambda d: d.update(sweep={"seed": -1}),
+                     id="negative_seed"),
+        pytest.param("initial", lambda d: d.update(initial=[["a"], ["b"]]),
+                     id="non_numeric_initial"),
+        pytest.param("initial", lambda d: d.update(initial=[[np.nan], [1.0]]),
+                     id="non_finite_initial"),
     ])
     def test_invalid_value_names_field(self, tmp_path, capsys, field, edit):
         data = two_agent_config(tmp_path)

@@ -243,6 +243,33 @@ class TestIntegrateBatch:
                                cl.Constant(1.0), 1.0, 1e-2)
 
 
+CLOUD_SHAPES = ("normal", "rounded", "coincident", "offset", "sphere",
+                "symmetric")
+
+
+def random_clouds(rng, shape, size):
+    """Point clouds of one kind: Gaussian at a random scale, rounded to a
+    grid (tied distances), all points coincident, a 1e-6 spread around a 1e6
+    offset, on the unit sphere (every point an endpoint candidate), or
+    centrally symmetric about a random point, where the screen's bound is
+    attained and only its slack keeps the endpoints."""
+    x = rng.normal(size=size)
+    if shape == "symmetric":
+        half = x[:, :size[1] // 2]
+        middle = x[:, :size[1] % 2] * 0.0
+        return (rng.normal(size=(size[0], 1, size[2]))
+                + np.concatenate([half, middle, -half], axis=1))
+    if shape == "normal":
+        return x * 10.0 ** rng.uniform(-8, 6)
+    if shape == "rounded":
+        return np.round(2.0 * x) / 2.0
+    if shape == "coincident":
+        return np.broadcast_to(x[:, :1], size) * 3.0
+    if shape == "offset":
+        return 1e6 + 1e-6 * x
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
 class TestDiameters:
     def test_chunks_match_one_broadcast(self, monkeypatch):
         rng = np.random.default_rng(45)
@@ -255,6 +282,56 @@ class TestDiameters:
             traj = cl.Trajectory(np.arange(37.0), states, all_ones_signal(6),
                                  cl.Constant(1.0))
             assert np.array_equal(traj.diameters, want)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_screened_matches_one_broadcast(self, monkeypatch, d):
+        rng = np.random.default_rng(46 + d)
+        small = dynamics._SCREEN_MAX_AGENTS
+        for n in (2, small, small + 1, 48):
+            for shape in CLOUD_SHAPES:
+                states = random_clouds(rng, shape, (25, n, d))
+                want = diameters_broadcast(states)
+                # one sample per chunk, a few per chunk, all in one chunk
+                for chunk in (1, 40 * d, dynamics._CHUNK_FLOATS):
+                    monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", chunk)
+                    got = dynamics.diameters(states)
+                    assert np.array_equal(got, want), (n, shape, chunk)
+
+    def test_extreme_scales(self):
+        # squares of distances underflow or overflow at these scales, where
+        # a relative slack bounds no rounding error
+        rng = np.random.default_rng(51)
+        for scale in (1e-160, 1e-150, 1e154, 1e155):
+            for shape in ("normal", "symmetric", "sphere"):
+                states = scale * random_clouds(rng, shape, (40, 30, 2))
+                with np.errstate(over="ignore"):
+                    got = dynamics.diameters(states)
+                    want = diameters_broadcast(states)
+                assert np.array_equal(got, want), (scale, shape)
+
+    def test_kept_points_only(self, monkeypatch):
+        # each sample reduces over its kept points alone, however its row is
+        # padded to the chunk's largest kept count
+        rng = np.random.default_rng(49)
+        states = rng.normal(size=(30, 20, 2))
+        keep = rng.random((30, 20)) < rng.random((30, 1))
+        keep[np.arange(30), rng.integers(0, 20, 30)] = True
+        want = [diameters_broadcast(x[k][None])[0] for x, k in zip(states, keep)]
+        for chunk in (1, 500, dynamics._CHUNK_FLOATS):
+            monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", chunk)
+            got = dynamics.reduce_squared_distances(
+                states, lambda sq: np.sqrt(sq.max(axis=1)), keep)
+            assert np.array_equal(got, want)
+
+    def test_non_finite_sample_stays_non_finite(self):
+        states = np.random.default_rng(50).normal(size=(3, 40, 2))
+        states[1, 7, 0] = np.nan
+        states[2, 3, 1] = np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf, as in the oracle
+            got = dynamics.diameters(states)
+            want = diameters_broadcast(states)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isfinite(got[0]) and not np.isfinite(got[1:]).any()
 
     def test_batch_shape_and_single_agent(self):
         assert dynamics.diameters(np.zeros((4, 2, 1, 3))).shape == (4, 2)

@@ -44,6 +44,29 @@ def test_rk4_matches_loop_rk4(kind, p1, p2):
     assert np.allclose(got, want[rec], rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
+def test_rk4_equals_per_stage_rhs(kind, p1, p2):
+    # per-piece constants are computed once, yet every stage is bitwise the
+    # public rhs_velocity of the step's own piece
+    rng = np.random.default_rng(12)
+    n, d, steps = 6, 2, 30
+    pieces = rng.random((3, n, n))
+    piece_idx = rng.integers(0, 3, size=steps)
+    hs = rng.uniform(0.005, 0.02, size=steps)
+    rec = np.ones(steps + 1, dtype=bool)
+    x = rng.normal(size=(n, d))
+    want = [x]
+    for h, p in zip(hs, piece_idx):
+        k1 = kernels.rhs_velocity(x, pieces[p], kind, p1, p2)
+        k2 = kernels.rhs_velocity(x + 0.5 * h * k1, pieces[p], kind, p1, p2)
+        k3 = kernels.rhs_velocity(x + 0.5 * h * k2, pieces[p], kind, p1, p2)
+        k4 = kernels.rhs_velocity(x + h * k3, pieces[p], kind, p1, p2)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        want.append(x)
+    got = kernels.rk4_run(want[0], pieces, piece_idx, hs, rec, kind, p1, p2)
+    assert np.array_equal(got, np.stack(want))
+
+
 @pytest.mark.parametrize("batch", (1, 3))
 @pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
 def test_rk4_batch_equals_single_starts(kind, p1, p2, batch):
@@ -84,4 +107,4 @@ def test_benchmark_runs(capsys):
                        "--repeats", "1"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == ["rhs", "scrambling", "lambda2", "rk4", "rk4_linear",
-                    "window_avg"]
+                    "window_avg", "diameters"]
