@@ -8,12 +8,13 @@ import time
 import numpy as np
 
 from . import _kernels, dynamics
-from .graphs import AdjacencyMatrix, algebraic_connectivity
+from .graphs import algebraic_connectivity_batch
 from .signals import _critical_starts, gen_rotating_star, window_average_batch
 
 # starts integrated in one `rk4` call: the sweep size of the README verify
 RK4_BATCH = 32
-# window length of the `window_avg` row, over one period of a rotating star
+# window length of the `scrambling`, `lambda2` and `window_avg` rows, over
+# one period of a rotating star
 WINDOW_TAU = 0.35
 # (samples, n, d) of the `diameters` row, the shape of the states of a
 # 1001-sample simulate at n = 128 in the plane
@@ -32,11 +33,9 @@ def _time(fn, repeats):
 
 def _cases(rng, n_agents, dim, steps):
     adj = rng.random((n_agents, n_agents))
-    adj = 0.5 * (adj + adj.T)  # symmetric, hence balanced, for lambda2
     np.fill_diagonal(adj, 1.0)
     pos = rng.normal(size=(n_agents, dim))
     starts = rng.normal(size=(RK4_BATCH, n_agents, dim))
-    balanced = AdjacencyMatrix(n_agents, adj)
 
     pieces = np.stack([adj])
     piece_idx = np.zeros(steps, dtype=np.int64)
@@ -47,12 +46,13 @@ def _cases(rng, n_agents, dim, steps):
     linear = _kernels.KERNEL_CONSTANT
     star = gen_rotating_star(n_agents, 0.1)
     star_starts = _critical_starts(star, WINDOW_TAU, star.period)
+    star_avgs = window_average_batch(star, star_starts, WINDOW_TAU)
     states = rng.normal(size=DIAMETERS_SHAPE)
 
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs, 1.0, 1.0),
-        "scrambling": lambda: _kernels.scrambling_min(adj),
-        "lambda2": lambda: algebraic_connectivity(balanced),
+        "scrambling": lambda: _kernels.scrambling_min(star_avgs),
+        "lambda2": lambda: algebraic_connectivity_batch(star_avgs),
         "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec,
                                         cs, 1.0, 1.0),
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
@@ -67,9 +67,9 @@ def run(n_agents=6, dim=2, steps=2000, repeats=5):
     cases = _cases(rng, n_agents, dim, steps)
 
     print(f"kernel benchmark: n={n_agents}, d={dim}, rk4 steps={steps} on a "
-          f"batch of {RK4_BATCH} starts, window_avg over the critical starts "
-          f"of a rotating star (tau {WINDOW_TAU}), diameters of "
-          f"{DIAMETERS_SHAPE} states, best of {repeats}")
+          f"batch of {RK4_BATCH} starts, scrambling, lambda2 and window_avg "
+          f"over the critical starts of a rotating star (tau {WINDOW_TAU}), "
+          f"diameters of {DIAMETERS_SHAPE} states, best of {repeats}")
     print(f"{'kernel':<12} {'time [ms]':>12}")
     for name, fn in cases.items():
         print(f"{name:<12} {_time(fn, repeats) * 1e3:>12.3f}")

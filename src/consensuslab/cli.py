@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, dynamics, signals
 from .dynamics import Configuration, Constant, CuckerSmale, Trajectory
 from .errors import ConfigError, ConsensusLabError
-from .graphs import BALANCE_TOL, is_balanced
+from .graphs import unbalanced
 from .signals import PiecewiseConstantSignal, Window
 
 SERIES_FLOOR_REL = 1e-14
@@ -73,6 +73,14 @@ def _get(data, key, where, expect=None, required=True, default=None):
     value = data[key]
     if expect is not None and not isinstance(value, expect):
         raise ConfigError(f"{where}.{key}", f"expected {expect}")
+    return value
+
+
+def _block(data, key):
+    """The optional top-level object `key` of a config, {} when absent."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(key, "expected an object")
     return value
 
 
@@ -173,7 +181,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     sweep = data.get("sweep")
     if sweep is not None:
-        sweep = dict(sweep)
+        sweep = dict(_block(data, "sweep"))
         sweep.setdefault("num_initial", 32)
         sweep.setdefault("init_set", "unit_ball")
         sweep.setdefault("seed", 0)
@@ -187,22 +195,24 @@ def parse_config(data: dict) -> ExperimentConfig:
                               "must be 'unit_ball' or an explicit list")
 
     outputs = _get(data, "outputs", "config", dict, required=False, default={})
-    emit = tuple(outputs.get("emit", ()))
-    certify_kinds = data.get("certify", {}).get("kinds")
+    emit = tuple(_get(outputs, "emit", "outputs", list, required=False, default=[]))
+    certify_kinds = _get(_block(data, "certify"), "kinds", "certify", list,
+                         required=False)
     if certify_kinds is not None:
         certify_kinds = tuple(certify_kinds)
         for kind in certify_kinds:
             if kind not in ("eta", "lambda2"):
                 raise ConfigError("certify.kinds", f"unknown kind {kind!r}")
 
-    observable = data.get("verify", {}).get("observable", "diameter")
+    observable = _block(data, "verify").get("observable", "diameter")
     if observable not in ("diameter", "variance"):
         raise ConfigError("verify.observable", "must be 'diameter' or 'variance'")
 
     return ExperimentConfig(
         n=n, d=d, kernel=kernel, signal=sig, window=window,
         t_end=t_end, dt=dt, sample_every=sample_every,
-        out_dir=outputs.get("dir", "."), emit=emit,
+        out_dir=_get(outputs, "dir", "outputs", str, required=False, default="."),
+        emit=emit,
         initial=initial, sweep=sweep, certify_kinds=certify_kinds,
         observable=observable, raw=data,
     )
@@ -265,8 +275,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> OutputBundle:
 
 def _certify_reports(cfg):
     kinds = cfg.certify_kinds
-    balanced = all(is_balanced(p, BALANCE_TOL) for p in cfg.signal.pieces)
     if kinds is None:
+        balanced = not unbalanced(cfg.signal.piece_stack).any()
         kinds = ("eta", "lambda2") if balanced else ("eta",)
     reports = {}
     for kind in kinds:

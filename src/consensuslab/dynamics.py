@@ -368,8 +368,10 @@ def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
     rec[-1] = True
 
     kind, p1, p2 = _kernel_code(kernel)
+    # the pieces' own entries: `sig.piece_stack` would be a second dense copy
+    pieces = tuple(p.entries for p in sig.pieces)
     states = _kernels.rk4_run(
-        x0s, sig.piece_stack, step_piece, np.diff(times), rec, kind, p1, p2,
+        x0s, pieces, step_piece, np.diff(times), rec, kind, p1, p2,
     )
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("integration produced non-finite coordinates")

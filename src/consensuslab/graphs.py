@@ -4,7 +4,8 @@ Adjacency matrices carry weights in [0, 1] with unit diagonal.  The module
 computes the scrambling coefficient, degree vectors, the balance test, the
 normalized Laplacian (D - A)/n, the algebraic connectivity of balanced
 graphs, pairwise squared distances and the Dirichlet energy of a
-configuration.
+configuration.  The balance test and the algebraic connectivity also take
+(m, n, n) stacks of entries; the single-matrix forms are batches of one.
 """
 from __future__ import annotations
 
@@ -97,7 +98,7 @@ def scrambling(adj: AdjacencyMatrix) -> float:
     """Scrambling coefficient: min over ordered pairs (i, j), i = j included,
     of (1/n) * sum_k min(a_ik, a_jk).
     """
-    return _kernels.scrambling_min(adj.entries)
+    return float(_kernels.scrambling_min(adj.entries[None])[0])
 
 
 def degrees(adj: AdjacencyMatrix):
@@ -107,53 +108,70 @@ def degrees(adj: AdjacencyMatrix):
     return in_deg, out_deg
 
 
-def is_balanced(adj: AdjacencyMatrix, tol: float = BALANCE_TOL) -> bool:
-    """True iff every agent's in-degree matches its out-degree within tol."""
+def unbalanced(stack, tol: float = BALANCE_TOL) -> np.ndarray:
+    """Mask over an (m, n, n) stack of adjacency entries, shape (m,): True
+    where some agent's in-degree and out-degree differ by more than tol."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    in_deg, out_deg = degrees(adj)
-    return bool(np.abs(in_deg - out_deg).max() <= tol)
+    gap = np.abs(stack.sum(axis=-2) - stack.sum(axis=-1)).max(axis=-1)
+    return ~(gap <= tol)
+
+
+def is_balanced(adj: AdjacencyMatrix, tol: float = BALANCE_TOL) -> bool:
+    """True iff every agent's in-degree matches its out-degree within tol."""
+    return not unbalanced(adj.entries[None], tol)[0]
+
+
+def _laplacians(stack):
+    """(entries, out-degrees) of (diag(out_degrees) - A)/n for every matrix
+    of an (m, n, n) stack."""
+    n = stack.shape[-1]
+    out_deg = stack.sum(axis=-1)
+    return (out_deg[..., None] * np.eye(n) - stack) / n, out_deg
 
 
 def laplacian(adj: AdjacencyMatrix) -> LaplacianMatrix:
     """Normalized Laplacian (diag(out_degrees) - A)/n; rows sum to zero."""
-    _, out_deg = degrees(adj)
-    entries = (np.diag(out_deg) - adj.entries) / adj.n
-    return LaplacianMatrix(adj.n, entries, out_deg)
+    entries, out_deg = _laplacians(adj.entries[None])
+    return LaplacianMatrix(adj.n, entries[0], out_deg[0])
 
 
-def _project_off_constants(sym: np.ndarray) -> np.ndarray:
-    """Restrict a symmetric matrix to the orthogonal complement of constants.
+def algebraic_connectivity_batch(stack, tol: float = BALANCE_TOL) -> np.ndarray:
+    """`algebraic_connectivity` of every matrix of an (m, n, n) stack of
+    adjacency entries; shape (m,).
 
-    Uses the Householder reflection sending ones/sqrt(n) to the first basis
-    vector, then drops the first row and column.
+    The symmetric parts of the Laplacians are restricted to the orthogonal
+    complement of the constants by the Householder reflection sending
+    ones/sqrt(n) to the first basis vector (dropping the first row and
+    column), and go to LAPACK's symmetric eigensolver
+    (`numpy.linalg.eigvalsh`), which raises instead of returning an
+    unconverged value.  Tiny negative roundoff is clamped to 0.
+    Raises UnbalancedGraph when a matrix fails the balance check.
     """
-    n = sym.shape[0]
+    if unbalanced(stack, tol).any():
+        raise UnbalancedGraph(
+            f"algebraic connectivity requires a balanced graph (tol={tol})"
+        )
+    n = stack.shape[-1]
+    if n == 1:
+        return np.zeros(stack.shape[0])
+    lap, _ = _laplacians(stack)
+    sym = 0.5 * (lap + lap.swapaxes(-1, -2))
     v = np.full(n, 1.0 / np.sqrt(n))
     v[0] -= 1.0
     h = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
-    return (h @ sym @ h)[1:, 1:]
+    lams = np.linalg.eigvalsh((h @ sym @ h)[:, 1:, 1:])[:, 0]
+    return np.maximum(lams, 0.0)
 
 
 def algebraic_connectivity(adj: AdjacencyMatrix, tol: float = BALANCE_TOL) -> float:
     """Smallest eigenvalue of the symmetric part of the Laplacian on the
     complement of the constant vector; defined for balanced graphs only.
 
-    The projected matrix goes to LAPACK's symmetric eigensolver
-    (`numpy.linalg.eigvalsh`), which raises instead of returning an
-    unconverged value.  Tiny negative roundoff (>= -tol) is clamped to 0.
+    A batch of one through `algebraic_connectivity_batch`.
     Raises UnbalancedGraph when the balance check fails.
     """
-    if not is_balanced(adj, tol):
-        raise UnbalancedGraph(
-            f"algebraic connectivity requires a balanced graph (tol={tol})"
-        )
-    if adj.n == 1:
-        return 0.0
-    lap = laplacian(adj).entries
-    sym = 0.5 * (lap + lap.T)
-    lam = float(np.linalg.eigvalsh(_project_off_constants(sym))[0])
-    return max(lam, 0.0)
+    return float(algebraic_connectivity_batch(adj.entries[None], tol)[0])
 
 
 def squared_distances(positions) -> np.ndarray:

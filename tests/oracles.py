@@ -1,15 +1,16 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the package's computational paths: the scrambling
-oracle is a literal triple loop, the velocity field a literal double loop
-over agent pairs (stepped by a plain RK4 loop), the connectivity oracles use either a dense
-symmetric eigensolver with the constant direction shifted away or brute-force
-Rayleigh-quotient minimization over direction grids, and window averages are
-cross-checked by Riemann summation or by a scalar integral that walks one
-time at a time.  Piece starts come from a per-lap loop.  Window contraction
-factors and the variance dissipation residual are literal per-sample loops,
-diameters a full (T, n, n, d) broadcast, and CSV output a per-cell f-string
-writer.
+oracle is a literal triple loop or one (n, n, n) min-broadcast per matrix,
+the velocity field a literal double loop over agent pairs (stepped by a
+plain RK4 loop), the connectivity oracles use either a dense symmetric
+eigensolver with the constant direction shifted away, one Householder
+projection and eigensolver call per matrix, or brute-force Rayleigh-quotient
+minimization over direction grids, and window averages are cross-checked by
+Riemann summation or by a scalar integral that walks one time at a time.
+Piece starts come from a per-lap loop.  Window contraction factors and the
+variance dissipation residual are literal per-sample loops, diameters a full
+(T, n, n, d) broadcast, and CSV output a per-cell f-string writer.
 """
 import numpy as np
 
@@ -29,6 +30,15 @@ def scrambling_direct(entries):
             if best is None or total < best:
                 best = total
     return best / n
+
+
+def scrambling_broadcast(entries):
+    """Scrambling coefficient of one matrix from a full (n, n, n) broadcast of
+    min(a_ik, a_jk), summed over k."""
+    entries = np.asarray(entries, dtype=np.float64)
+    n = entries.shape[0]
+    pair_sums = np.minimum(entries[:, None, :], entries[None, :, :]).sum(axis=2)
+    return float(pair_sums.min() / n)
 
 
 def rhs_direct(pos, adj, constant, p1, p2):
@@ -80,6 +90,23 @@ def lambda2_eigh(entries):
         return 0.0
     shifted = sym + 3.0 * np.ones((n, n)) / n
     return float(np.linalg.eigvalsh(shifted)[0])
+
+
+def lambda2_householder(entries):
+    """Connectivity of one balanced matrix: the symmetric part of
+    (diag(out_degrees) - A)/n, reflected by the Householder matrix sending
+    ones/sqrt(n) to the first basis vector, first row and column dropped,
+    then one `eigvalsh` call; negative roundoff is clamped to 0."""
+    entries = np.asarray(entries, dtype=np.float64)
+    n = entries.shape[0]
+    if n == 1:
+        return 0.0
+    lap = (np.diag(entries.sum(axis=1)) - entries) / n
+    sym = 0.5 * (lap + lap.T)
+    v = np.full(n, 1.0 / np.sqrt(n))
+    v[0] -= 1.0
+    h = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+    return max(float(np.linalg.eigvalsh((h @ sym @ h)[1:, 1:])[0]), 0.0)
 
 
 def _complement_basis(n):

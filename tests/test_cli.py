@@ -126,6 +126,15 @@ class TestParseConfig:
                      id="non_numeric_initial"),
         pytest.param("initial", lambda d: d.update(initial=[[np.nan], [1.0]]),
                      id="non_finite_initial"),
+        pytest.param("outputs.emit", lambda d: d["outputs"].update(emit=5),
+                     id="numeric_emit"),
+        pytest.param("outputs.dir", lambda d: d["outputs"].update(dir=5),
+                     id="numeric_dir"),
+        pytest.param("certify.kinds", lambda d: d.update(certify={"kinds": 5}),
+                     id="numeric_kinds"),
+        pytest.param("certify", lambda d: d.update(certify=[1]), id="list_certify"),
+        pytest.param("verify", lambda d: d.update(verify="x"), id="string_verify"),
+        pytest.param("sweep", lambda d: d.update(sweep=[1]), id="list_sweep"),
     ])
     def test_invalid_value_names_field(self, tmp_path, capsys, field, edit):
         data = two_agent_config(tmp_path)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import consensuslab as cl
+from consensuslab import _kernels
 from consensuslab.errors import DimensionMismatch, UnbalancedGraph
+from consensuslab.graphs import algebraic_connectivity_batch, unbalanced
 
-from oracles import lambda2_eigh, lambda2_rayleigh_grid, scrambling_direct
+from oracles import (lambda2_eigh, lambda2_householder, lambda2_rayleigh_grid,
+                     scrambling_broadcast, scrambling_direct)
 
 
 def adj(entries):
@@ -224,6 +227,55 @@ class TestAlgebraicConnectivity:
             split = (theta * cl.algebraic_connectivity(adj(a))
                      + (1 - theta) * cl.algebraic_connectivity(adj(b)))
             assert mixed >= split - 1e-9
+
+
+# agent counts on either side of the row blocks of `_kernels.scrambling_min`
+BLOCK_EDGE_NS = (1, 2, 15, 16, 17, 33)
+
+
+def random_symmetric_stack(rng, m, n):
+    """(m, n, n) symmetric adjacencies with zeros, ties and generic values."""
+    entries = rng.random((m, n, n)) * (rng.random((m, n, n)) < 0.7)
+    ties = rng.random((m, n, n)) < 0.3
+    entries[ties] = np.round(entries[ties] * 4) / 4
+    entries = 0.5 * (entries + entries.swapaxes(1, 2))
+    entries[:, np.arange(n), np.arange(n)] = 1.0
+    return entries
+
+
+class TestBatchedMetrics:
+    @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+    @pytest.mark.parametrize("m", (1, 6))
+    def test_scrambling_matches_broadcast(self, n, m):
+        rng = np.random.default_rng(100 + n + m)
+        stacks = [random_symmetric_stack(rng, m, n),
+                  rng.random((m, n, n)) * (rng.random((m, n, n)) < 0.7)]
+        for stack in stacks:
+            got = _kernels.scrambling_min(stack)
+            assert got.shape == (m,)
+            assert np.array_equal(got, [scrambling_broadcast(a) for a in stack])
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+    @pytest.mark.parametrize("m", (1, 6))
+    def test_connectivity_matches_per_matrix(self, n, m):
+        rng = np.random.default_rng(200 + n + m)
+        stacks = [random_symmetric_stack(rng, m, n),
+                  np.stack([random_balanced_adjacency(rng, n) for _ in range(m)])]
+        for stack in stacks:
+            got = algebraic_connectivity_batch(stack)
+            assert got.shape == (m,)
+            assert np.array_equal(got, [lambda2_householder(a) for a in stack])
+
+    def test_one_unbalanced_matrix_raises(self):
+        rng = np.random.default_rng(300)
+        stack = random_symmetric_stack(rng, 5, 6)
+        stack[3, 0, 1] = 0.0 if stack[3, 1, 0] else 1.0
+        assert np.array_equal(unbalanced(stack), [False] * 3 + [True, False])
+        with pytest.raises(UnbalancedGraph):
+            algebraic_connectivity_batch(stack)
+        with pytest.raises(UnbalancedGraph):
+            algebraic_connectivity_batch(stack[3:4])
+        assert algebraic_connectivity_batch(np.delete(stack, 3, axis=0)).shape == (4,)
 
 
 class TestDirichletEnergy:

@@ -174,27 +174,33 @@ class TestCertify:
         rng = np.random.default_rng(39)
         sig = lattice_random_signal(rng, 3, pieces=5, balanced=True)
         window = cl.Window(0.3, 0.1)
-        seen = []
-        for name in ("scrambling", "algebraic_connectivity"):
+        seen, calls = [], []
+        for name in ("scrambling_min", "algebraic_connectivity_batch"):
             metric = getattr(signals, name)
-            monkeypatch.setattr(signals, name, lambda avg, metric=metric:
-                                seen.append(avg.entries) or metric(avg))
+            monkeypatch.setattr(signals, name, lambda avgs, metric=metric:
+                                calls.append(len(avgs)) or seen.extend(avgs)
+                                or metric(avgs))
 
         def certify_both():
             seen.clear()
+            calls.clear()
             return ([certify(sig, window, 10.0)
-                     for certify in (cl.certify_eta, cl.certify_lambda2)], list(seen))
+                     for certify in (cl.certify_eta, cl.certify_lambda2)],
+                    list(seen), list(calls))
 
-        whole, whole_seen = certify_both()
+        whole, whole_seen, whole_calls = certify_both()
         starts = signals._critical_starts(sig, window.tau, 10.0)
         expect = [window_average_scalar(sig, float(t), window.tau) for t in starts]
+        assert whole_calls == [len(starts)] * 2  # one metric call per chunk
         assert len(whole_seen) == 2 * len(starts)
         assert all(np.array_equal(a, b) for a, b in zip(whole_seen, expect * 2))
         # three starts per chunk, and a short last chunk
         assert len(starts) > 6 and len(starts) % 3 != 0
         monkeypatch.setattr(signals, "_CHUNK_FLOATS", 3 * sig.n**2)
-        chunked, chunked_seen = certify_both()
+        chunked, chunked_seen, chunked_calls = certify_both()
         assert chunked == whole
+        per_metric = [3] * (len(starts) // 3) + [len(starts) % 3]
+        assert chunked_calls == per_metric * 2
         assert len(chunked_seen) == len(whole_seen)
         assert all(np.array_equal(a, b) for a, b in zip(chunked_seen, whole_seen))
 
@@ -231,6 +237,13 @@ class TestCertify:
         piece = adj([[1.0, 1.0], [0.0, 1.0]])
         sig = constant_signal(piece)
         with pytest.raises(UnbalancedGraph):
+            cl.certify_lambda2(sig, cl.Window(1.0, 0.1), 5.0)
+
+    def test_first_unbalanced_piece_named(self):
+        ones, skew = cl.AdjacencyMatrix.ones(2), adj([[1.0, 1.0], [0.0, 1.0]])
+        sig = cl.PiecewiseConstantSignal(2, np.arange(4.0), (ones, skew, skew),
+                                         "periodic")
+        with pytest.raises(UnbalancedGraph, match="piece 1 is not balanced"):
             cl.certify_lambda2(sig, cl.Window(1.0, 0.1), 5.0)
 
     def test_clamped_horizon_uncovered(self):
