@@ -1,6 +1,14 @@
 """Hot numeric kernels, vectorized with numpy.
 
 `dynamics` and `graphs` look these up by name on this module.
+
+The integrator steps its states coordinate-major, shape (..., d, n): batch
+axes outermost, agents innermost, so every elementwise op and every
+reduction runs its inner loop over the agents (or the agent pairs), not
+over the d = 2 or 3 coordinates.  At sweep sizes (n = 5, d = 2) a step costs
+numpy's overhead per call, not arithmetic, and an inner loop of two
+elements pays that overhead for almost no work.  `rhs_velocity` keeps the
+public (..., n, d) layout by swapping axes at its boundary.
 """
 import numpy as np
 
@@ -17,26 +25,34 @@ def rhs_velocity(pos, adj, kind, p1, p2):
 
     The constant kernel needs no distances: its field is the Laplacian form
     -(p1/n) L x = (p1/n) (A x - deg * x), with deg_i = sum_j a_ij, for any
-    adjacency, balanced or not.  It costs one (n, n) @ (n, d) product instead
-    of an (n, n, d) difference array.
+    adjacency, balanced or not.  It costs one (d, n) @ (n, n) product per
+    configuration instead of a difference array.
+
+    ``pos`` is copied into the integrator's (..., d, n) layout, so the field
+    is bitwise the one `rk4_run` evaluates; the result is a (..., n, d) view.
     """
-    return _velocity(adj, kind, p1, p2)(pos)
+    x = np.swapaxes(pos, -1, -2).copy()
+    return np.swapaxes(_velocity(adj, kind, p1, p2)(x), -1, -2)
 
 
 def _velocity(adj, kind, p1, p2):
-    """`rhs_velocity` on one adjacency, as a function of the positions.
+    """`rhs_velocity` on one adjacency, as a function of coordinate-major
+    positions of shape (..., d, n); the velocity has the same shape.
 
     The degree vector of the constant kernel is computed here, once.
     """
     if kind == KERNEL_CONSTANT:
-        deg = adj.sum(axis=-1)[:, None]
-        return lambda pos: p1 * (adj @ pos - deg * pos) / pos.shape[-2]
+        deg = adj.sum(axis=-1)
+        # (x @ A^T)[c, i] = sum_j a_ij x[c, j].  A view, not a copy: BLAS then
+        # runs the product the (n, d) layout ran, bit for bit
+        adj_t = adj.T
+        return lambda pos: p1 * (pos @ adj_t - deg * pos) / pos.shape[-1]
 
     def field(pos):
-        diff = pos[..., None, :, :] - pos[..., :, None, :]  # diff[i, j] = x_j - x_i
-        r2 = np.einsum("...ijc,...ijc->...ij", diff, diff)
+        diff = pos[..., None, :] - pos[..., :, None]  # diff[c, i, j] = x_j - x_i
+        r2 = np.einsum("...cij,...cij->...ij", diff, diff)
         w = adj * (p1 / (1.0 + r2) ** p2)
-        return np.einsum("...ij,...ijc->...ic", w, diff) / pos.shape[-2]
+        return np.einsum("...ij,...cij->...ci", w, diff) / pos.shape[-1]
     return field
 
 
@@ -68,30 +84,38 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kind, p1, p2):
     """Fixed-step RK4 over a prebuilt step grid; returns recorded states.
 
     ``x0`` holds states of shape (..., n, d), all stepped on the same grid;
-    the result has shape (recorded,) + x0.shape.  ``pieces`` is a sequence of
-    (n, n) adjacency matrices, such as a tuple of the signal's piece entries
-    or an (m, n, n) stack; ``piece_idx`` assigns one piece per step, ``hs``
-    the step sizes and ``rec`` flags which grid points to record.
+    the result is a C-contiguous array of shape (recorded,) + x0.shape, and
+    ``x0`` is left as it is.  ``pieces`` is a sequence of (n, n) adjacency
+    matrices, such as a tuple of the signal's piece entries or an (m, n, n)
+    stack; ``piece_idx`` assigns one piece per step, ``hs`` the step sizes
+    and ``rec`` flags which grid points to record.
+
+    The states are stepped as one (..., d, n) copy (see the module
+    docstring) and written back transposed at each recorded point.  An
+    overflow or an invalid operation raises FloatingPointError at the step
+    that produced it, instead of warning and stepping on to the end; only
+    einsum's reductions overflow to inf without a report.
     """
     out = np.empty((int(np.count_nonzero(rec)),) + x0.shape)
-    x = x0.copy()
+    x = np.swapaxes(x0, -1, -2).copy()
     r = 0
     if rec[0]:
-        out[r] = x
+        out[r] = x0
         r += 1
     fields = {}  # piece index -> its velocity, built on the piece's first step
-    for s in range(hs.shape[0]):
-        h = hs[s]
-        p = piece_idx[s]
-        if p not in fields:
-            fields[p] = _velocity(pieces[p], kind, p1, p2)
-        f = fields[p]
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if rec[s + 1]:
-            out[r] = x
-            r += 1
+    with np.errstate(over="raise", invalid="raise"):
+        for s in range(hs.shape[0]):
+            h = hs[s]
+            p = piece_idx[s]
+            if p not in fields:
+                fields[p] = _velocity(pieces[p], kind, p1, p2)
+            f = fields[p]
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if rec[s + 1]:
+                out[r] = np.swapaxes(x, -1, -2)
+                r += 1
     return out

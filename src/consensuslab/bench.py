@@ -62,7 +62,7 @@ def _cases(rng, n_agents, dim, steps):
     }
 
 
-def run(n_agents=6, dim=2, steps=2000, repeats=5):
+def run(n_agents=5, dim=2, steps=2000, repeats=5):
     rng = np.random.default_rng(7)
     cases = _cases(rng, n_agents, dim, steps)
 
@@ -77,7 +77,7 @@ def run(n_agents=6, dim=2, steps=2000, repeats=5):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--agents", type=int, default=6)
+    parser.add_argument("--agents", type=int, default=5)
     parser.add_argument("--dim", type=int, default=2)
     parser.add_argument("--steps", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=5)

@@ -370,9 +370,13 @@ def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
     kind, p1, p2 = _kernel_code(kernel)
     # the pieces' own entries: `sig.piece_stack` would be a second dense copy
     pieces = tuple(p.entries for p in sig.pieces)
-    states = _kernels.rk4_run(
-        x0s, pieces, step_piece, np.diff(times), rec, kind, p1, p2,
-    )
+    try:
+        states = _kernels.rk4_run(
+            x0s, pieces, step_piece, np.diff(times), rec, kind, p1, p2,
+        )
+    except FloatingPointError as exc:
+        raise NonFiniteState("integration produced non-finite coordinates") from exc
+    # einsum reports no overflow, so a last step can still end non-finite
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("integration produced non-finite coordinates")
     rec_times = times[rec]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,27 @@ class TestSimulate:
         code = main(["simulate", "--config", str(path)])
         assert code == 1
         assert "window.tau" in capsys.readouterr().err
+
+    def test_diverging_run_fails_with_one_line(self, tmp_path, capsys):
+        # RK4 at h * c / n far past its stability bound overflows within a
+        # few steps; the run stops there, with no numpy warning on the way
+        data = {
+            "system": {"n": 4, "d": 1, "kernel": {"form": "constant", "c": 1e6}},
+            "signal": {"type": "rotating_star", "dwell": 1.0},
+            "window": {"tau": 4.0, "mu": 0.01},
+            "run": {"t_end": 4000.0, "dt": 1.0},
+            "initial": [[-1.0], [0.5], [2.0], [3.0]],
+            "outputs": {"dir": str(tmp_path / "out")},
+        }
+        path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--config", str(path)])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: integration produced non-finite coordinates"]
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 class TestCertify:

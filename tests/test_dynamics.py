@@ -159,10 +159,9 @@ class TestIntegrate:
         # absurdly large step makes RK4 unstable and overflows
         sig = cl.PiecewiseConstantSignal(
             2, np.array([0.0, 1.0]), (cl.AdjacencyMatrix.ones(2),), "clamped")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteState):
-                cl.integrate(config([-1.0, 1.0]), sig, cl.Constant(1.0),
-                             60000.0, 1000.0)
+        with pytest.raises(NonFiniteState):
+            cl.integrate(config([-1.0, 1.0]), sig, cl.Constant(1.0),
+                         60000.0, 1000.0)
 
     def test_halving_dt_divides_error_by_sixteen(self):
         # classic fourth-order convergence, measured where truncation error
@@ -231,6 +230,16 @@ class TestIntegrateBatch:
                                 forced_times=[0.33])
             assert np.array_equal(got.times, want.times)
             assert np.array_equal(got.states, want.states)
+
+    def test_states_are_c_ordered(self):
+        rng = np.random.default_rng(45)
+        sig = cl.gen_rotating_star(4, 0.15)
+        starts = rng.normal(size=(3, 4, 2))
+        kernel = cl.CuckerSmale(1.0, 1.0)
+        one = cl.integrate(config(starts[0]), sig, kernel, 1.0, 2e-2)
+        assert one.states.flags.c_contiguous
+        for traj in cl.integrate_batch(starts, sig, kernel, 1.0, 2e-2):
+            assert traj.states.flags.c_contiguous
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

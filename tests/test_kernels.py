@@ -46,46 +46,96 @@ def test_rk4_matches_loop_rk4(kind, p1, p2):
 
 @pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
 def test_rk4_equals_per_stage_rhs(kind, p1, p2):
-    # per-piece constants are computed once, yet every stage is bitwise the
-    # public rhs_velocity of the step's own piece
+    # per-piece constants are computed once and the states are stepped
+    # coordinate-major, yet every stage is bitwise the public rhs_velocity of
+    # the step's own piece
     rng = np.random.default_rng(12)
-    n, d, steps = 6, 2, 30
-    pieces = rng.random((3, n, n))
+    steps = 30
     piece_idx = rng.integers(0, 3, size=steps)
     hs = rng.uniform(0.005, 0.02, size=steps)
     rec = np.ones(steps + 1, dtype=bool)
-    x = rng.normal(size=(n, d))
-    want = [x]
-    for h, p in zip(hs, piece_idx):
-        k1 = kernels.rhs_velocity(x, pieces[p], kind, p1, p2)
-        k2 = kernels.rhs_velocity(x + 0.5 * h * k1, pieces[p], kind, p1, p2)
-        k3 = kernels.rhs_velocity(x + 0.5 * h * k2, pieces[p], kind, p1, p2)
-        k4 = kernels.rhs_velocity(x + h * k3, pieces[p], kind, p1, p2)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        want.append(x)
-    got = kernels.rk4_run(want[0], pieces, piece_idx, hs, rec, kind, p1, p2)
-    assert np.array_equal(got, np.stack(want))
+    for n, d in ((6, 2), (33, 3)):
+        pieces = rng.random((3, n, n))
+        x = rng.normal(size=(n, d))
+        want = [x]
+        for h, p in zip(hs, piece_idx):
+            k1 = kernels.rhs_velocity(x, pieces[p], kind, p1, p2)
+            k2 = kernels.rhs_velocity(x + 0.5 * h * k1, pieces[p], kind, p1, p2)
+            k3 = kernels.rhs_velocity(x + 0.5 * h * k2, pieces[p], kind, p1, p2)
+            k4 = kernels.rhs_velocity(x + h * k3, pieces[p], kind, p1, p2)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            want.append(x)
+        got = kernels.rk4_run(want[0], pieces, piece_idx, hs, rec, kind, p1, p2)
+        assert np.array_equal(got, np.stack(want)), (n, d)
 
 
-@pytest.mark.parametrize("batch", (1, 3))
-@pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
-def test_rk4_batch_equals_single_starts(kind, p1, p2, batch):
-    # a batch shares the grid but not the arithmetic: every start is bitwise
-    # what its own run gives
-    rng = np.random.default_rng(11)
-    n, d, steps = 5, 2, 40
-    pieces = rng.random((3, n, n))
+def random_grid(rng, steps):
+    """Piece indices over three pieces, step sizes and every 4th point
+    recorded, plus the last."""
     piece_idx = rng.integers(0, 3, size=steps)
     hs = rng.uniform(0.005, 0.02, size=steps)
     rec = np.zeros(steps + 1, dtype=bool)
     rec[::4] = True
     rec[-1] = True
-    x0s = rng.normal(size=(batch, n, d))
-    got = kernels.rk4_run(x0s, pieces, piece_idx, hs, rec, kind, p1, p2)
-    assert got.shape == (np.count_nonzero(rec), batch, n, d)
-    for b in range(batch):
-        one = kernels.rk4_run(x0s[b], pieces, piece_idx, hs, rec, kind, p1, p2)
-        assert np.array_equal(got[:, b], one)
+    return piece_idx, hs, rec
+
+
+@pytest.mark.parametrize("batch", (pytest.param((1,), id="1"),
+                                   pytest.param((3,), id="3"),
+                                   pytest.param((2, 3), id="2x3")))
+@pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
+def test_rk4_batch_equals_single_starts(kind, p1, p2, batch):
+    # a batch shares the grid but not the arithmetic: every start is bitwise
+    # what its own run gives, whatever the agent count and dimension
+    rng = np.random.default_rng(11)
+    steps = 40
+    piece_idx, hs, rec = random_grid(rng, steps)
+    for n in (1, 5, 33):
+        pieces = rng.random((3, n, n))
+        for d in (1, 2, 3):
+            x0s = rng.normal(size=batch + (n, d))
+            got = kernels.rk4_run(x0s, pieces, piece_idx, hs, rec, kind, p1, p2)
+            assert got.shape == (np.count_nonzero(rec),) + x0s.shape
+            for b in np.ndindex(batch):
+                one = kernels.rk4_run(x0s[b], pieces, piece_idx, hs, rec,
+                                      kind, p1, p2)
+                assert np.array_equal(got[(slice(None),) + b], one), (n, d, b)
+
+
+@pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
+def test_rk4_layout_contract(kind, p1, p2):
+    # the record is C-ordered (n, d) states, the start is not written to,
+    # and a strided start steps exactly like its contiguous copy
+    rng = np.random.default_rng(13)
+    n, d, steps = 6, 3, 20
+    pieces = rng.random((3, n, n))
+    piece_idx, hs, rec = random_grid(rng, steps)
+    x0 = rng.normal(size=(4, n, d))
+    before = x0.copy()
+    got = kernels.rk4_run(x0, pieces, piece_idx, hs, rec, kind, p1, p2)
+    assert got.flags.c_contiguous
+    assert np.array_equal(x0, before)
+    assert np.array_equal(got[0], x0)
+
+    strided = rng.normal(size=(d, n, 8)).T[::2]  # shape (4, n, d), no unit stride
+    assert not strided.flags.c_contiguous
+    want = kernels.rk4_run(strided.copy(), pieces, piece_idx, hs, rec,
+                           kind, p1, p2)
+    got = kernels.rk4_run(strided, pieces, piece_idx, hs, rec, kind, p1, p2)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, p1, p2", KERNEL_CASES)
+def test_rhs_batch_equals_single_configurations(kind, p1, p2):
+    rng = np.random.default_rng(14)
+    for n, d in ((1, 2), (5, 2), (7, 3), (33, 1), (33, 2)):
+        adj = rng.random((n, n))
+        stack = rng.normal(size=(4, n, d))
+        got = kernels.rhs_velocity(stack, adj, kind, p1, p2)
+        assert got.shape == stack.shape
+        for b in range(4):
+            one = kernels.rhs_velocity(stack[b], adj, kind, p1, p2)
+            assert np.array_equal(got[b], one), (n, d, b)
 
 
 def test_certify_lambda2_n64_warning_free():
