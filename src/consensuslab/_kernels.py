@@ -1,6 +1,8 @@
-"""Hot numeric kernels, vectorized with numpy.
+"""Communication kernels and the hot numeric kernels, vectorized with numpy.
 
-`dynamics` and `graphs` look these up by name on this module.
+Callers reach `rk4_run` through this module (`_kernels.rk4_run`) at call
+time, and its step sizes stay its 4th positional argument: the pipeline
+benchmark wraps the module attribute and counts steps from that argument.
 
 The integrator steps its states coordinate-major, shape (..., d, n): batch
 axes outermost, agents innermost, so every elementwise op and every
@@ -10,21 +12,49 @@ numpy's overhead per call, not arithmetic, and an inner loop of two
 elements pays that overhead for almost no work.  `rhs_velocity` keeps the
 public (..., n, d) layout by swapping axes at its boundary.
 """
+from dataclasses import dataclass
+from typing import Union
+
 import numpy as np
 
-KERNEL_CONSTANT = 0
-KERNEL_CUCKER_SMALE = 1
+
+@dataclass(frozen=True)
+class Constant:
+    """Constant communication kernel phi(r) = c > 0."""
+
+    c: float
+
+    def __post_init__(self):
+        if not self.c > 0:
+            raise ValueError("c must be > 0")
 
 
-def rhs_velocity(pos, adj, kind, p1, p2):
+@dataclass(frozen=True)
+class CuckerSmale:
+    """Decreasing communication kernel phi(r) = K / (1 + r^2)^beta."""
+
+    K: float
+    beta: float
+
+    def __post_init__(self):
+        if not self.K > 0:
+            raise ValueError("K must be > 0")
+        if self.beta < 0:
+            raise ValueError("beta must be >= 0")
+
+
+Kernel = Union[Constant, CuckerSmale]
+
+
+def rhs_velocity(pos, adj, kernel: Kernel):
     """Coupling velocity field of the interaction dynamics, shape (..., n, d).
 
-    velocity_i = (1/n) sum_j a_ij * phi(|x_i - x_j|) * (x_j - x_i), with
-    phi = p1 for the constant kernel and p1 / (1 + r^2)^p2 otherwise.
-    Leading axes of ``pos`` are independent configurations sharing ``adj``.
+    velocity_i = (1/n) sum_j a_ij * phi(|x_i - x_j|) * (x_j - x_i), with phi
+    the communication kernel.  Leading axes of ``pos`` are independent
+    configurations sharing ``adj``.
 
     The constant kernel needs no distances: its field is the Laplacian form
-    -(p1/n) L x = (p1/n) (A x - deg * x), with deg_i = sum_j a_ij, for any
+    -(c/n) L x = (c/n) (A x - deg * x), with deg_i = sum_j a_ij, for any
     adjacency, balanced or not.  It costs one (d, n) @ (n, n) product per
     configuration instead of a difference array.
 
@@ -32,26 +62,26 @@ def rhs_velocity(pos, adj, kind, p1, p2):
     is bitwise the one `rk4_run` evaluates; the result is a (..., n, d) view.
     """
     x = np.swapaxes(pos, -1, -2).copy()
-    return np.swapaxes(_velocity(adj, kind, p1, p2)(x), -1, -2)
+    return np.swapaxes(_velocity(adj, kernel)(x), -1, -2)
 
 
-def _velocity(adj, kind, p1, p2):
+def _velocity(adj, kernel):
     """`rhs_velocity` on one adjacency, as a function of coordinate-major
     positions of shape (..., d, n); the velocity has the same shape.
 
     The degree vector of the constant kernel is computed here, once.
     """
-    if kind == KERNEL_CONSTANT:
+    if isinstance(kernel, Constant):
         deg = adj.sum(axis=-1)
         # (x @ A^T)[c, i] = sum_j a_ij x[c, j].  A view, not a copy: BLAS then
         # runs the product the (n, d) layout ran, bit for bit
         adj_t = adj.T
-        return lambda pos: p1 * (pos @ adj_t - deg * pos) / pos.shape[-1]
+        return lambda pos: kernel.c * (pos @ adj_t - deg * pos) / pos.shape[-1]
 
     def field(pos):
         diff = pos[..., None, :] - pos[..., :, None]  # diff[c, i, j] = x_j - x_i
         r2 = np.einsum("...cij,...cij->...ij", diff, diff)
-        w = adj * (p1 / (1.0 + r2) ** p2)
+        w = adj * (kernel.K / (1.0 + r2) ** kernel.beta)
         return np.einsum("...ij,...cij->...ci", w, diff) / pos.shape[-1]
     return field
 
@@ -80,15 +110,15 @@ def scrambling_min(stack):
     return out / n
 
 
-def rk4_run(x0, pieces, piece_idx, hs, rec, kind, p1, p2):
+def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel):
     """Fixed-step RK4 over a prebuilt step grid; returns recorded states.
 
     ``x0`` holds states of shape (..., n, d), all stepped on the same grid;
     the result is a C-contiguous array of shape (recorded,) + x0.shape, and
     ``x0`` is left as it is.  ``pieces`` is a sequence of (n, n) adjacency
     matrices, such as a tuple of the signal's piece entries or an (m, n, n)
-    stack; ``piece_idx`` assigns one piece per step, ``hs`` the step sizes
-    and ``rec`` flags which grid points to record.
+    stack; ``piece_idx`` assigns one piece per step, ``hs`` the step sizes,
+    ``rec`` flags which grid points to record and ``kernel`` is phi.
 
     The states are stepped as one (..., d, n) copy (see the module
     docstring) and written back transposed at each recorded point.  An
@@ -108,7 +138,7 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kind, p1, p2):
             h = hs[s]
             p = piece_idx[s]
             if p not in fields:
-                fields[p] = _velocity(pieces[p], kind, p1, p2)
+                fields[p] = _velocity(pieces[p], kernel)
             f = fields[p]
             k1 = f(x)
             k2 = f(x + 0.5 * h * k1)

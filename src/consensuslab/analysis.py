@@ -13,9 +13,8 @@ import numpy as np
 
 from .dynamics import (Configuration, Constant, Trajectory, diameters,
                        reduce_squared_distances)
-from .errors import (DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort,
-                     UnbalancedGraph)
-from .graphs import BALANCE_TOL, is_balanced, squared_distances
+from .errors import DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort
+from .graphs import squared_distances
 
 PAIR_TOL = 1e-9
 STRICT_MARGIN = 1e-12
@@ -190,9 +189,7 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
     kernel = traj.kernel_ref
     if not (isinstance(kernel, Constant) and kernel.c == 1.0):
         raise ValueError("dissipation identity requires the constant unit kernel")
-    for k, piece in enumerate(sig.pieces):
-        if not is_balanced(piece, BALANCE_TOL):
-            raise UnbalancedGraph(f"signal piece {k} is not balanced")
+    sig.require_balanced()
     if sig.n != traj.n:
         raise DimensionMismatch(f"signal n={sig.n}, trajectory n={traj.n}")
 

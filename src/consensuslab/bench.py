@@ -42,21 +42,20 @@ def _cases(rng, n_agents, dim, steps):
     hs = np.full(steps, 1e-3)
     rec = np.zeros(steps + 1, dtype=bool)
     rec[0] = rec[-1] = True
-    cs = _kernels.KERNEL_CUCKER_SMALE
-    linear = _kernels.KERNEL_CONSTANT
+    cs = _kernels.CuckerSmale(1.0, 1.0)
+    linear = _kernels.Constant(1.0)
     star = gen_rotating_star(n_agents, 0.1)
     star_starts = _critical_starts(star, WINDOW_TAU, star.period)
     star_avgs = window_average_batch(star, star_starts, WINDOW_TAU)
     states = rng.normal(size=DIAMETERS_SHAPE)
 
     return {
-        "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs, 1.0, 1.0),
+        "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs),
         "scrambling": lambda: _kernels.scrambling_min(star_avgs),
         "lambda2": lambda: algebraic_connectivity_batch(star_avgs),
-        "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec,
-                                        cs, 1.0, 1.0),
+        "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec, cs),
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
-                                               rec, linear, 1.0, 0.0),
+                                               rec, linear),
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
         "diameters": lambda: dynamics.diameters(states),
     }

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import Constant, CuckerSmale, Kernel  # noqa: F401  (re-exported)
 from .errors import DegenerateDiameter, DimensionMismatch, NonFiniteState
 from .graphs import squared_distances
 from .signals import PiecewiseConstantSignal
@@ -175,34 +175,6 @@ def diameters(positions) -> np.ndarray:
                                     keep)
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Constant communication kernel phi(r) = c > 0."""
-
-    c: float
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
-
-
-@dataclass(frozen=True)
-class CuckerSmale:
-    """Decreasing communication kernel phi(r) = K / (1 + r^2)^beta."""
-
-    K: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.K > 0:
-            raise ValueError("K must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-
-
-Kernel = Union[Constant, CuckerSmale]
-
-
 def kernel_bounds(kernel: Kernel, diam_max: float):
     """(c_phi, C_phi): inf and sup of the kernel on [0, diam_max]."""
     if diam_max < 0:
@@ -213,18 +185,11 @@ def kernel_bounds(kernel: Kernel, diam_max: float):
     return low, kernel.K
 
 
-def _kernel_code(kernel: Kernel):
-    if isinstance(kernel, Constant):
-        return _kernels.KERNEL_CONSTANT, kernel.c, 0.0
-    return _kernels.KERNEL_CUCKER_SMALE, kernel.K, kernel.beta
-
-
 def rhs(x: Configuration, adj, kernel: Kernel) -> np.ndarray:
     """Velocity field (1/n) sum_j a_ij phi(|x_i - x_j|)(x_j - x_i), shape (n, d)."""
     if adj.n != x.n:
         raise DimensionMismatch(f"adjacency n={adj.n}, configuration n={x.n}")
-    kind, p1, p2 = _kernel_code(kernel)
-    return _kernels.rhs_velocity(x.positions, adj.entries, kind, p1, p2)
+    return _kernels.rhs_velocity(x.positions, adj.entries, kernel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,13 +332,11 @@ def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
     rec = (np.arange(len(times)) % sample_every == 0) | is_forced
     rec[-1] = True
 
-    kind, p1, p2 = _kernel_code(kernel)
     # the pieces' own entries: `sig.piece_stack` would be a second dense copy
     pieces = tuple(p.entries for p in sig.pieces)
     try:
-        states = _kernels.rk4_run(
-            x0s, pieces, step_piece, np.diff(times), rec, kind, p1, p2,
-        )
+        states = _kernels.rk4_run(x0s, pieces, step_piece, np.diff(times), rec,
+                                  kernel)
     except FloatingPointError as exc:
         raise NonFiniteState("integration produced non-finite coordinates") from exc
     # einsum reports no overflow, so a last step can still end non-finite

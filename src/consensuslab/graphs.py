@@ -136,9 +136,22 @@ def laplacian(adj: AdjacencyMatrix) -> LaplacianMatrix:
     return LaplacianMatrix(adj.n, entries[0], out_deg[0])
 
 
-def algebraic_connectivity_batch(stack, tol: float = BALANCE_TOL) -> np.ndarray:
+def algebraic_connectivity_batch(stack) -> np.ndarray:
     """`algebraic_connectivity` of every matrix of an (m, n, n) stack of
-    adjacency entries; shape (m,).
+    adjacency entries; shape (m,).  Raises UnbalancedGraph when a matrix
+    fails the balance check.  Certification skips it: its window averages
+    are convex combinations of checked pieces, whose degree gaps bound
+    theirs up to rounding.
+    """
+    if unbalanced(stack).any():
+        raise UnbalancedGraph(
+            f"algebraic connectivity requires a balanced graph (tol={BALANCE_TOL})"
+        )
+    return algebraic_connectivity_unchecked(stack)
+
+
+def algebraic_connectivity_unchecked(stack) -> np.ndarray:
+    """`algebraic_connectivity_batch` of a stack known to be balanced.
 
     The symmetric parts of the Laplacians are restricted to the orthogonal
     complement of the constants by the Householder reflection sending
@@ -146,12 +159,7 @@ def algebraic_connectivity_batch(stack, tol: float = BALANCE_TOL) -> np.ndarray:
     column), and go to LAPACK's symmetric eigensolver
     (`numpy.linalg.eigvalsh`), which raises instead of returning an
     unconverged value.  Tiny negative roundoff is clamped to 0.
-    Raises UnbalancedGraph when a matrix fails the balance check.
     """
-    if unbalanced(stack, tol).any():
-        raise UnbalancedGraph(
-            f"algebraic connectivity requires a balanced graph (tol={tol})"
-        )
     n = stack.shape[-1]
     if n == 1:
         return np.zeros(stack.shape[0])
@@ -164,14 +172,14 @@ def algebraic_connectivity_batch(stack, tol: float = BALANCE_TOL) -> np.ndarray:
     return np.maximum(lams, 0.0)
 
 
-def algebraic_connectivity(adj: AdjacencyMatrix, tol: float = BALANCE_TOL) -> float:
+def algebraic_connectivity(adj: AdjacencyMatrix) -> float:
     """Smallest eigenvalue of the symmetric part of the Laplacian on the
     complement of the constant vector; defined for balanced graphs only.
 
     A batch of one through `algebraic_connectivity_batch`.
     Raises UnbalancedGraph when the balance check fails.
     """
-    return float(algebraic_connectivity_batch(adj.entries[None], tol)[0])
+    return float(algebraic_connectivity_batch(adj.entries[None])[0])
 
 
 def squared_distances(positions) -> np.ndarray:

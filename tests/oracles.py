@@ -41,9 +41,10 @@ def scrambling_broadcast(entries):
     return float(pair_sums.min() / n)
 
 
-def rhs_direct(pos, adj, constant, p1, p2):
+def rhs_direct(pos, adj, kernel):
     """Literal velocity field: (1/n) sum_j a_ij phi(|x_i - x_j|) (x_j - x_i),
-    phi = p1 when `constant`, else p1 / (1 + r^2)^p2."""
+    phi = c for a `Constant` kernel, else K / (1 + r^2)^beta."""
+    constant = isinstance(kernel, cl.Constant)
     n, d = pos.shape
     out = np.zeros((n, d))
     for i in range(n):
@@ -55,21 +56,22 @@ def rhs_direct(pos, adj, constant, p1, p2):
             for c in range(d):
                 diff = pos[j, c] - pos[i, c]
                 r2 += diff * diff
-            w = a * p1 if constant else a * p1 / (1.0 + r2) ** p2
+            w = (a * kernel.c if constant
+                 else a * kernel.K / (1.0 + r2) ** kernel.beta)
             for c in range(d):
                 out[i, c] += w * (pos[j, c] - pos[i, c])
     return out / n
 
 
-def rk4_direct(x0, adj, h, steps, constant, p1, p2):
+def rk4_direct(x0, adj, h, steps, kernel):
     """Classical RK4 on `rhs_direct` with one adjacency; every state, (steps+1, n, d)."""
     states = [np.array(x0, dtype=np.float64)]
     for _ in range(steps):
         x = states[-1]
-        k1 = rhs_direct(x, adj, constant, p1, p2)
-        k2 = rhs_direct(x + 0.5 * h * k1, adj, constant, p1, p2)
-        k3 = rhs_direct(x + 0.5 * h * k2, adj, constant, p1, p2)
-        k4 = rhs_direct(x + h * k3, adj, constant, p1, p2)
+        k1 = rhs_direct(x, adj, kernel)
+        k2 = rhs_direct(x + 0.5 * h * k1, adj, kernel)
+        k3 = rhs_direct(x + 0.5 * h * k2, adj, kernel)
+        k4 = rhs_direct(x + h * k3, adj, kernel)
         states.append(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return np.stack(states)
 

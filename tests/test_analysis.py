@@ -274,6 +274,14 @@ class TestVarianceDissipation:
                             1.0, 1e-2)
         with pytest.raises(UnbalancedGraph):
             cl.variance_dissipation_residual(traj, sig)
+        # the first unbalanced piece is named, as certify_lambda2 names it
+        sig = cl.PiecewiseConstantSignal(2, np.array([0.0, 0.5, 1.0]),
+                                         (cl.AdjacencyMatrix.ones(2), piece),
+                                         "periodic")
+        traj = cl.integrate(config([-1.0, 1.0]), sig, cl.Constant(1.0),
+                            1.0, 1e-2)
+        with pytest.raises(UnbalancedGraph, match="piece 1 is not balanced"):
+            cl.variance_dissipation_residual(traj, sig)
 
     def test_requires_unit_constant_kernel(self):
         sig = all_ones_signal()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import consensuslab as cl
+from consensuslab import signals
 from consensuslab.analysis import analysis_report_json
 from consensuslab.cli import (
     MAX_GRID_STEPS,
@@ -249,6 +250,23 @@ class TestCertify:
         assert not (tmp_path / "persistence_lambda2.json").exists()
         assert (tmp_path / "persistence_eta.json").exists()
         assert bundle.summary["checks"][0]["name"] == "eta_persistence"
+
+    def test_certifiers_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # the pipeline benchmark wraps `signals.certify_*` on the module, so
+        # both pipelines must reach the certifiers through it
+        calls = []
+        for kind in ("eta", "lambda2"):
+            certify = getattr(signals, f"certify_{kind}")
+            monkeypatch.setattr(signals, f"certify_{kind}",
+                                lambda *args, kind=kind, certify=certify:
+                                calls.append(kind) or certify(*args))
+        cmd_certify(parse_config(blinking_config(tmp_path)))
+        assert calls == ["eta", "lambda2"]
+        for observable, kind in (("diameter", "eta"), ("variance", "lambda2")):
+            calls.clear()
+            data = TestVerify().verify_config(tmp_path / observable, observable)
+            cmd_verify(parse_config(data))
+            assert calls == [kind]
 
     def test_round_trip_persistence_report(self, tmp_path):
         cmd_certify(parse_config(blinking_config(tmp_path)))

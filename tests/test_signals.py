@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import consensuslab as cl
-from consensuslab import signals
+from consensuslab import graphs, signals
 from consensuslab.errors import HorizonUncovered, UnbalancedGraph
 
 from oracles import (breakpoint_events_loop, lambda2_eigh, riemann_window_average,
@@ -175,7 +175,7 @@ class TestCertify:
         sig = lattice_random_signal(rng, 3, pieces=5, balanced=True)
         window = cl.Window(0.3, 0.1)
         seen, calls = [], []
-        for name in ("scrambling_min", "algebraic_connectivity_batch"):
+        for name in ("scrambling_min", "algebraic_connectivity_unchecked"):
             metric = getattr(signals, name)
             monkeypatch.setattr(signals, name, lambda avgs, metric=metric:
                                 calls.append(len(avgs)) or seen.extend(avgs)
@@ -238,6 +238,18 @@ class TestCertify:
         sig = constant_signal(piece)
         with pytest.raises(UnbalancedGraph):
             cl.certify_lambda2(sig, cl.Window(1.0, 0.1), 5.0)
+
+    def test_balance_decided_once_per_signal(self, monkeypatch):
+        # the pieces are checked once per signal, the window averages never
+        sig = cl.gen_blinking_pairs(4, 0.5, 0.5)
+        seen = []
+        for module in (signals, graphs):
+            check = module.unbalanced
+            monkeypatch.setattr(module, "unbalanced", lambda stack, check=check:
+                                seen.append(stack.shape) or check(stack))
+        for _ in range(2):
+            cl.certify_lambda2(sig, cl.Window(1.5, 0.05), 6.0)
+        assert seen == [sig.piece_stack.shape]
 
     def test_first_unbalanced_piece_named(self):
         ones, skew = cl.AdjacencyMatrix.ones(2), adj([[1.0, 1.0], [0.0, 1.0]])
