@@ -11,7 +11,22 @@ over the d = 2 or 3 coordinates.  At sweep sizes (n = 5, d = 2) a step costs
 numpy's overhead per call, not arithmetic, and an inner loop of two
 elements pays that overhead for almost no work.  `rhs_velocity` keeps the
 public (..., n, d) layout by swapping axes at its boundary.
+
+`format_g17` prints a table exactly as Python's "%.17g" prints each cell,
+but with array arithmetic instead of one correctly rounded bignum `dtoa`
+call per cell.  A cell x with 1e-4 <= |x| < 1e17 prints in fixed notation,
+so its text is fixed by the 17-digit integer N = round(|x| 10^(16-E)), with
+E = floor(log10 |x|), and the decimal point position E + 1.  Dekker's error-
+free TwoProduct gives |x| 10^(16-E) = hi + lo exactly (10^(16-E) is an exact
+double for 16 - E <= 20); hi >= 1e16 > 2^53 is an even integer, so
+hi + rint(lo) is the half-even rounding that `dtoa` does.  N is split into a
+lead digit and four 4-digit groups, looked up as ASCII words, and laid out
+in a fixed-width NUL-padded record chosen by (sign, point position, digits
+kept); dropping the NULs leaves the text.  Every other cell (zeros,
+subnormals, |x| < 1e-4 or >= 1e17, inf and NaN) gets the record "%.17g",
+and one `%` call over the table's text has Python print them all.
 """
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -149,3 +164,111 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel):
                 out[r] = np.swapaxes(x, -1, -2)
                 r += 1
     return out
+
+
+# A fast-path record of `format_g17`, in little-endian 4-byte words: sign and
+# "0.000" prefix (2), integer digits (5), "." (1), fraction digits (5) and the
+# cell separator (1).  Digit j of N sits at byte 3 + j of each digit region.
+_G17_WORDS = 14
+# the record of every cell outside the fast path
+_G17_FALLBACK = np.frombuffer(b"%.17g".ljust(4 * _G17_WORDS, b"\0"), "<u4")
+
+
+@functools.cache
+def _g17_tables():
+    """The lookup tables of `format_g17`, built on its first call.
+
+    ``groups[g]`` is the ASCII of "%04d" % g as a "<u4" word and
+    ``trailing[g]`` its count of trailing zeros (4 for 0).  ``layouts``
+    holds one record per (sign, point position -3..17, digits kept 1..17),
+    in that order: the prefix and "." bytes, and 0xFF over the digit bytes
+    the cell prints.  ``powers`` holds 10^k for k = 0..20 with their
+    Veltkamp halves.
+    """
+    g = np.arange(10_000, dtype=np.int16)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.int16)
+    groups = (ord("0") + g // place % 10).astype(np.uint8).view("<u4").ravel()
+    trailing = np.count_nonzero(g % (10 * place) == 0, axis=1)
+
+    j = np.arange(17)
+    point = np.tile(np.repeat(np.arange(-3, 18), 17), 2)[:, None]
+    kept = np.tile(np.arange(1, 18), 42)[:, None]
+    prefixes = b"".join(
+        (sign + (b"0." + b"0" * -p if p <= 0 else b"")).ljust(8, b"\0")
+        for sign in (b"", b"-") for p in range(-3, 18))
+    rec = np.zeros((2 * 21 * 17, 4 * _G17_WORDS), np.uint8)
+    rec[:, :8] = np.repeat(np.frombuffer(prefixes, np.uint8).reshape(-1, 8),
+                           17, axis=0)
+    rec[:, 11:28] = 0xFF * (j < point)
+    rec[:, 28] = ord(".") * ((1 <= point) & (point < kept))[:, 0]
+    rec[:, 35:52] = 0xFF * ((np.maximum(point, 0) <= j) & (j < kept))
+    layouts = rec.view("<u4")
+
+    powers = 10.0 ** np.arange(21)
+    split = powers * 134217729.0
+    powers_hi = split - (split - powers)
+    return groups, trailing, layouts, (powers, powers_hi, powers - powers_hi)
+
+
+def _scaled(ax, e, powers):
+    """hi, lo with hi + lo = ax * 10^(16 - e) exactly (Dekker's TwoProduct)."""
+    p, p_hi, p_lo = (table[16 - e] for table in powers)
+    hi = ax * p
+    split = ax * 134217729.0
+    a_hi = split - (split - ax)
+    a_lo = ax - a_hi
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, lo
+
+
+def _g17_records(x):
+    """The records of cells x with 1e-4 <= |x| < 1e17; shape
+    (x.size, _G17_WORDS)."""
+    groups, trailing, layouts, powers = _g17_tables()
+    ax = np.abs(x)
+    # floor(log10) can be one off next to a power of ten: test the exact
+    # product against [1e16, 1e17) and move E where it is outside
+    e = np.clip(np.floor(np.log10(ax)), -4, 16).astype(np.int64)
+    hi, lo = _scaled(ax, e, powers)
+    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    if shift.any():
+        e += shift
+        hi, lo = _scaled(ax, e, powers)
+    # no carry to 10^17: a double below 10^(E+1) is further from it than
+    # half a unit in the 17th digit
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    q, g4 = np.divmod(n, 10_000)
+    q, g3 = np.divmod(q, 10_000)
+    q, g2 = np.divmod(q, 10_000)
+    lead, g1 = np.divmod(q, 10_000)
+    zeros = trailing[g4] + (g4 == 0) * (
+        trailing[g3] + (g3 == 0) * (trailing[g2] + (g2 == 0) * trailing[g1]))
+    digits = groups[np.stack([lead, g1, g2, g3, g4], axis=1)]
+    rec = layouts[((x < 0) * 21 + e + 4) * 17 + (16 - zeros)]
+    rec[:, 2:7] &= digits
+    rec[:, 8:13] &= digits
+    return rec
+
+
+def format_g17(table):
+    """The cells of a 2-D table as "%.17g" prints them, "," between cells and
+    "\\n" after each row, as one string (see the module docstring)."""
+    table = np.asarray(table, dtype=np.float64)
+    rows, cols = table.shape
+    x = table.ravel()
+    ax = np.abs(x)
+    fast = (ax >= 1e-4) & (ax < 1e17)
+    all_fast = fast.all()
+    if all_fast:
+        rec = _g17_records(x)
+    else:
+        rec = np.tile(_G17_FALLBACK, (x.size, 1))
+        if fast.any():
+            rec[fast] = _g17_records(x[fast])
+    rec.reshape(rows, cols, _G17_WORDS)[:, :, -1] = np.frombuffer(
+        b",\0\0\0" * (cols - 1) + b"\n\0\0\0", "<u4")
+    text = rec.tobytes().translate(None, b"\0").decode("ascii")
+    # the fallback cells hold "%.17g": Python formats them all in one call
+    return text if all_fast else text % tuple(x[~fast].tolist())

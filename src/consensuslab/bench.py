@@ -3,6 +3,7 @@
 Run with `python -m consensuslab.bench`.
 """
 import argparse
+import os
 import time
 
 import numpy as np
@@ -16,9 +17,9 @@ RK4_BATCH = 32
 # window length of the `scrambling`, `lambda2` and `window_avg` rows, over
 # one period of a rotating star
 WINDOW_TAU = 0.35
-# (samples, n, d) of the `diameters` row, the shape of the states of a
-# 1001-sample simulate at n = 128 in the plane
-DIAMETERS_SHAPE = (1001, 128, 2)
+# (samples, n, d) of the `diameters` and `csv` rows, the shape of the states
+# of a 1001-sample simulate at n = 128 in the plane
+TRAJECTORY_SHAPE = (1001, 128, 2)
 
 
 def _time(fn, repeats):
@@ -47,7 +48,10 @@ def _cases(rng, n_agents, dim, steps):
     star = gen_rotating_star(n_agents, 0.1)
     star_starts = _critical_starts(star, WINDOW_TAU, star.period)
     star_avgs = window_average_batch(star, star_starts, WINDOW_TAU)
-    states = rng.normal(size=DIAMETERS_SHAPE)
+    states = rng.normal(size=TRAJECTORY_SHAPE)
+    times = np.linspace(0.0, 10.0, TRAJECTORY_SHAPE[0])
+    flat = states.reshape(TRAJECTORY_SHAPE[0], -1)
+    header = ["t"] + [f"x{k}" for k in range(flat.shape[1])]
 
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs),
@@ -58,6 +62,7 @@ def _cases(rng, n_agents, dim, steps):
                                                rec, linear),
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
         "diameters": lambda: dynamics.diameters(states),
+        "csv": lambda: dynamics.write_csv(os.devnull, header, times, flat),
     }
 
 
@@ -68,7 +73,7 @@ def run(n_agents=5, dim=2, steps=2000, repeats=5):
     print(f"kernel benchmark: n={n_agents}, d={dim}, rk4 steps={steps} on a "
           f"batch of {RK4_BATCH} starts, scrambling, lambda2 and window_avg "
           f"over the critical starts of a rotating star (tau {WINDOW_TAU}), "
-          f"diameters of {DIAMETERS_SHAPE} states, best of {repeats}")
+          f"diameters and csv of {TRAJECTORY_SHAPE} states, best of {repeats}")
     print(f"{'kernel':<12} {'time [ms]':>12}")
     for name, fn in cases.items():
         print(f"{name:<12} {_time(fn, repeats) * 1e3:>12.3f}")

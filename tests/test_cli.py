@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from consensuslab.cli import (
     parse_config,
 )
 from consensuslab.errors import ConfigError
+
+from oracles import csv_per_cell
 
 
 def two_agent_config(out_dir):
@@ -370,6 +373,32 @@ class TestVerify:
         assert bundle.summary["runs"] == runs
         assert json.loads((tmp_path / "analysis_reports.json").read_text()) == reports
         assert json.loads((tmp_path / "decay_fits.json").read_text()) == fits
+
+    def test_emitted_trajectories_match_per_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(47)
+        starts = [rng.normal(size=(5, 2)), np.full((5, 2), -0.7),
+                  rng.normal(size=(5, 2)) * 1e-3]
+        data = self.verify_config(tmp_path)
+        data["sweep"] = {"init_set": [s.tolist() for s in starts]}
+        data["outputs"]["emit"] = ["trajectories"]
+        cfg = parse_config(data)
+        bundle = cmd_verify(cfg)
+
+        header = ["t"] + [f"x_{i}_{c}" for i in range(1, 6) for c in (1, 2)]
+        assert [Path(p).name for p in bundle.trajectory_files] == [
+            "trajectory_000.csv", "trajectory_002.csv"]
+        for idx in (0, 2):
+            start = starts[idx]
+            x0 = cl.Configuration.from_positions(
+                (start - start.mean(axis=0)) / cl.diameter(
+                    cl.Configuration.from_positions(start)))
+            traj = cl.integrate(x0, cfg.signal, cfg.kernel, cfg.t_end, cfg.dt,
+                                forced_times=np.arange(5) * cfg.window.tau)
+            want = tmp_path / f"want_{idx:03d}.csv"
+            csv_per_cell(want, header, traj.times,
+                         traj.states.reshape(len(traj.times), -1))
+            assert ((tmp_path / f"trajectory_{idx:03d}.csv").read_bytes()
+                    == want.read_bytes())
 
     def test_sweep_required(self, tmp_path):
         data = self.verify_config(tmp_path)

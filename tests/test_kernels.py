@@ -6,8 +6,9 @@ import pytest
 
 import consensuslab as cl
 import consensuslab._kernels as kernels
+from consensuslab import dynamics
 
-from oracles import lambda2_eigh, rhs_direct, rk4_direct
+from oracles import csv_per_cell, lambda2_eigh, rhs_direct, rk4_direct
 
 
 def random_case(seed, n=7, d=3):
@@ -164,4 +165,79 @@ def test_benchmark_runs(capsys):
                        "--repeats", "1"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == ["rhs", "scrambling", "lambda2", "rk4", "rk4_linear",
-                    "window_avg", "diameters"]
+                    "window_avg", "diameters", "csv"]
+
+
+def exact_ties(rng, per_k=100):
+    """Doubles m / 2^k (m odd) whose exact decimal expansion has 18
+    significant digits, the last a 5: ties for 17-digit rounding."""
+    ties = []
+    for k in range(2, 26):
+        lo = max(1, -(-10**17 // 5**k))
+        hi = min(2**53 - 1, 10**18 // 5**k)
+        m = rng.integers(lo, hi, size=per_k, endpoint=True) | 1
+        ties += [int(v) / 2**k for v in m if len(str(int(v) * 5**k)) == 18]
+    return np.array(ties)
+
+
+class TestFormatG17:
+    """`write_csv` (through `_kernels.format_g17`) against the per-cell
+    "%.17g" writer, on values laid out as tables of a few widths."""
+
+    def assert_per_cell(self, tmp_path, table):
+        table = np.asarray(table, dtype=np.float64)
+        header = ["t"] + [f"c{k}" for k in range(1, table.shape[1])]
+        dynamics.write_csv(tmp_path / "got.csv", header, table[:, 0], table[:, 1:])
+        csv_per_cell(tmp_path / "want.csv", header, table[:, 0], table[:, 1:])
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def assert_values(self, tmp_path, values, width=9):
+        values = np.concatenate([values, -values])
+        pad = np.full(-len(values) % width, 0.5)
+        self.assert_per_cell(tmp_path,
+                             np.concatenate([values, pad]).reshape(-1, width))
+
+    def test_exact_ties(self, tmp_path):
+        ties = exact_ties(np.random.default_rng(3))
+        window = (ties >= 1e-4) & (ties < 1e17)
+        assert window.sum() > 1000 and (~window).sum() > 100
+        self.assert_values(tmp_path, ties)
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+        self.assert_values(tmp_path, np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+    @pytest.mark.parametrize("exponents", [(-14, 57), (-1074, 1024)],
+                             ids=["window", "all"])
+    def test_random_binades(self, tmp_path, exponents):
+        rng = np.random.default_rng(sum(exponents) % 1000)
+        values = np.ldexp(rng.uniform(0.5, 1.0, 20_000),
+                          rng.integers(*exponents, size=20_000))
+        self.assert_values(tmp_path, values)
+
+    def test_random_bit_patterns_and_round_decimals(self, tmp_path):
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2**63, size=20_000).view(np.float64)
+        decimals = np.round(rng.normal(size=5_000) * 1e3, 3)
+        self.assert_values(tmp_path, np.concatenate(
+            [bits[np.isfinite(bits)], decimals, np.arange(-500, 500) * 0.5]))
+
+    def test_special_values(self, tmp_path):
+        special = np.array([0.0, -0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+                            np.inf, -np.inf, np.nan, 1.0, 1e-4, 9.99e-5,
+                            1e17, 99999999999999984.0, 1.7976931348623157e308])
+        self.assert_values(tmp_path, special, width=5)
+        self.assert_per_cell(tmp_path, special[:, None])
+        self.assert_per_cell(tmp_path, special[None, :])
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (13, 4)],
+                             ids=["1x1", "1x9", "9x1", "13x4"])
+    def test_chunk_edges(self, tmp_path, monkeypatch, chunk, shape):
+        monkeypatch.setattr(dynamics, "_CSV_CHUNK_CELLS", chunk)
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        table = rng.normal(size=shape) * 10.0 ** rng.integers(-7, 20, size=shape)
+        table.reshape(-1)[::3] = 0.0
+        self.assert_per_cell(tmp_path, table)
