@@ -27,6 +27,7 @@ subnormals, |x| < 1e-4 or >= 1e17, inf and NaN) gets the record "%.17g",
 and one `%` call over the table's text has Python print them all.
 """
 import functools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,8 +41,8 @@ class Constant:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,10 @@ class CuckerSmale:
     beta: float
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise ValueError("K must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 < self.K < math.inf:
+            raise ValueError("K must be finite and > 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
 
 
 Kernel = Union[Constant, CuckerSmale]
@@ -130,10 +131,10 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel):
 
     ``x0`` holds states of shape (..., n, d), all stepped on the same grid;
     the result is a C-contiguous array of shape (recorded,) + x0.shape, and
-    ``x0`` is left as it is.  ``pieces`` is a sequence of (n, n) adjacency
-    matrices, such as a tuple of the signal's piece entries or an (m, n, n)
-    stack; ``piece_idx`` assigns one piece per step, ``hs`` the step sizes,
-    ``rec`` flags which grid points to record and ``kernel`` is phi.
+    ``x0`` is left as it is.  ``pieces`` is an (m, n, n) stack of adjacency
+    matrices, such as a signal's ``piece_stack``; ``piece_idx`` assigns one
+    piece per step, ``hs`` the step sizes, ``rec`` flags which grid points
+    to record and ``kernel`` is phi.
 
     The states are stepped as one (..., d, n) copy (see the module
     docstring) and written back transposed at each recorded point.  An

@@ -211,7 +211,7 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
     energy = np.empty(mids.size)
     for k in np.unique(piece):
         sel = piece == k
-        weights = sig.pieces[k].entries.ravel()
+        weights = sig.piece_stack[k].ravel()
         energy[sel] = reduce_squared_distances(
             traj.states[mids[sel]], lambda sq, w=weights: (w * sq).sum(axis=1))
     energy /= 2.0 * traj.n**2

@@ -428,11 +428,11 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             data = json.load(fh)
         if args.out is not None:
-            data.setdefault("outputs", {})["dir"] = args.out
+            data["outputs"] = dict(_block(data, "outputs"), dir=args.out)
         if args.dt is not None:
-            data.setdefault("run", {})["dt"] = args.dt
+            data["run"] = dict(_block(data, "run"), dt=args.dt)
         if args.seed is not None and "sweep" in data:
-            data["sweep"]["seed"] = args.seed
+            data["sweep"] = dict(_block(data, "sweep"), seed=args.seed)
         cfg = parse_config(data)
         bundle = COMMANDS[args.command](cfg)
     except (ConsensusLabError, OSError, json.JSONDecodeError) as exc:

@@ -339,11 +339,9 @@ def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
     rec = (np.arange(len(times)) % sample_every == 0) | is_forced
     rec[-1] = True
 
-    # the pieces' own entries: `sig.piece_stack` would be a second dense copy
-    pieces = tuple(p.entries for p in sig.pieces)
     try:
-        states = _kernels.rk4_run(x0s, pieces, step_piece, np.diff(times), rec,
-                                  kernel)
+        states = _kernels.rk4_run(x0s, sig.piece_stack, step_piece,
+                                  np.diff(times), rec, kernel)
     except FloatingPointError as exc:
         raise NonFiniteState("integration produced non-finite coordinates") from exc
     # einsum reports no overflow, so a last step can still end non-finite

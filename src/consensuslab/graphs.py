@@ -26,6 +26,16 @@ def _as_readonly(arr):
     return out
 
 
+def check_entries(entries) -> None:
+    """Raise ValueError unless each (n, n) matrix of `entries` has weights in
+    [0, 1] and a unit diagonal; NaN and inf fail min/max, so no mask is built."""
+    if not (entries.min() >= -_ENTRY_TOL and entries.max() <= 1.0 + _ENTRY_TOL):
+        raise ValueError("entries must be finite and lie in [0, 1]")
+    diag = np.diagonal(entries, 0, -2, -1)
+    if not (diag.min() >= 1.0 - _ENTRY_TOL and diag.max() <= 1.0 + _ENTRY_TOL):
+        raise ValueError("diagonal entries must equal 1")
+
+
 @dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """n x n interaction weights; entry (i, j) is the influence of j on i."""
@@ -40,12 +50,14 @@ class AdjacencyMatrix:
             raise ValueError("agent count must be >= 1")
         if entries.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries must be finite")
-        if entries.min() < -_ENTRY_TOL or entries.max() > 1.0 + _ENTRY_TOL:
-            raise ValueError("entries must lie in [0, 1]")
-        if np.abs(np.diag(entries) - 1.0).max() > _ENTRY_TOL:
-            raise ValueError("diagonal entries must equal 1")
+        check_entries(entries)
+
+    @classmethod
+    def _view(cls, entries) -> "AdjacencyMatrix":
+        """Wrap a checked, read-only (n, n) float64 array without a copy."""
+        adj = object.__new__(cls)
+        adj.__dict__.update(n=entries.shape[-1], entries=entries)
+        return adj
 
     @classmethod
     def from_entries(cls, entries) -> "AdjacencyMatrix":

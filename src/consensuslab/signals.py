@@ -1,9 +1,11 @@
 """Time-varying interaction topologies as piecewise-constant signals.
 
 A signal holds adjacency pieces on consecutive intervals and either repeats
-periodically or clamps its last piece.  `PiecewiseConstantSignal` is the one
-place that maps time onto a signal (wrap or clamp, piece lookup, piece starts
-and exact integrals from cached cumulative sums), vectorized over times.
+periodically or clamps its last piece.  It holds its pieces once, in one
+read-only (m, n, n) stack read by the integrator, certifier and analysis.
+`PiecewiseConstantSignal` is the one place that maps time onto a signal
+(wrap or clamp, piece lookup, piece starts and exact integrals from cached
+cumulative sums), vectorized over times.
 Persistence of the scrambling coefficient / algebraic connectivity over
 sliding windows is certified exactly by evaluating only critical window
 starts: the averaged matrix is piecewise-affine in the start time and both
@@ -11,14 +13,15 @@ metrics are concave, so segment minima sit at segment endpoints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._kernels import scrambling_min
 from .errors import HorizonUncovered, UnbalancedGraph
-from .graphs import AdjacencyMatrix, algebraic_connectivity_unchecked, unbalanced
+from .graphs import (AdjacencyMatrix, algebraic_connectivity_unchecked,
+                     check_entries, unbalanced)
 
 PERIODIC = "periodic"
 CLAMPED = "clamped"
@@ -36,7 +39,13 @@ _CHUNK_FLOATS = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstantSignal:
-    """Adjacency pieces on [t_{k-1}, t_k); periodic repeat or clamped tail."""
+    """Adjacency pieces on [t_{k-1}, t_k); periodic repeat or clamped tail.
+
+    `pieces` is a sequence of AdjacencyMatrix values, stacked once, or an
+    (m, n, n) array, checked once, adopted (no copy if C-contiguous float64)
+    and made read-only.  That `piece_stack` is the one storage: `pieces`
+    become AdjacencyMatrix views into it.
+    """
 
     n: int
     breakpoints: np.ndarray
@@ -47,32 +56,29 @@ class PiecewiseConstantSignal:
         bp = np.array(self.breakpoints, dtype=np.float64)
         bp.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "pieces", tuple(self.pieces))
         if self.mode not in (PERIODIC, CLAMPED):
             raise ValueError(f"mode must be '{PERIODIC}' or '{CLAMPED}'")
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
         if bp[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(self.pieces) != bp.size - 1:
-            raise ValueError("piece count must equal breakpoint count - 1")
-        for piece in self.pieces:
-            if not isinstance(piece, AdjacencyMatrix):
-                raise TypeError("pieces must be AdjacencyMatrix values")
-            if piece.n != self.n:
-                raise ValueError("all pieces must share the signal's agent count")
+        if not (np.all(np.diff(bp) > 0) and np.isfinite(bp[-1])):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        stack = self.pieces
+        if not isinstance(stack, np.ndarray):  # AdjacencyMatrix values
+            stack = [p.entries for p in stack]
+        stack = np.ascontiguousarray(stack, dtype=np.float64)
+        if stack.shape != (bp.size - 1, self.n, self.n):
+            raise ValueError(f"need one ({self.n}, {self.n}) piece per interval "
+                             f"({bp.size - 1}), got shape {stack.shape}")
+        check_entries(stack)
+        stack.setflags(write=False)
+        object.__setattr__(self, "piece_stack", stack)
+        object.__setattr__(self, "pieces", tuple(map(AdjacencyMatrix._view, stack)))
 
     @property
     def period(self) -> float:
         return float(self.breakpoints[-1])
-
-    @cached_property
-    def piece_stack(self) -> np.ndarray:
-        stack = np.stack([p.entries for p in self.pieces])
-        stack.setflags(write=False)
-        return stack
 
     @cached_property
     def unbalanced_pieces(self) -> tuple:
@@ -87,11 +93,12 @@ class PiecewiseConstantSignal:
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
-        # _cumulative[k] = integral of the signal over [0, breakpoints[k]]
-        durations = np.diff(self.breakpoints)
-        chunks = durations[:, None, None] * self.piece_stack
+        # np.cumsum of width * piece, bit for bit: row 1 is a product, later rows add
         cum = np.zeros((len(self.pieces) + 1, self.n, self.n))
-        np.cumsum(chunks, axis=0, out=cum[1:])
+        for k, width in enumerate(np.diff(self.breakpoints), start=1):
+            np.multiply(width, self.piece_stack[k - 1], out=cum[k])
+            if k > 1:
+                cum[k] += cum[k - 1]
         cum.setflags(write=False)
         return cum
 
@@ -151,9 +158,8 @@ class PiecewiseConstantSignal:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PiecewiseConstantSignal":
-        pieces = tuple(AdjacencyMatrix.from_json_dict(p) for p in data["pieces"])
-        return cls(int(data["n"]), np.asarray(data["breakpoints"], dtype=np.float64),
-                   pieces, data["mode"])
+        pieces = [AdjacencyMatrix.from_json_dict(p) for p in data["pieces"]]
+        return cls(int(data["n"]), data["breakpoints"], pieces, data["mode"])
 
 
 @dataclass(frozen=True)
@@ -182,14 +188,7 @@ class PersistenceReport:
     checked_starts: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "window": {"tau": self.window.tau, "mu": self.window.mu},
-            "infimum_value": self.infimum_value,
-            "worst_start": self.worst_start,
-            "passes": self.passes,
-            "checked_starts": self.checked_starts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PersistenceReport":
@@ -311,20 +310,10 @@ def gen_rotating_star(n: int, dwell: float, seed=None) -> PiecewiseConstantSigna
         raise ValueError("n must be >= 2")
     if not dwell > 0:
         raise ValueError("dwell must be > 0")
-    pieces = tuple(AdjacencyMatrix.star(n, k) for k in range(n))
-    breakpoints = dwell * np.arange(n + 1, dtype=np.float64)
-    return PiecewiseConstantSignal(n, breakpoints, pieces, PERIODIC)
-
-
-def _round_robin_rounds(n):
-    # circle method: fix player n-1, rotate the rest
-    rounds = []
-    for r in range(n - 1):
-        pairs = [(n - 1, r)]
-        for i in range(1, n // 2):
-            pairs.append(((r + i) % (n - 1), (r - i) % (n - 1)))
-        rounds.append(pairs)
-    return rounds
+    stack = np.zeros((n, n, n))
+    k = np.arange(n)
+    stack[:, k, k] = stack[k, k, :] = stack[k, :, k] = 1.0
+    return PiecewiseConstantSignal(n, dwell * np.arange(n + 1.0), stack, PERIODIC)
 
 
 def gen_blinking_pairs(n: int, dwell: float, duty: float,
@@ -342,19 +331,18 @@ def gen_blinking_pairs(n: int, dwell: float, duty: float,
         raise ValueError("dwell must be > 0")
     if not 0 < duty <= 1:
         raise ValueError("duty must lie in (0, 1]")
-    rounds = _round_robin_rounds(n) if n > 2 else [[(1, 0)]]
-    identity = AdjacencyMatrix.identity(n)
-    pieces = []
-    breakpoints = [0.0]
-    for r, pairs in enumerate(rounds):
-        entries = np.eye(n)
-        for i, j in pairs:
-            entries[i, j] = 1.0
-            entries[j, i] = 1.0
-        pieces.append(AdjacencyMatrix(n, entries))
-        if duty < 1:
-            breakpoints.append(r * dwell + duty * dwell)
-            pieces.append(identity)
-        breakpoints.append((r + 1) * dwell)
-    return PiecewiseConstantSignal(n, np.asarray(breakpoints), tuple(pieces),
+    # circle method: round r pairs n-1 with r and r+i with r-i (mod n-1)
+    r = np.arange(n - 1)
+    i = np.arange(n // 2)
+    left = np.where(i == 0, n - 1, (r[:, None] + i) % (n - 1))
+    right = (r[:, None] - i) % (n - 1)
+    ends = (r + 1) * dwell
+    if duty < 1:
+        # each matching is followed by the identity for the rest of its slot
+        ends = np.stack([r * dwell + duty * dwell, ends], axis=1).ravel()
+    stack = np.zeros((len(ends), n, n))
+    stack[:, np.arange(n), np.arange(n)] = 1.0
+    on = (len(ends) // (n - 1) * r)[:, None]
+    stack[on, left, right] = stack[on, right, left] = 1.0
+    return PiecewiseConstantSignal(n, np.concatenate([[0.0], ends]), stack,
                                    PERIODIC)

@@ -10,7 +10,9 @@ minimization over direction grids, and window averages are cross-checked by
 Riemann summation or by a scalar integral that walks one time at a time.
 Piece starts come from a per-lap loop.  Window contraction factors and the
 variance dissipation residual are literal per-sample loops, diameters a full
-(T, n, n, d) broadcast, and CSV output a per-cell f-string writer.
+(T, n, n, d) broadcast, and CSV output a per-cell f-string writer.  The
+signal generators are rebuilt one AdjacencyMatrix per piece, and the
+cumulative integrals by one `np.cumsum` over the whole stack.
 """
 import numpy as np
 
@@ -316,3 +318,43 @@ def dissipation_residual_loop(traj, sig):
                                      traj.state(i))
         worst = max(worst, abs(slope + 2.0 * energy))
     return worst
+
+
+def rotating_star_loop(n, dwell):
+    """`gen_rotating_star` built one `AdjacencyMatrix.star` per piece."""
+    pieces = tuple(cl.AdjacencyMatrix.star(n, k) for k in range(n))
+    breakpoints = dwell * np.arange(n + 1, dtype=np.float64)
+    return cl.PiecewiseConstantSignal(n, breakpoints, pieces, PERIODIC)
+
+
+def blinking_pairs_loop(n, dwell, duty):
+    """`gen_blinking_pairs` built by a round-robin loop (circle method: fix
+    player n-1, rotate the rest), one AdjacencyMatrix per piece."""
+    rounds = []
+    for r in range(n - 1):
+        pairs = [(n - 1, r)]
+        for i in range(1, n // 2):
+            pairs.append(((r + i) % (n - 1), (r - i) % (n - 1)))
+        rounds.append(pairs)
+    identity = cl.AdjacencyMatrix.identity(n)
+    pieces = []
+    breakpoints = [0.0]
+    for r, pairs in enumerate(rounds):
+        entries = np.eye(n)
+        for i, j in pairs:
+            entries[i, j] = 1.0
+            entries[j, i] = 1.0
+        pieces.append(cl.AdjacencyMatrix(n, entries))
+        if duty < 1:
+            breakpoints.append(r * dwell + duty * dwell)
+            pieces.append(identity)
+        breakpoints.append((r + 1) * dwell)
+    return cl.PiecewiseConstantSignal(n, np.asarray(breakpoints), tuple(pieces),
+                                      PERIODIC)
+
+
+def cumulative_cumsum(sig):
+    """Integrals of the signal over [0, breakpoints[k]] for k >= 1, from one
+    `np.cumsum` over the duration-weighted stack."""
+    durations = np.diff(sig.breakpoints)
+    return np.cumsum(durations[:, None, None] * sig.piece_stack, axis=0)

@@ -109,6 +109,18 @@ class TestParseConfig:
             id="unsorted_breakpoints"),
         pytest.param("signal", lambda d: d["signal"]["data"].pop("breakpoints"),
                      id="missing_breakpoints"),
+        pytest.param("signal", lambda d: d["signal"]["data"].update(
+            breakpoints=[0.0, float("nan")]), id="nan_breakpoint"),
+        pytest.param("signal", lambda d: d["signal"]["data"].update(
+            breakpoints=[0.0, float("inf")]), id="inf_breakpoint"),
+        pytest.param("system.kernel", lambda d: d["system"].update(
+            kernel={"form": "cucker_smale", "K": 1.0, "beta": float("nan")}),
+            id="nan_beta"),
+        pytest.param("system.kernel", lambda d: d["system"].update(
+            kernel={"form": "cucker_smale", "K": float("inf"), "beta": 1.0}),
+            id="inf_K"),
+        pytest.param("system.kernel", lambda d: d["system"]["kernel"].update(
+            c=float("inf")), id="inf_c"),
         pytest.param("window", lambda d: d["window"].update(tau=None),
                      id="null_tau"),
         pytest.param("system.n", lambda d: d["system"].update(n="two"),
@@ -441,6 +453,18 @@ class TestDeterminismAndOverrides:
                      "--dt", "0.02"])
         assert code == 0
         assert (out / "persistence_eta.json").exists()
+
+    @pytest.mark.parametrize("flag, value, block", [
+        ("--out", "elsewhere", "outputs"), ("--dt", "0.01", "run"),
+        ("--seed", "1", "sweep")])
+    def test_override_of_non_object_block(self, tmp_path, capsys, flag, value,
+                                          block):
+        data = TestVerify().verify_config(tmp_path)
+        data[block] = 5
+        path = write_config(tmp_path, data)
+        assert main(["verify", "--config", str(path), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {block}: expected an object\n"
 
     def test_seed_override_changes_draws(self, tmp_path):
         data = TestVerify().verify_config(tmp_path / "base")

@@ -37,6 +37,14 @@ class TestKernels:
         with pytest.raises(ValueError):
             cl.CuckerSmale(1.0, -0.1)
 
+    @pytest.mark.parametrize("kernel, args", [
+        ("Constant", (np.inf,)), ("Constant", (np.nan,)),
+        ("CuckerSmale", (np.inf, 1.0)), ("CuckerSmale", (np.nan, 1.0)),
+        ("CuckerSmale", (1.0, np.nan)), ("CuckerSmale", (1.0, np.inf))])
+    def test_non_finite_parameters_rejected(self, kernel, args):
+        with pytest.raises(ValueError, match="finite"):
+            getattr(cl, kernel)(*args)
+
     def test_kernel_bounds_constant(self):
         assert cl.kernel_bounds(cl.Constant(3.0), 17.0) == (3.0, 3.0)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ import consensuslab as cl
 from consensuslab import graphs, signals
 from consensuslab.errors import HorizonUncovered, UnbalancedGraph
 
-from oracles import (breakpoint_events_loop, lambda2_eigh, riemann_window_average,
-                     scrambling_direct, window_average_scalar)
+from oracles import (blinking_pairs_loop, breakpoint_events_loop,
+                     cumulative_cumsum, lambda2_eigh, riemann_window_average,
+                     rotating_star_loop, scrambling_direct, window_average_scalar)
 
 
 def adj(entries):
@@ -58,6 +61,86 @@ class TestSignalType:
         with pytest.raises(ValueError):
             cl.PiecewiseConstantSignal(2, np.array([0.0, 1.0]), (piece, piece),
                                        "periodic")
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_breakpoint_rejected(self, bad):
+        piece = cl.AdjacencyMatrix.ones(2)
+        with pytest.raises(ValueError, match="finite"):
+            cl.PiecewiseConstantSignal(2, np.array([0.0, bad]), (piece,), "periodic")
+        with pytest.raises(ValueError, match="finite"):
+            cl.PiecewiseConstantSignal(2, np.array([0.0, 1.0, bad]),
+                                       (piece, piece), "periodic")
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: cl.gen_rotating_star(5, 0.2), id="rotating_star"),
+        pytest.param(lambda: cl.gen_blinking_pairs(6, 0.5, 0.3), id="blinking"),
+        pytest.param(lambda: cl.PiecewiseConstantSignal(
+            2, [0.0, 1.0, 2.0], [cl.AdjacencyMatrix.ones(2),
+                                 cl.AdjacencyMatrix.identity(2)], "clamped"),
+            id="adjacency_sequence"),
+        pytest.param(lambda: cl.PiecewiseConstantSignal(
+            3, [0.0, 0.5], np.ones((1, 3, 3)), "periodic"), id="array"),
+    ])
+    def test_pieces_are_views_of_one_stack(self, build):
+        sig = build()
+        stack = sig.piece_stack
+        assert stack.shape == (len(sig.pieces), sig.n, sig.n)
+        assert stack.dtype == np.float64 and stack.flags.c_contiguous
+        assert not stack.flags.writeable
+        for k, piece in enumerate(sig.pieces):
+            assert isinstance(piece, cl.AdjacencyMatrix) and piece.n == sig.n
+            assert np.shares_memory(piece.entries, stack)
+            assert not piece.entries.flags.writeable
+            assert np.array_equal(piece.entries, stack[k])
+
+    def test_array_adopted_without_copy(self):
+        stack = np.tile(np.eye(3), (2, 1, 1))
+        sig = cl.PiecewiseConstantSignal(3, [0.0, 1.0, 2.0], stack, "periodic")
+        assert sig.piece_stack is stack
+        assert not stack.flags.writeable
+        # an array that is not C-contiguous float64 is converted once
+        strided = np.ones((2, 3, 6))[:, :, ::2]
+        sig = cl.PiecewiseConstantSignal(3, [0.0, 1.0, 2.0], strided, "periodic")
+        assert sig.piece_stack.flags.c_contiguous
+        assert np.array_equal(sig.piece_stack, strided)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda s: s.__setitem__((1, 0, 2), np.nan), id="nan"),
+        pytest.param(lambda s: s.__setitem__((0, 2, 0), np.inf), id="inf"),
+        pytest.param(lambda s: s.__setitem__((1, 1, 2), 1.5), id="above_one"),
+        pytest.param(lambda s: s.__setitem__((0, 0, 1), -0.1), id="negative"),
+        pytest.param(lambda s: s.__setitem__((1, 2, 2), 0.5), id="diagonal"),
+        pytest.param(lambda s: s.__setitem__((1, 2, 2), np.nan),
+                     id="nan_diagonal"),
+    ])
+    def test_bad_stack_entries_rejected(self, edit):
+        stack = np.ones((2, 3, 3))
+        edit(stack)
+        with pytest.raises(ValueError):
+            cl.PiecewiseConstantSignal(3, [0.0, 1.0, 2.0], stack, "periodic")
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 4, 4), (3, 3, 3), (1, 3, 3),
+                                       (3, 3), (2, 3, 3, 1)])
+    def test_bad_stack_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            cl.PiecewiseConstantSignal(3, [0.0, 1.0, 2.0], np.ones(shape),
+                                       "periodic")
+
+    def test_cumulative_matches_cumsum_bitwise(self):
+        rng = np.random.default_rng(17)
+        for pieces in (1, 2, 7):
+            sig = lattice_random_signal(rng, 4, pieces=pieces)
+            cum = sig._cumulative
+            assert not cum[0].any()
+            assert cum[1:].tobytes() == cumulative_cumsum(sig).tobytes()
+        # irregular durations, entries just below zero and negative zeros
+        entries = rng.random((9, 5, 5)) * (rng.random((9, 5, 5)) < 0.6)
+        entries[entries == 0] = -0.0
+        entries[:, 0, 1] = -1e-13
+        entries[:, np.arange(5), np.arange(5)] = 1.0
+        bp = np.concatenate([[0.0], np.cumsum(rng.random(9) + 0.01)])
+        sig = cl.PiecewiseConstantSignal(5, bp, entries, "clamped")
+        assert sig._cumulative[1:].tobytes() == cumulative_cumsum(sig).tobytes()
 
     def test_json_round_trip(self):
         sig = blinking_two()
@@ -251,6 +334,22 @@ class TestCertify:
             cl.certify_lambda2(sig, cl.Window(1.5, 0.05), 6.0)
         assert seen == [sig.piece_stack.shape]
 
+    def test_certification_holds_the_pieces_once(self):
+        # the stack, the cumulative integrals and chunk-sized scratch: at
+        # n=64 three dense copies of the pieces plus _cumulative reached
+        # about 4x the stack's bytes
+        window = cl.Window(0.35, 0.01)
+        cl.certify_eta(cl.gen_rotating_star(4, 0.1), window, 10.0)
+        tracemalloc.start()
+        try:
+            sig = cl.gen_rotating_star(64, 0.1)
+            cl.certify_eta(sig, window, 10.0)
+            cl.certify_lambda2(sig, window, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * sig.piece_stack.nbytes
+
     def test_first_unbalanced_piece_named(self):
         ones, skew = cl.AdjacencyMatrix.ones(2), adj([[1.0, 1.0], [0.0, 1.0]])
         sig = cl.PiecewiseConstantSignal(2, np.arange(4.0), (ones, skew, skew),
@@ -361,6 +460,22 @@ class TestGenerators:
             frozenset({frozenset({2, 3}), frozenset({0, 1})}),
         }
         assert matchings == expected
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 32))
+    def test_rotating_star_matches_per_piece_loop(self, n):
+        for dwell in (0.05, 0.3, 1.0):
+            sig, ref = cl.gen_rotating_star(n, dwell), rotating_star_loop(n, dwell)
+            assert sig.breakpoints.tobytes() == ref.breakpoints.tobytes()
+            assert sig.piece_stack.tobytes() == ref.piece_stack.tobytes()
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 32))
+    @pytest.mark.parametrize("duty", (0.3, 0.5, 1.0))
+    def test_blinking_matches_round_robin_loop(self, n, duty):
+        for dwell in (0.1, 0.7, 1.0):
+            sig = cl.gen_blinking_pairs(n, dwell, duty)
+            ref = blinking_pairs_loop(n, dwell, duty)
+            assert sig.breakpoints.tobytes() == ref.breakpoints.tobytes()
+            assert sig.piece_stack.tobytes() == ref.piece_stack.tobytes()
 
     def test_blinking_rejects_odd(self):
         with pytest.raises(ValueError):
