@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from . import _kernels, dynamics
+from . import _kernels, cli, dynamics
 from .graphs import algebraic_connectivity_batch
 from .signals import _critical_starts, gen_rotating_star, window_average_batch
 
@@ -20,6 +20,10 @@ WINDOW_TAU = 0.35
 # (samples, n, d) of the `diameters` and `csv` rows, the shape of the states
 # of a 1001-sample simulate at n = 128 in the plane
 TRAJECTORY_SHAPE = (1001, 128, 2)
+# (runs, samples, n, d) of the `diameters_small` row, one call per run, and
+# the (runs, factors) of the `json` row's reports: the README verify sweep
+SWEEP_SHAPE = (32, 1001, 5, 2)
+SWEEP_FACTORS = 901
 
 
 def _time(fn, repeats):
@@ -52,6 +56,13 @@ def _cases(rng, n_agents, dim, steps):
     times = np.linspace(0.0, 10.0, TRAJECTORY_SHAPE[0])
     flat = states.reshape(TRAJECTORY_SHAPE[0], -1)
     header = ["t"] + [f"x{k}" for k in range(flat.shape[1])]
+    sweep_states = rng.normal(size=SWEEP_SHAPE)
+    fit = {"alpha": 1.0, "gamma": 0.3, "rms_log_residual": 0.01,
+           "t_range": [0.0, 10.0]}
+    reports = [{"kind": "diameter", "tau": 1.0, "kappa_hat": 0.8,
+                "all_strict": True, "fit": fit,
+                "factors": rng.uniform(0.6, 0.8, SWEEP_FACTORS).tolist()}
+               for _ in range(SWEEP_SHAPE[0])]
 
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs),
@@ -62,7 +73,9 @@ def _cases(rng, n_agents, dim, steps):
                                                rec, linear),
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
         "diameters": lambda: dynamics.diameters(states),
+        "diameters_small": lambda: [dynamics.diameters(x) for x in sweep_states],
         "csv": lambda: dynamics.write_csv(os.devnull, header, times, flat),
+        "json": lambda: cli._write_json(os.devnull, reports),
     }
 
 
@@ -73,10 +86,12 @@ def run(n_agents=5, dim=2, steps=2000, repeats=5):
     print(f"kernel benchmark: n={n_agents}, d={dim}, rk4 steps={steps} on a "
           f"batch of {RK4_BATCH} starts, scrambling, lambda2 and window_avg "
           f"over the critical starts of a rotating star (tau {WINDOW_TAU}), "
-          f"diameters and csv of {TRAJECTORY_SHAPE} states, best of {repeats}")
-    print(f"{'kernel':<12} {'time [ms]':>12}")
+          f"diameters and csv of {TRAJECTORY_SHAPE} states, diameters_small "
+          f"of {SWEEP_SHAPE[0]} x {SWEEP_SHAPE[1:]} states, json of "
+          f"{SWEEP_SHAPE[0]} reports of {SWEEP_FACTORS} factors, best of {repeats}")
+    print(f"{'kernel':<16} {'time [ms]':>12}")
     for name, fn in cases.items():
-        print(f"{name:<12} {_time(fn, repeats) * 1e3:>12.3f}")
+        print(f"{name:<16} {_time(fn, repeats) * 1e3:>12.3f}")
 
 
 def main(argv=None):

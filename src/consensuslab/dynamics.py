@@ -15,7 +15,8 @@ least the diameter of the 2d axis-extreme points.  Only the points that pass
 this test, with a 1e-12 relative slack for rounding, have their pairs
 evaluated, by the same arithmetic as a full evaluation, so every computed
 maximum comes out to the bit.  Samples of at most _SCREEN_MAX_AGENTS points
-skip the screen, which costs more than it saves there.
+skip the screen, which costs more than it saves there, and reduce over their
+n(n-1)/2 pairs i < j from `np.triu_indices`, not over every ordered pair.
 """
 from __future__ import annotations
 
@@ -72,12 +73,12 @@ _CHUNK_FLOATS = 1 << 20
 # (1001, 257) table faster than 1024- or 4096-cell ones
 _CSV_CHUNK_CELLS = 2048
 
-# `diameters` evaluates every pair of a sample with at most this many agents,
-# because below n = 16-20 the screen costs more than the pairs it removes.
-# 1002 Gaussian samples in the plane, screened against in full: n = 5
-# 2.4 / 0.58 ms, n = 12 6.4 / 5.1 ms, n = 16-20 about even, n = 24
-# 7.6 / 16.0 ms, n = 32 10.7 / 25.3 ms (2 CPUs).  A verify sweep at n = 5
-# makes one such call per run.
+# `diameters` evaluates the pair list i < j of a sample with at most this many
+# agents, because below n = 16-20 the screen costs more than the pairs it
+# removes.  1002 Gaussian samples in the plane, screened against the pair
+# list: n = 5 3.05 / 0.47 ms, n = 12 4.8 / 3.2 ms, n = 16 7.5 / 6.8 ms,
+# n = 20 8.3 / 11.1 ms, n = 32 9.9 / 22.0 ms (2 CPUs, timeit best of 7).
+# A verify sweep at n = 5 makes one such call per run.
 _SCREEN_MAX_AGENTS = 16
 
 # relative slack of the screen: it covers the rounding of the computed radii
@@ -168,15 +169,31 @@ def diameters(positions) -> np.ndarray:
     `_diameter_candidates` have their pairs evaluated.  A pair attaining the
     computed maximum has a true length within rounding of it, and its points
     pass because the screen's slack exceeds that rounding, so the result is
-    bit-identical to evaluating every pair.  Smaller samples evaluate every
-    pair.
+    bit-identical to evaluating every pair.  Smaller samples reduce over
+    their n(n-1)/2 pairs i < j, not over every ordered pair: the square of
+    (i, j) is the square of (j, i) bit for bit and the diagonal is 0, so the
+    maximum is the same.
     """
     n, d = positions.shape[-2:]
-    keep = None
     if n > _SCREEN_MAX_AGENTS:
-        keep = _diameter_candidates(positions.reshape(-1, n, d))
-    return reduce_squared_distances(positions, lambda sq: np.sqrt(sq.max(axis=1)),
-                                    keep)
+        return reduce_squared_distances(
+            positions, lambda sq: np.sqrt(sq.max(axis=1)),
+            _diameter_candidates(positions.reshape(-1, n, d)))
+    flat = positions.reshape(-1, n, d)
+    out = np.zeros(flat.shape[0])
+    if n > 1:
+        i, j = np.triu_indices(n, 1)
+        step = max(1, _CHUNK_FLOATS // (len(i) * d))
+        for lo in range(0, len(flat), step):
+            pts = flat[lo:lo + step]
+            diff = pts[:, i] - pts[:, j]
+            peak = np.einsum("spc,spc->sp", diff, diff).max(axis=1)
+            # the diagonal of a sample with an inf coordinate is NaN, and so
+            # is the maximum over every pair
+            if not np.isfinite(peak).all():
+                peak[~np.isfinite(pts).all(axis=(1, 2))] = np.nan
+            out[lo:lo + step] = np.sqrt(peak)
+    return out.reshape(positions.shape[:-2])
 
 
 def kernel_bounds(kernel: Kernel, diam_max: float):

@@ -280,6 +280,11 @@ def csv_per_cell(path, header, times, rows):
             fh.write(",".join(cells) + "\n")
 
 
+def repr_join(values, sep):
+    """`sep` between Python's repr of each value, one float at a time."""
+    return sep.join(repr(float(v)) for v in values)
+
+
 def contraction_factors_loop(times, series, tau, match_tol=1e-9, floor=1e-10):
     """series(t + tau) / series(t) per sample t whose endpoint matches a sample
     within match_tol (the one just below the target first), skipping starts

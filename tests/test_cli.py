@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import consensuslab as cl
-from consensuslab import signals
+from consensuslab import cli, signals
 from consensuslab.analysis import analysis_report_json
 from consensuslab.cli import (
     MAX_GRID_STEPS,
@@ -466,6 +466,15 @@ class TestDeterminismAndOverrides:
         err = capsys.readouterr().err
         assert err == f"error: {block}: expected an object\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--out", "elsewhere"],
+                                       ["--dt", "0.01"], ["--seed", "1"]],
+                             ids=["none", "out", "dt", "seed"])
+    @pytest.mark.parametrize("top", [[1, 2], "system"], ids=["list", "string"])
+    def test_top_level_not_an_object(self, tmp_path, capsys, top, flags):
+        path = write_config(tmp_path, top)
+        assert main(["verify", "--config", str(path)] + flags) == 1
+        assert capsys.readouterr().err == "error: config: expected an object\n"
+
     def test_seed_override_changes_draws(self, tmp_path):
         data = TestVerify().verify_config(tmp_path / "base")
         data["sweep"]["num_initial"] = 2
@@ -484,6 +493,18 @@ class TestDeterminismAndOverrides:
         with pytest.raises(ValueError):
             _write_json(tmp_path / "out.json", {"value": float("inf")})
 
+    @pytest.mark.parametrize("payload", [
+        [0.5, 0.5, float("nan")], [0.5] * 299 + [float("nan")],
+        [0.5] * 299 + [float("-inf")], {"a": [1.0, float("inf")]},
+        [1, float("nan")], float("-inf"), {"a": {"b": float("inf")}}],
+        ids=["short_list", "long_list", "long_list_inf", "nested_list",
+             "mixed_list", "scalar", "nested_scalar"])
+    def test_non_finite_raises_value_error(self, tmp_path, payload):
+        with pytest.raises(ValueError):
+            json.dumps(payload, allow_nan=False)
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", payload)
+
     def test_config_json_round_trip(self, tmp_path):
         data = blinking_config(tmp_path)
         cfg = parse_config(json.loads(json.dumps(data)))
@@ -491,3 +512,86 @@ class TestDeterminismAndOverrides:
         assert again.window == cfg.window
         assert again.dt == cfg.dt
         assert np.array_equal(again.signal.breakpoints, cfg.signal.breakpoints)
+
+
+def json_dump_bytes(tmp_path, payload):
+    """The bytes json.dump writes for `payload`, the writer's reference."""
+    path = tmp_path / "want.json"
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+FLOAT_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1.7976931348623157e308,
+                  1e16, 1e17, 1e-5, 1e-4, 0.1, 1.0, -3.0, 2.0**53, 1e15, 123.0]
+STRINGS = ["", "plain", "ü Ω 漢字 \U0001f600", 'quote " and \\ backslash',
+           "tab\tnew\nline\x00\x1f\x7f", "\u2028\ud800"]
+
+
+def pick(rng, values):
+    return values[rng.integers(len(values))]
+
+
+def random_payload(rng, depth=0):
+    """A nested value of every kind `json` writes: dicts (str keys, some
+    non-str), lists and tuples of floats alone or mixed, np.float64, bool,
+    int, None and awkward strings, empty containers included."""
+    kind = rng.integers(0, 10 if depth < 4 else 5)
+    if kind == 0:
+        return [float(v) for v in rng.choice(FLOAT_SPECIALS, rng.integers(1, 6))]
+    if kind == 1:
+        values = rng.normal(size=rng.integers(1, 400)) * 10.0 ** rng.integers(-8, 18)
+        values[rng.random(values.size) < 0.1] = pick(rng, FLOAT_SPECIALS)
+        return values.tolist()
+    if kind == 2:
+        return [rng.normal(), 1, True, None, False, -7, "s", np.float64(0.25),
+                float(rng.normal())][:rng.integers(1, 10)]
+    if kind == 3:
+        return pick(rng, [True, False, None, 0, -12, 2**70, 0.5, -0.0,
+                          np.float64(1e-7), rng.normal(), pick(rng, STRINGS)])
+    if kind == 4:
+        return pick(rng, [[], {}, (), [[]], [{}], {"": {}}])
+    if kind == 5:
+        return [np.float64(v) for v in rng.normal(size=rng.integers(1, 5))]
+    if kind == 6:
+        return tuple(random_payload(rng, depth + 1)
+                     for _ in range(rng.integers(1, 4)))
+    if kind == 7:
+        keys = rng.choice([0, 1, 2, 3, 4, 5], rng.integers(1, 4), replace=False)
+        return {int(k): random_payload(rng, depth + 1) for k in keys}
+    if kind == 8:
+        return [random_payload(rng, depth + 1) for _ in range(rng.integers(1, 5))]
+    keys = rng.choice(STRINGS + ["a", "b", "kappa", "Z", "ä"], rng.integers(1, 6),
+                      replace=False)
+    return {str(k): random_payload(rng, depth + 1) for k in keys}
+
+
+class TestWriteJson:
+    """`_write_json` writes the bytes of json.dump(indent=2, sort_keys=True,
+    allow_nan=False) and a newline."""
+
+    def test_sweep_payloads(self, tmp_path, monkeypatch):
+        written = []
+
+        def record(path, payload):
+            written.append((path, payload))
+            _write_json(path, payload)
+
+        monkeypatch.setattr(cli, "_write_json", record)
+        for observable in ("diameter", "variance"):
+            data = TestVerify().verify_config(tmp_path / observable, observable)
+            data["run"]["t_end"] = 10.0  # the README sweep: 901 factors a run
+            cmd_verify(parse_config(data))
+        assert len(written) == 8
+        for path, payload in written:
+            assert Path(path).read_bytes() == json_dump_bytes(tmp_path, payload)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_payloads(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            payload = random_payload(rng)
+            _write_json(tmp_path / "got.json", payload)
+            assert ((tmp_path / "got.json").read_bytes()
+                    == json_dump_bytes(tmp_path, payload)), payload

@@ -314,6 +314,32 @@ class TestDiameters:
                     got = dynamics.diameters(states)
                     assert np.array_equal(got, want), (n, shape, chunk)
 
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 7))
+    def test_pair_list_matches_one_broadcast(self, d):
+        # samples of at most _SCREEN_MAX_AGENTS points reduce over the pairs
+        # i < j; every result is the full (n, n) maximum to the bit
+        rng = np.random.default_rng(70 + d)
+        for n in range(1, dynamics._SCREEN_MAX_AGENTS + 1):
+            x = rng.normal(size=(30, n, d))
+            repeated = np.concatenate([x, x[:, ::-1]], axis=1)[:, :n]
+            for states in (x, np.round(x, 1), repeated, 1e150 * x, 1e-150 * x):
+                want = diameters_broadcast(states)
+                assert np.array_equal(dynamics.diameters(states), want), (n, d)
+
+    def test_pair_list_chunks_and_leading_shape(self, monkeypatch):
+        # 1300 samples of 16 points in 7 dimensions span two default chunks
+        rng = np.random.default_rng(75)
+        states = rng.normal(size=(1300, 16, 7))
+        assert 1300 * 120 * 7 > dynamics._CHUNK_FLOATS
+        assert np.array_equal(dynamics.diameters(states),
+                              diameters_broadcast(states))
+        states = rng.normal(size=(3, 5, 4, 2))
+        want = diameters_broadcast(states.reshape(-1, 4, 2)).reshape(3, 5)
+        for chunk in (1, 50, dynamics._CHUNK_FLOATS):
+            monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", chunk)
+            got = dynamics.diameters(states)
+            assert got.shape == (3, 5) and np.array_equal(got, want)
+
     def test_extreme_scales(self):
         # squares of distances underflow or overflow at these scales, where
         # a relative slack bounds no rounding error
@@ -349,6 +375,19 @@ class TestDiameters:
             want = diameters_broadcast(states)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isfinite(got[0]) and not np.isfinite(got[1:]).any()
+
+    def test_non_finite_small_sample_as_full_array(self):
+        # the pair list has no diagonal, but an inf point still gives NaN
+        states = np.random.default_rng(52).normal(size=(4, 4, 2))
+        states[1, 3, 0] = np.nan
+        states[2, 3, 1] = np.inf
+        states[3, 1] = 1e200  # finite, but its squared distances overflow
+        with np.errstate(invalid="ignore", over="ignore"):  # as in the oracle
+            got = dynamics.diameters(states)
+            want = diameters_broadcast(states)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isfinite(got[0]) and np.isnan(got[1:3]).all()
+        assert got[3] == np.inf
 
     def test_batch_shape_and_single_agent(self):
         assert dynamics.diameters(np.zeros((4, 2, 1, 3))).shape == (4, 2)

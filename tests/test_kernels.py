@@ -8,7 +8,8 @@ import consensuslab as cl
 import consensuslab._kernels as kernels
 from consensuslab import dynamics
 
-from oracles import csv_per_cell, lambda2_eigh, rhs_direct, rk4_direct
+from oracles import (csv_per_cell, lambda2_eigh, repr_join, rhs_direct,
+                     rk4_direct)
 
 
 def random_case(seed, n=7, d=3):
@@ -165,18 +166,21 @@ def test_benchmark_runs(capsys):
                        "--repeats", "1"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == ["rhs", "scrambling", "lambda2", "rk4", "rk4_linear",
-                    "window_avg", "diameters", "csv"]
+                    "window_avg", "diameters", "diameters_small", "csv",
+                    "json"]
 
 
-def exact_ties(rng, per_k=100):
-    """Doubles m / 2^k (m odd) whose exact decimal expansion has 18
-    significant digits, the last a 5: ties for 17-digit rounding."""
+def exact_ties(rng, per_k=100, digits=18):
+    """Doubles m / 2^k (m odd) whose exact decimal expansion has `digits`
+    significant digits, the last a 5: ties for rounding to one digit less."""
     ties = []
-    for k in range(2, 26):
-        lo = max(1, -(-10**17 // 5**k))
-        hi = min(2**53 - 1, 10**18 // 5**k)
+    for k in range(1, 40):
+        lo = max(1, -(-10**(digits - 1) // 5**k))
+        hi = min(2**53 - 1, 10**digits // 5**k)
+        if lo > hi:
+            continue
         m = rng.integers(lo, hi, size=per_k, endpoint=True) | 1
-        ties += [int(v) / 2**k for v in m if len(str(int(v) * 5**k)) == 18]
+        ties += [int(v) / 2**k for v in m if len(str(int(v) * 5**k)) == digits]
     return np.array(ties)
 
 
@@ -241,3 +245,67 @@ class TestFormatG17:
         table = rng.normal(size=shape) * 10.0 ** rng.integers(-7, 20, size=shape)
         table.reshape(-1)[::3] = 0.0
         self.assert_per_cell(tmp_path, table)
+
+
+class TestFormatRepr:
+    """`_kernels.format_repr` against Python's repr, one float at a time.
+    Its fast path covers 1e-4 <= |x| < 1e16; every other cell falls back."""
+
+    def assert_repr(self, values, sep=","):
+        values = np.asarray(values, dtype=np.float64)
+        values = np.concatenate([values, -values])
+        assert kernels.format_repr(values, sep) == repr_join(values, sep)
+
+    @pytest.mark.parametrize("digits", (16, 17, 18))
+    def test_exact_ties(self, digits):
+        # ties for rounding to 15, 16 and 17 digits
+        ties = exact_ties(np.random.default_rng(digits), per_k=200, digits=digits)
+        ties = ties[(ties >= 1e-4) & (ties < 1e16)]
+        assert len(ties) > 1000
+        self.assert_repr(ties)
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+        self.assert_repr(np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+    def test_powers_of_two_and_neighbours(self):
+        # every power of two in the fast window, where the lower half-gap is
+        # half as wide, and a few on each side of it
+        powers = np.ldexp(1.0, np.arange(-17, 57))
+        self.assert_repr(np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+    def test_random_binades(self):
+        # 2^-14 < 1e-4 and 2^53 < 1e16 < 2^54: every binade the window meets
+        rng = np.random.default_rng(12)
+        exponents = np.repeat(np.arange(-13, 55), 400)
+        self.assert_repr(np.ldexp(rng.uniform(0.5, 1.0, exponents.size),
+                                  exponents))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(13)
+        low, high = np.array([1e-4, 1e16]).view(np.int64)
+        self.assert_repr(rng.integers(low, high, 50_000).view(np.float64))
+
+    def test_short_decimals_and_integers(self):
+        rng = np.random.default_rng(14)
+        decimals = [round(v, k) for v, k in zip(rng.uniform(0, 1e3, 5_000).tolist(),
+                                                 rng.integers(0, 13, 5_000).tolist())]
+        integers = rng.integers(1, 10**15, 5_000) // 10 ** rng.integers(0, 15, 5_000)
+        self.assert_repr(np.concatenate([
+            [0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3, 0.1 + 0.2, 1.0, 2.5, 100.0, 1e15,
+             2.0**53 - 1, 2.0**53, 2.0**53 + 2, 9999999999999998.0],
+            decimals, integers.astype(np.float64), np.arange(1, 1000) / 8]))
+
+    def test_fallback_classes(self):
+        self.assert_repr([0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+                          1e-300, 1e-5, 9.99e-5, np.nextafter(1e-4, 0.0), 1e16,
+                          1e17, 1.5e300, 1.7976931348623157e308, np.inf,
+                          np.nan, 0.5, 1.0])
+
+    @pytest.mark.parametrize("sep", [",", ",\n    ", "%s%%", ""])
+    def test_separators_and_sizes(self, sep):
+        assert kernels.format_repr(np.array([]), sep) == ""
+        for values in ([0.1], [1e-5], [0.1, np.inf, 2.0, 0.0]):
+            assert kernels.format_repr(np.array(values), sep) == repr_join(values, sep)
