@@ -20,11 +20,15 @@ E = floor(log10 |x|), and the decimal point position E + 1.  Dekker's error-
 free TwoProduct gives |x| 10^(16-E) = hi + lo exactly (10^(16-E) is an exact
 double for 16 - E <= 20); hi >= 1e16 > 2^53 is an even integer, so
 hi + rint(lo) is the half-even rounding that `dtoa` does.  N is split into a
-lead digit and four 4-digit groups, looked up as ASCII words, and laid out
-in a fixed-width NUL-padded record chosen by (sign, point position, digits
-kept); dropping the NULs leaves the text.  Every other cell (zeros,
-subnormals, |x| < 1e-4 or >= 1e17, inf and NaN) gets the record "%.17g",
-and one `%` call over the table's text has Python print them all.
+lead digit and four 4-digit groups, looked up as ASCII words.  A cell's
+7-word record holds them twice, digit j at byte 3 + j and 7 + j, under masks
+chosen by (sign, point position P = E + 1, digits kept) that add the sign or
+"-0.000" prefix and the "." at byte 6 + P; the last word is the separator.
+Records are word-major, so each lookup and mask runs over a contiguous row
+of cells; one transpose puts them in cell order, and dropping the NULs
+leaves the text.  Every other cell (zeros, subnormals, |x| < 1e-4 or
+|x| >= 1e17, inf and NaN) gets the record "%.17g", and one `%` call over
+the table's text has Python print them all.
 
 `format_repr` prints floats as Python's shortest round-trip `repr` does
 (Steele & White; Gay's `dtoa` mode 0), on the same TwoProduct and tables.
@@ -176,46 +180,40 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel):
     return out
 
 
-# A fast-path record of `format_g17`, in little-endian 4-byte words: sign and
-# "0.000" prefix (2), integer digits (5), "." (1), fraction digits (5) and the
-# cell separator (1).  Digit j of N sits at byte 3 + j of each digit region.
-_G17_WORDS = 14
+_RECORD_WORDS = 7  # 4-byte words of a fast-path record (see the module docstring)
 
 
 @functools.cache
 def _tables():
-    """The lookup tables of `format_g17` and `format_repr` by name, built on
-    first use.
+    """The tables of `format_g17` and `format_repr` by name, built on first use.
 
     ``groups[g]`` is the ASCII of "%04d" % g as a "<u4" word and
-    ``trailing[g]`` its count of trailing zeros (4 for 0).  ``layouts``
-    holds one record per (sign, point position -3..17, digits kept 1..17),
-    in that order: the prefix and "." bytes, and 0xFF over the digit bytes
-    the cell prints; ``repr_layouts`` is the same with the ".0" that repr
-    prints after an integral value.  ``powers`` holds 10^k for k = 0..20
-    with their Veltkamp halves, ``fives`` 5^k.
+    ``trailing[g]`` its count of trailing zeros (4 for 0).  ``layouts`` has a
+    column per (sign, P, digits kept): the record's fixed bytes, then 0xFF
+    over the digits of each copy; ``repr_layouts`` adds repr's ".0" after an
+    integral value.  ``powers`` holds 10^k for k = 0..20 with their Veltkamp
+    halves, ``fives`` 5^k.
     """
     g = np.arange(10_000, dtype=np.int16)[:, None]
     place = np.array([1000, 100, 10, 1], dtype=np.int16)
     groups = (ord("0") + g // place % 10).astype(np.uint8).view("<u4").ravel()
     trailing = np.count_nonzero(g % (10 * place) == 0, axis=1)
 
-    j = np.arange(17)
-    point = np.tile(np.repeat(np.arange(-3, 18), 17), 2)[:, None]
-    kept = np.tile(np.arange(1, 18), 42)[:, None]
+    j, byte = np.arange(17), np.arange(24)
+    point, kept = np.arange(-3, 18)[:, None, None], np.arange(1, 18)[:, None]
     prefixes = b"".join(
-        (sign + (b"0." + b"0" * -p if p <= 0 else b"")).ljust(8, b"\0")
+        (sign + (b"0." + b"0" * -p if p <= 0 else b"\0" * 4)).rjust(7, b"\0")
         for sign in (b"", b"-") for p in range(-3, 18))
-    rec = np.zeros((2 * 21 * 17, 4 * _G17_WORDS), np.uint8)
-    rec[:, :8] = np.repeat(np.frombuffer(prefixes, np.uint8).reshape(-1, 8),
-                           17, axis=0)
-    rec[:, 11:28] = 0xFF * (j < point)
-    rec[:, 35:52] = 0xFF * ((np.maximum(point, 0) <= j) & (j < kept))
-    rec_repr = rec.copy()
-    rec[:, 28] = ord(".") * ((1 <= point) & (point < kept))[:, 0]
-    rec_repr[:, 28] = ord(".") * (1 <= point)[:, 0]
-    rec_repr[:, 29] = ord("0") * (point >= kept)[:, 0]
-    layouts, repr_layouts = rec.view("<u4"), rec_repr.view("<u4")
+    rec = np.zeros((2, 2, 21, 17, 28 + 20 + 20), np.uint8)  # g17/repr, sign, P, kept
+    rec[..., :7] = np.frombuffer(prefixes, np.uint8).reshape(2, 21, 1, 7)
+    rec[..., 31:48] = 0xFF * (j < point)
+    rec[..., 51:68] = 0xFF * ((np.maximum(point, 0) <= j) & (j < kept))
+    dot = (byte == 6 + point) & (1 <= point)
+    np.copyto(rec[0, ..., :24], ord("."), where=dot & (point < kept))
+    np.copyto(rec[1, ..., :24], ord("."), where=dot)
+    np.copyto(rec[1, ..., :24], ord("0"), where=(byte == 7 + point) & (point >= kept))
+    layouts, repr_layouts = np.ascontiguousarray(
+        rec.reshape(2, 714, -1).view("<u4").transpose(0, 2, 1))
 
     powers = 10.0 ** np.arange(21)
     split = powers * 134217729.0
@@ -255,21 +253,23 @@ def _exact_17(ax, powers):
 
 def _records(x, n, e, layouts):
     """The records of cells x whose text has the digits of the 17-digit
-    integer n and the point after digit E + 1; shape (x.size, _G17_WORDS)."""
+    integer n and the point after digit E + 1, one row of x per word."""
     tables = _tables()
     parts = np.empty((5, n.size), np.int64)  # the lead digit, 4-digit groups
     for k in (4, 3, 2, 1):
-        n, parts[k] = np.divmod(n, 10_000)
+        q = n // 10_000
+        parts[k], n = n - q * 10_000, q
     parts[0] = n
     g1, g2, g3, g4 = parts[1:]
     trailing = tables["trailing"]
     zeros = trailing.take(g4) + (g4 == 0) * (trailing.take(g3) + (g3 == 0) * (
         trailing.take(g2) + (g2 == 0) * trailing.take(g1)))
-    digits = tables["groups"].take(parts.T)
-    rec = layouts.take(((x < 0) * 21 + e + 4) * 17 + (16 - zeros), axis=0)
-    rec[:, 2:7] &= digits
-    rec[:, 8:13] &= digits
-    return rec
+    rec = layouts.take(((x < 0) * 21 + e + 4) * 17 + (16 - zeros), axis=1)
+    masks = rec[_RECORD_WORDS:].reshape(2, 5, -1)
+    masks &= tables["groups"].take(parts)
+    rec[:5] |= masks[0]
+    rec[1:6] |= masks[1]
+    return rec[:_RECORD_WORDS]
 
 
 def _g17_records(x):
@@ -338,12 +338,12 @@ def _format(x, fast, records, fallback, sep):
     if all_fast:
         rec = records(x)
     else:
-        rec = np.tile(np.frombuffer(fallback.ljust(4 * _G17_WORDS, b"\0"), "<u4"),
-                      (x.size, 1))
+        rec = np.repeat(np.frombuffer(fallback.ljust(4 * _RECORD_WORDS, b"\0"),
+                                      "<u4")[:, None], x.size, axis=1)
         if fast.any():
-            rec[fast] = records(x[fast])
-    rec.reshape(-1, sep.size, _G17_WORDS)[:, :, -1] = sep
-    text = rec.tobytes().translate(None, b"\0").decode("ascii")
+            rec[:, fast] = records(x[fast])
+    rec[-1].reshape(-1, sep.size)[:] = sep
+    text = rec.T.tobytes().translate(None, b"\0").decode("ascii")
     # Python formats every fallback cell in one call
     return text if all_fast else text % tuple(x[~fast].tolist())
 

@@ -101,6 +101,9 @@ def main(argv=None):
     parser.add_argument("--steps", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
+    for name, low in (("agents", 2), ("dim", 1), ("steps", 1), ("repeats", 1)):
+        if getattr(args, name) < low:
+            parser.error(f"--{name} must be >= {low}")
     run(args.agents, args.dim, args.steps, args.repeats)
     return 0
 

@@ -91,6 +91,14 @@ def _number(cast, value, where):
         raise ConfigError(where, str(exc)) from exc
 
 
+def _integer(value):
+    """``int(value)``, refusing a float that it would truncate."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _parse_kernel(data):
     form = _get(data, "form", "system.kernel", str)
     try:
@@ -131,8 +139,8 @@ def _parse_signal(data, n):
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dictionary; ConfigError diagnostics name the field."""
     system = _get(data, "system", "config", dict)
-    n = _number(int, _get(system, "n", "system"), "system.n")
-    d = _number(int, _get(system, "d", "system"), "system.d")
+    n = _number(_integer, _get(system, "n", "system"), "system.n")
+    d = _number(_integer, _get(system, "d", "system"), "system.d")
     if n < 1:
         raise ConfigError("system.n", "must be >= 1")
     if d < 1:
@@ -163,7 +171,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     if t_end / dt > MAX_GRID_STEPS:
         raise ConfigError("run.dt", f"t_end/dt = {t_end / dt:.6g} steps exceeds "
                                     f"the cap of {MAX_GRID_STEPS}")
-    sample_every = _number(int, run.get("sample_every", 1), "run.sample_every")
+    sample_every = _number(_integer, run.get("sample_every", 1),
+                           "run.sample_every")
     if sample_every < 1:
         raise ConfigError("run.sample_every", "must be >= 1")
 
@@ -184,9 +193,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         sweep.setdefault("num_initial", 32)
         sweep.setdefault("init_set", "unit_ball")
         sweep.setdefault("seed", 0)
-        if _number(int, sweep["num_initial"], "sweep.num_initial") < 1:
+        if _number(_integer, sweep["num_initial"], "sweep.num_initial") < 1:
             raise ConfigError("sweep.num_initial", "must be >= 1")
-        if not 0 <= _number(int, sweep["seed"], "sweep.seed") < 2**128:
+        if not 0 <= _number(_integer, sweep["seed"], "sweep.seed") < 2**128:
             raise ConfigError("sweep.seed", "must be in [0, 2**128)")
         init_set = sweep["init_set"]
         if not (init_set == "unit_ball" or isinstance(init_set, list)):

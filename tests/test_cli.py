@@ -160,6 +160,19 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("system.n", 2.5), ("system.d", 1.5), ("run.sample_every", 1.9),
+        ("sweep.num_initial", 3.5), ("sweep.seed", 1.5)])
+    def test_non_integral_number_names_field(self, tmp_path, field, value):
+        data = two_agent_config(tmp_path)
+        block, key = field.split(".")
+        data.setdefault(block, {})[key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.field == field and "not an integer" in str(err.value)
+        data[block][key] = float(int(value))  # an integral float is accepted
+        parse_config(data)
+
     def test_default_dt_rule(self, tmp_path):
         data = blinking_config(tmp_path)
         data["run"].pop("dt", None)

@@ -249,6 +249,31 @@ class TestIntegrateBatch:
         for traj in cl.integrate_batch(starts, sig, kernel, 1.0, 2e-2):
             assert traj.states.flags.c_contiguous
 
+    def test_single_run_adopts_the_record(self, monkeypatch):
+        # each record rk4_run returns; a batch run keeps a copy per start
+        rk4_run, records = dynamics._kernels.rk4_run, []
+        monkeypatch.setattr(dynamics._kernels, "rk4_run", lambda *args: (
+            records.append(rk4_run(*args)) or records[-1]))
+        starts = np.random.default_rng(46).normal(size=(2, 4, 2))
+        one = cl.integrate(config(starts[0]), cl.gen_rotating_star(4, 0.15),
+                           cl.Constant(1.0), 1.0, 2e-2)
+        assert np.shares_memory(one.states, records[0])
+        runs = list(cl.integrate_batch(starts, cl.gen_rotating_star(4, 0.15),
+                                       cl.Constant(1.0), 1.0, 2e-2))
+        for traj in [one] + runs:
+            assert not traj.states.flags.writeable
+        for traj in runs:
+            assert not np.shares_memory(traj.states, records[1])
+
+    def test_non_contiguous_states_are_copied(self):
+        states = np.random.default_rng(47).normal(size=(5, 3, 4))[:, :, ::2]
+        traj = cl.Trajectory(np.arange(5.0), states, all_ones_signal(3),
+                             cl.Constant(1.0))
+        assert not np.shares_memory(traj.states, states)
+        assert np.array_equal(traj.states, states)
+        assert traj.states.flags.c_contiguous and not traj.states.flags.writeable
+        assert states.flags.writeable
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             cl.integrate_batch(np.zeros((0, 2, 1)), all_ones_signal(),

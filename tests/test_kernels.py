@@ -170,6 +170,17 @@ def test_benchmark_runs(capsys):
                     "json"]
 
 
+@pytest.mark.parametrize("flag, value", [("--agents", "1"), ("--dim", "0"),
+                                         ("--steps", "0"), ("--repeats", "0")])
+def test_benchmark_rejects_too_small_sizes(capsys, flag, value):
+    from consensuslab import bench
+
+    with pytest.raises(SystemExit) as exc:
+        bench.main([flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be >= " in capsys.readouterr().err
+
+
 def exact_ties(rng, per_k=100, digits=18):
     """Doubles m / 2^k (m odd) whose exact decimal expansion has `digits`
     significant digits, the last a 5: ties for rounding to one digit less."""
@@ -235,6 +246,22 @@ class TestFormatG17:
         self.assert_values(tmp_path, special, width=5)
         self.assert_per_cell(tmp_path, special[:, None])
         self.assert_per_cell(tmp_path, special[None, :])
+
+    def test_trajectory_width(self, tmp_path):
+        # 257 columns, as the table of a 128-agent planar trajectory, over
+        # several blocks of the default size, every cell class in each block
+        step = dynamics._CSV_CHUNK_CELLS // 257  # rows per block
+        rng = np.random.default_rng(257)
+        shape = (3 * step + 5, 257)
+        table = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 20, shape)
+        table.reshape(-1)[::11] = 0.0
+        table.reshape(-1)[5::13] = -0.0
+        for lo in range(0, shape[0], step):
+            block = table[lo:lo + step]
+            ax = np.abs(block)
+            for cls in (ax == 0, (0 < ax) & (ax < 1e-4), ax >= 1e17, block < 0):
+                assert cls.any()
+        self.assert_per_cell(tmp_path, table)
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (13, 4)],
