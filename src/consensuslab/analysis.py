@@ -14,7 +14,7 @@ import numpy as np
 from .dynamics import (Configuration, Constant, Trajectory, diameters,
                        reduce_squared_distances)
 from .errors import DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort
-from .graphs import squared_distances
+from .graphs import pair_squared_distances
 
 PAIR_TOL = 1e-9
 STRICT_MARGIN = 1e-12
@@ -86,11 +86,11 @@ def diameter_pairs(x: Configuration, tol: float = PAIR_TOL) -> DiameterPairSet:
     """All ordered pairs whose distance is within tol of the diameter."""
     if x.n < 2:
         raise ValueError("need at least two agents")
-    dist = np.sqrt(squared_distances(x.positions))
+    dist = np.sqrt(pair_squared_distances(x.positions))
     value = float(dist.max())
-    ii, jj = np.nonzero(dist >= value - tol)
-    pairs = frozenset((int(i), int(j)) for i, j in zip(ii, jj) if i != j)
-    return DiameterPairSet(pairs, value)
+    near = dist >= value - tol
+    ii, jj = (idx[near].tolist() for idx in np.triu_indices(x.n, 1))
+    return DiameterPairSet(frozenset(zip(ii + jj, jj + ii)), value)
 
 
 def check_maximizer_geometry(x: Configuration, pair, y_index: int,
@@ -206,12 +206,13 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
         return 0.0
     slope = (var[mids + 1] - var[mids - 1]) / (times[mids + 1] - times[mids - 1])
 
-    # Dirichlet energy (1/(2 n^2)) sum_ij a_ij |x_i - x_j|^2, batched per piece
+    # Dirichlet energy (1/(2 n^2)) sum_ij a_ij |x_i - x_j|^2, batched per
+    # piece and summed over the pairs i < j as `dirichlet_energy` sums it
     piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
     energy = np.empty(mids.size)
     for k in np.unique(piece):
-        sel = piece == k
-        weights = sig.piece_stack[k].ravel()
+        sel, adj = piece == k, sig.piece_stack[k]
+        weights = (adj + adj.T)[np.triu_indices(traj.n, 1)]
         energy[sel] = reduce_squared_distances(
             traj.states[mids[sel]], lambda sq, w=weights: (w * sq).sum(axis=1))
     energy /= 2.0 * traj.n**2

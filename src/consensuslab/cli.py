@@ -204,6 +204,9 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     outputs = _get(data, "outputs", "config", dict, required=False, default={})
     emit = tuple(_get(outputs, "emit", "outputs", list, required=False, default=[]))
+    for entry in emit:
+        if entry != "trajectories":
+            raise ConfigError("outputs.emit", f"unknown entry {entry!r}")
     certify_kinds = _get(_block(data, "certify"), "kinds", "certify", list,
                          required=False)
     if certify_kinds is not None:
@@ -435,6 +438,9 @@ def cmd_verify(cfg: ExperimentConfig) -> OutputBundle:
         contraction = analysis.window_contraction(traj, cfg.window.tau,
                                                   cfg.observable)
         keep = series > SERIES_FLOOR_REL * series[0]
+        if keep.sum() < 3:
+            raise ConfigError("run.sample_every", f"run {idx} keeps {keep.sum()} "
+                              "samples to fit, need at least 3")
         fit = analysis.fit_exponential(traj.times[keep], series[keep])
         runs[idx].update(
             kappa_hat=contraction.kappa_hat,

@@ -8,15 +8,15 @@ Laplacian form x' = -(c/n) L(t) x, L = diag(A 1) - A, evaluated as one matrix
 product per stage; on balanced graphs this is exactly the linear balanced
 consensus system.
 
-Diameters are exact but screened (Akl & Toussaint's throw-away principle):
-with c the midpoint of a sample's bounding box, r_i = |x_i - c| and
-R = max r, an endpoint of a diameter pair has r_i + R >= D, and D is at
-least the diameter of the 2d axis-extreme points.  Only the points that pass
-this test, with a 1e-12 relative slack for rounding, have their pairs
-evaluated, by the same arithmetic as a full evaluation, so every computed
-maximum comes out to the bit.  Samples of at most _SCREEN_MAX_AGENTS points
-skip the screen, which costs more than it saves there, and reduce over their
-n(n-1)/2 pairs i < j from `np.triu_indices`, not over every ordered pair.
+Diameters and variances go through one chunk loop, `_per_chunk`, so beside
+the record their memory is bounded for any number of samples.  A diameter is
+the maximum over the pairs i < j of `graphs.pair_squared_distances`, screened
+above _SCREEN_MAX_AGENTS points (Akl & Toussaint's throw-away principle): with
+c the midpoint of a sample's bounding box, r_i = |x_i - c| and R = max r, an
+endpoint of a diameter pair has r_i + R >= D, and D is at least the diameter
+of the 2d axis-extreme points.  Only the points that pass, with a 1e-12
+relative slack for rounding, have their pairs evaluated, so every computed
+maximum comes out to the bit.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import Constant, CuckerSmale, Kernel  # noqa: F401  (re-exported)
 from .errors import DegenerateDiameter, DimensionMismatch, NonFiniteState
-from .graphs import squared_distances
+from .graphs import pair_squared_distances
 from .signals import PiecewiseConstantSignal
 
 
@@ -66,7 +66,7 @@ class Configuration:
         )
 
 
-# floats in one chunk of the (samples, k, k, d) pairwise-difference array
+# floats in one chunk of (samples, n, d) states or (samples, pairs, d) differences
 _CHUNK_FLOATS = 1 << 20
 # cells per block of rows that `write_csv` formats at once.  A block's text
 # and scratch arrays take about 0.22 kB a cell, 0.85 MB at 4096 cells.  A
@@ -75,12 +75,12 @@ _CHUNK_FLOATS = 1 << 20
 # (2 CPUs, medians of 40 interleaved rounds)
 _CSV_CHUNK_CELLS = 4096
 
-# `diameters` evaluates the pair list i < j of a sample with at most this many
-# agents, because below n = 16-20 the screen costs more than the pairs it
-# removes.  1002 Gaussian samples in the plane, screened against the pair
-# list: n = 5 3.05 / 0.47 ms, n = 12 4.8 / 3.2 ms, n = 16 7.5 / 6.8 ms,
-# n = 20 8.3 / 11.1 ms, n = 32 9.9 / 22.0 ms (2 CPUs, timeit best of 7).
-# A verify sweep at n = 5 makes one such call per run.
+# `diameters` screens samples of more than this many agents: up to n = 16-17
+# the screen costs more than the pairs it removes.  1002 Gaussian samples in
+# the plane, screened against the full pair list: n = 5 1.61 / 0.35 ms, n = 12
+# 3.22 / 1.98 ms, n = 16 4.66 / 2.69 ms, n = 17 4.04 / 4.10 ms, n = 20 4.38 /
+# 6.09 ms, n = 32 9.10 / 21.5 ms (2 CPUs, best of 5 interleaved rounds).  A
+# verify sweep at n = 5 makes one such call per run.
 _SCREEN_MAX_AGENTS = 16
 
 # relative slack of the screen: it covers the rounding of the computed radii
@@ -90,52 +90,33 @@ _SCREEN_SLACK = 1e-12
 _SCREEN_RANGE = (1e-100, 1e100)
 
 
-def reduce_squared_distances(positions, reduce, keep=None) -> np.ndarray:
-    """`reduce` applied to the flattened squared distances of every sample.
+def _per_chunk(positions, floats, fn) -> np.ndarray:
+    """``fn`` of every chunk of the (s, n, d) samples of (..., n, d) positions.
 
-    ``positions`` has shape (..., n, d); ``reduce`` maps an (s, k * k) block
-    of samples to s values.  ``keep``, a (..., n) mask with at least one
-    point per sample, restricts each sample to its kept points: a sample with
-    fewer than its block's k kept points repeats one of them, so ``reduce``
-    must not change when a point repeats (a max does not).  By default every
-    point is kept and k = n.  Samples go through in chunks of at most
-    _CHUNK_FLOATS floats of (s, k, k, d), so memory stays bounded for any
-    sample count.  Returns shape positions.shape[:-2].
+    A chunk holds as many samples as fit in _CHUNK_FLOATS floats at
+    ``floats`` a sample, at least one.  ``fn`` maps a chunk to s values.
+    Returns shape positions.shape[:-2].
     """
     n, d = positions.shape[-2:]
     flat = positions.reshape(-1, n, d)
-    out = np.empty(flat.shape[0])
-    for rows, pts in _chunks(flat, keep):
-        sq = squared_distances(pts)
-        out[rows] = reduce(sq.reshape(sq.shape[0], -1))
+    out = np.empty(len(flat))
+    step = max(1, _CHUNK_FLOATS // max(1, floats))
+    for lo in range(0, len(flat), step):
+        out[lo:lo + step] = fn(flat[lo:lo + step])
     return out.reshape(positions.shape[:-2])
 
 
-def _chunks(flat, keep):
-    """(rows, points) blocks of the (s, n, d) samples for the reduction."""
-    n, d = flat.shape[1:]
-    if keep is None:
-        step = max(1, _CHUNK_FLOATS // (n * n * d))
-        for lo in range(0, flat.shape[0], step):
-            yield slice(lo, lo + step), flat[lo:lo + step]
-        return
-    keep = keep.reshape(flat.shape[:2])
-    counts = np.count_nonzero(keep, axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")  # kept points first
-    by_count = np.argsort(counts, kind="stable")
-    ks = counts[by_count]
-    lo = 0
-    while lo < len(ks):
-        # ks is sorted, so a chunk's k is the count of its last sample
-        window = ks[lo:lo + max(1, _CHUNK_FLOATS // (ks[lo] ** 2 * d))]
-        fits = np.arange(1, len(window) + 1) * window ** 2 * d <= _CHUNK_FLOATS
-        hi = lo + max(1, np.count_nonzero(fits))
-        rows, k = by_count[lo:hi], ks[hi - 1]
-        # pad each row with its own first kept point
-        idx = np.where(np.arange(k) < counts[rows, None],
-                       order[rows, :k], order[rows, :1])
-        yield rows, np.take_along_axis(flat[rows], idx[..., None], axis=1)
-        lo = hi
+def reduce_squared_distances(positions, reduce) -> np.ndarray:
+    """`reduce` applied to the pair squared distances of every sample.
+
+    ``positions`` has shape (..., n, d); ``reduce`` maps an (s, n(n-1)/2)
+    block of `pair_squared_distances` to s values.  A chunk's (s, pairs, d)
+    differences hold at most _CHUNK_FLOATS floats, or one sample.  Returns
+    shape positions.shape[:-2].
+    """
+    n, d = positions.shape[-2:]
+    return _per_chunk(positions, n * (n - 1) // 2 * d,
+                      lambda pts: reduce(pair_squared_distances(pts)))
 
 
 def _diameter_candidates(flat) -> np.ndarray:
@@ -156,7 +137,7 @@ def _diameter_candidates(flat) -> np.ndarray:
     reach = r + r.max(axis=1, keepdims=True)
     extreme = np.concatenate([lowest, highest], axis=1)
     ends = np.take_along_axis(flat, extreme[..., None], axis=1)
-    low = np.sqrt(squared_distances(ends).max(axis=(1, 2)))
+    low = np.sqrt(pair_squared_distances(ends).max(axis=1))
     # the slack is relative, so a sample whose squares may underflow or
     # overflow keeps every point (all its distances are within sqrt(d) * low);
     # so does one with a NaN radius or bound, as `not <` is true for NaN
@@ -164,38 +145,36 @@ def _diameter_candidates(flat) -> np.ndarray:
     return ~(drop & ((low > _SCREEN_RANGE[0]) & (low < _SCREEN_RANGE[1]))[:, None])
 
 
+def _chunk_diameters(pts) -> np.ndarray:
+    """Diameters of the (s, n, d) samples of one chunk."""
+    kept = pts
+    if pts.shape[1] > _SCREEN_MAX_AGENTS:
+        keep = _diameter_candidates(pts)
+        counts = np.count_nonzero(keep, axis=1)
+        k = counts.max()
+        order = np.argsort(~keep, axis=1, kind="stable")  # kept points first
+        # a sample with fewer than k kept points repeats its first one
+        idx = np.where(np.arange(k) < counts[:, None], order[:, :k], order[:, :1])
+        kept = np.take_along_axis(pts, idx[..., None], axis=1)
+    peak = reduce_squared_distances(kept, lambda sq: sq.max(axis=1, initial=0.0))
+    # the diagonal of a sample with an inf coordinate is NaN, and so is the
+    # maximum over every ordered pair; the pair list has no diagonal
+    if not np.isfinite(peak).all():
+        peak[~np.isfinite(pts).all(axis=(1, 2))] = np.nan
+    return np.sqrt(peak)
+
+
 def diameters(positions) -> np.ndarray:
     """Largest pairwise distance of each (n, d) configuration in (..., n, d).
 
-    With more than _SCREEN_MAX_AGENTS points, only the points that pass
-    `_diameter_candidates` have their pairs evaluated.  A pair attaining the
-    computed maximum has a true length within rounding of it, and its points
-    pass because the screen's slack exceeds that rounding, so the result is
-    bit-identical to evaluating every pair.  Smaller samples reduce over
-    their n(n-1)/2 pairs i < j, not over every ordered pair: the square of
-    (i, j) is the square of (j, i) bit for bit and the diagonal is 0, so the
-    maximum is the same.
+    A pair attaining the computed maximum has a true length within rounding
+    of it, and its points pass `_diameter_candidates` because the screen's
+    slack exceeds that rounding.  The square of (i, j) is the square of
+    (j, i) bit for bit and the diagonal is 0, so the maximum over the kept
+    pairs i < j is bit-identical to the maximum over every ordered pair.
     """
     n, d = positions.shape[-2:]
-    if n > _SCREEN_MAX_AGENTS:
-        return reduce_squared_distances(
-            positions, lambda sq: np.sqrt(sq.max(axis=1)),
-            _diameter_candidates(positions.reshape(-1, n, d)))
-    flat = positions.reshape(-1, n, d)
-    out = np.zeros(flat.shape[0])
-    if n > 1:
-        i, j = np.triu_indices(n, 1)
-        step = max(1, _CHUNK_FLOATS // (len(i) * d))
-        for lo in range(0, len(flat), step):
-            pts = flat[lo:lo + step]
-            diff = pts[:, i] - pts[:, j]
-            peak = np.einsum("spc,spc->sp", diff, diff).max(axis=1)
-            # the diagonal of a sample with an inf coordinate is NaN, and so
-            # is the maximum over every pair
-            if not np.isfinite(peak).all():
-                peak[~np.isfinite(pts).all(axis=(1, 2))] = np.nan
-            out[lo:lo + step] = np.sqrt(peak)
-    return out.reshape(positions.shape[:-2])
+    return _per_chunk(positions, n * d, _chunk_diameters)
 
 
 def kernel_bounds(kernel: Kernel, diam_max: float):
@@ -257,8 +236,7 @@ class Trajectory:
 
     @cached_property
     def variances(self) -> np.ndarray:
-        centered = self.states - self.states.mean(axis=1, keepdims=True)
-        return np.einsum("tic,tic->t", centered, centered) / self.n
+        return _per_chunk(self.states, self.n * self.d, _variances)
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -270,6 +248,12 @@ class Trajectory:
                           for c in range(self.d)]
         write_csv(path, header, self.times,
                   self.states.reshape(len(self.times), -1))
+
+
+def _variances(pts) -> np.ndarray:
+    """Mean squared distance to the barycenter of each (s, n, d) sample."""
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    return np.einsum("tic,tic->t", centered, centered) / pts.shape[1]
 
 
 def write_csv(path, header, times, rows) -> None:

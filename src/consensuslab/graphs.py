@@ -194,10 +194,13 @@ def algebraic_connectivity(adj: AdjacencyMatrix) -> float:
     return float(algebraic_connectivity_batch(adj.entries[None])[0])
 
 
-def squared_distances(positions) -> np.ndarray:
-    """|x_i - x_j|^2 for (..., n, d) positions; shape (..., n, n)."""
-    diff = positions[..., :, None, :] - positions[..., None, :, :]
-    return np.einsum("...ijc,...ijc->...ij", diff, diff)
+def pair_squared_distances(positions) -> np.ndarray:
+    """|x_i - x_j|^2 over the pairs i < j of (..., n, d) positions, in
+    `np.triu_indices(n, 1)` order; shape (..., n(n-1)/2)."""
+    i, j = np.triu_indices(positions.shape[-2], 1)
+    diff = positions[..., i, :]
+    diff -= positions[..., j, :]
+    return np.einsum("...pc,...pc->...p", diff, diff)
 
 
 def dirichlet_energy(adj: AdjacencyMatrix, x) -> float:
@@ -207,4 +210,5 @@ def dirichlet_energy(adj: AdjacencyMatrix, x) -> float:
         raise DimensionMismatch(
             f"adjacency has n={adj.n} but configuration has n={pos.shape[0]}"
         )
-    return float((adj.entries * squared_distances(pos)).sum() / (2.0 * adj.n**2))
+    weights = (adj.entries + adj.entries.T)[np.triu_indices(adj.n, 1)]
+    return float((weights * pair_squared_distances(pos)).sum() / (2.0 * adj.n**2))

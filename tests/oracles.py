@@ -270,6 +270,13 @@ def diameters_broadcast(states):
     return dist.reshape(len(states), -1).max(axis=1)
 
 
+def variances_whole(states):
+    """Variance of every sample of (T, n, d) states from one whole-record
+    expression, as `Trajectory.variances` took it before it went by chunks."""
+    centered = states - states.mean(axis=1, keepdims=True)
+    return np.einsum("tic,tic->t", centered, centered) / states.shape[1]
+
+
 def csv_per_cell(path, header, times, rows):
     """Header, then `t, row...` lines, each cell formatted on its own as
     f"{v:.17g}"."""

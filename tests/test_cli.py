@@ -145,6 +145,12 @@ class TestParseConfig:
                      id="non_finite_initial"),
         pytest.param("outputs.emit", lambda d: d["outputs"].update(emit=5),
                      id="numeric_emit"),
+        pytest.param("outputs.emit", lambda d: d["outputs"].update(
+            emit=["trajectory"]), id="unknown_emit"),
+        pytest.param("outputs.emit", lambda d: d["outputs"].update(
+            emit=["trajectories", "csv"]), id="unknown_second_emit"),
+        pytest.param("outputs.emit", lambda d: d["outputs"].update(
+            emit=[["trajectories"]]), id="nested_emit"),
         pytest.param("outputs.dir", lambda d: d["outputs"].update(dir=5),
                      id="numeric_dir"),
         pytest.param("certify.kinds", lambda d: d.update(certify={"kinds": 5}),
@@ -324,6 +330,19 @@ class TestVerify:
         assert summary["worst_gamma"] > 0.0
         assert all(r["all_strict"] for r in summary["runs"])
         assert summary["persistence_infimum"] == pytest.approx(0.4)
+
+    def test_too_few_fit_samples_names_field(self, tmp_path, capsys):
+        # samples at t = 0 and at the window end t = 1 only: no fit
+        data = self.verify_config(tmp_path)
+        data["run"] = {"t_end": 1.0, "dt": 0.01, "sample_every": 1000}
+        path = write_config(tmp_path, data)
+        assert main(["verify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.sample_every: ") and "need at least 3" in err
+        assert err.count("\n") == 1
+        # a third sample at t = 0.5 is enough
+        data["run"]["sample_every"] = 50
+        assert main(["verify", "--config", str(write_config(tmp_path, data))]) in (0, 2)
 
     def test_identity_sweep_never_strict(self, tmp_path):
         data = self.verify_config(tmp_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from consensuslab.errors import (
 from consensuslab import dynamics
 from consensuslab.cli import _observables_csv
 
-from oracles import csv_per_cell, diameters_broadcast, two_agent_closed_form
+from oracles import (csv_per_cell, diameters_broadcast, two_agent_closed_form,
+                     variances_whole)
 
 
 def config(positions):
@@ -377,19 +380,43 @@ class TestDiameters:
                     want = diameters_broadcast(states)
                 assert np.array_equal(got, want), (scale, shape)
 
-    def test_kept_points_only(self, monkeypatch):
-        # each sample reduces over its kept points alone, however its row is
-        # padded to the chunk's largest kept count
+    def test_gather_pads_within_each_chunk(self, monkeypatch):
+        # Gaussian samples keep a few points and circle samples keep all of
+        # them, so one chunk gathers samples of different kept counts to its
+        # largest; a short sample repeats one of its own points.  The clouds
+        # sit far from the origin, where padding with a zero vector or with
+        # another sample's point would lengthen a diameter.
         rng = np.random.default_rng(49)
-        states = rng.normal(size=(30, 20, 2))
-        keep = rng.random((30, 20)) < rng.random((30, 1))
-        keep[np.arange(30), rng.integers(0, 20, 30)] = True
-        want = [diameters_broadcast(x[k][None])[0] for x, k in zip(states, keep)]
+        n = dynamics._SCREEN_MAX_AGENTS + 4
+        circle = random_clouds(rng, "sphere", (30, n, 2))
+        states = np.where((np.arange(30) % 3 == 0)[:, None, None], circle,
+                          rng.normal(size=(30, n, 2)))
+        states = states + rng.normal(scale=50.0, size=(30, 1, 2))
+        counts = np.count_nonzero(dynamics._diameter_candidates(states), axis=1)
+        assert counts.min() < n and len(set(counts.tolist())) > 2
+        want = diameters_broadcast(states)
+        # one sample per chunk; 12 per chunk, each reducing its pairs alone;
+        # all samples in one chunk
         for chunk in (1, 500, dynamics._CHUNK_FLOATS):
             monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", chunk)
-            got = dynamics.reduce_squared_distances(
-                states, lambda sq: np.sqrt(sq.max(axis=1)), keep)
-            assert np.array_equal(got, want)
+            assert np.array_equal(dynamics.diameters(states), want), chunk
+
+    def test_memory_bounded_in_samples(self, monkeypatch):
+        # a long record is read a chunk at a time, so what `diameters` and
+        # `variances` allocate is a few chunks (0.5 MB each here), not a
+        # multiple of the 20 MB record
+        monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", 1 << 16)
+        states = np.random.default_rng(54).normal(size=(20000, 64, 2))
+        traj = cl.Trajectory(np.arange(20000.0), states, all_ones_signal(64),
+                             cl.Constant(1.0))
+        for name in ("diameters", "variances"):
+            tracemalloc.start()
+            try:
+                getattr(traj, name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 8 * dynamics._CHUNK_FLOATS, (name, peak)
 
     def test_non_finite_sample_stays_non_finite(self):
         states = np.random.default_rng(50).normal(size=(3, 40, 2))
@@ -417,6 +444,21 @@ class TestDiameters:
     def test_batch_shape_and_single_agent(self):
         assert dynamics.diameters(np.zeros((4, 2, 1, 3))).shape == (4, 2)
         assert dynamics.diameters(np.ones((1, 2))) == 0.0
+
+
+class TestVariances:
+    @pytest.mark.parametrize("shape", [(50, 2, 1), (41, 3, 2), (37, 6, 3),
+                                       (13, 40, 2), (9, 33, 1), (5, 1, 2)])
+    def test_chunks_match_whole_array(self, monkeypatch, shape):
+        rng = np.random.default_rng(55)
+        states = 1e3 + rng.normal(size=shape)
+        want = variances_whole(states)
+        # one sample per chunk, a few with an uneven tail, all samples
+        for chunk in (1, 7, dynamics._CHUNK_FLOATS):
+            monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", chunk)
+            traj = cl.Trajectory(np.arange(float(shape[0])), states,
+                                 all_ones_signal(shape[1]), cl.Constant(1.0))
+            assert np.array_equal(traj.variances, want), chunk
 
 
 class TestRescaleDilation:
