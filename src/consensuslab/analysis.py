@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Configuration, Constant, Trajectory, diameters,
-                       reduce_squared_distances)
+from .dynamics import Configuration, Constant, Trajectory, chunk_slices, diameters
 from .errors import DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort
 from .graphs import pair_squared_distances
 
@@ -206,14 +205,16 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
         return 0.0
     slope = (var[mids + 1] - var[mids - 1]) / (times[mids + 1] - times[mids - 1])
 
-    # Dirichlet energy (1/(2 n^2)) sum_ij a_ij |x_i - x_j|^2, batched per
-    # piece and summed over the pairs i < j as `dirichlet_energy` sums it
+    # Dirichlet energy (1/(2 n^2)) sum_ij a_ij |x_i - x_j|^2, summed over the
+    # pairs i < j as `dirichlet_energy` sums it, with weights a_ij + a_ji from
+    # one (pieces, pairs) table; the samples are read a chunk at a time
     piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
+    i, j = np.triu_indices(traj.n, 1)
+    weights = sig.piece_stack[:, i, j]
+    weights += sig.piece_stack[:, j, i]
     energy = np.empty(mids.size)
-    for k in np.unique(piece):
-        sel, adj = piece == k, sig.piece_stack[k]
-        weights = (adj + adj.T)[np.triu_indices(traj.n, 1)]
-        energy[sel] = reduce_squared_distances(
-            traj.states[mids[sel]], lambda sq, w=weights: (w * sq).sum(axis=1))
+    for part in chunk_slices(mids.size, i.size * traj.d):
+        sq = pair_squared_distances(traj.states[mids[part]])
+        energy[part] = (weights[piece[part]] * sq).sum(axis=1)
     energy /= 2.0 * traj.n**2
     return float(np.abs(slope + 2.0 * energy).max())

@@ -28,6 +28,11 @@ SERIES_FLOOR_REL = 1e-14
 # samples in one array, so a mistyped dt must fail here instead of stalling or
 # exhausting memory; the reference configs use 1000 steps.
 MAX_GRID_STEPS = 1_000_000
+# Largest (pieces, n, n) stack a generated signal may have, in floats (256 MB).
+# A generator fills its stack at once, so an oversized system.n must fail here
+# instead of raising MemoryError or exhausting memory; a rotating star fits up
+# to n = 322, blinking pairs up to n = 256.
+MAX_SIGNAL_FLOATS = 1 << 25
 
 
 @dataclass
@@ -114,6 +119,12 @@ def _parse_kernel(data):
 
 def _parse_signal(data, n):
     kind = _get(data, "type", "signal", str)
+    # the most pieces a generator makes; an inline signal is as big as its JSON
+    pieces = {"rotating_star": n, "blinking_pairs": 2 * (n - 1)}.get(kind, 0)
+    if pieces * n * n > MAX_SIGNAL_FLOATS:
+        raise ConfigError("system.n", f"a {kind} signal at n={n} holds "
+                                      f"{pieces * n * n:.6g} floats of pieces, "
+                                      f"over the cap of {MAX_SIGNAL_FLOATS}")
     try:
         if kind == "rotating_star":
             sig = signals.gen_rotating_star(

@@ -8,8 +8,10 @@ Laplacian form x' = -(c/n) L(t) x, L = diag(A 1) - A, evaluated as one matrix
 product per stage; on balanced graphs this is exactly the linear balanced
 consensus system.
 
-Diameters and variances go through one chunk loop, `_per_chunk`, so beside
-the record their memory is bounded for any number of samples.  A diameter is
+Diameters and variances go through one chunk loop, `_per_chunk`, over
+`chunk_slices` of at most _CHUNK_FLOATS floats, sized to the L2 cache; so
+beside the record their memory is bounded for any number of samples, and the
+dissipation residual walks its samples by the same slices.  A diameter is
 the maximum over the pairs i < j of `graphs.pair_squared_distances`, screened
 above _SCREEN_MAX_AGENTS points (Akl & Toussaint's throw-away principle): with
 c the midpoint of a sample's bounding box, r_i = |x_i - c| and R = max r, an
@@ -66,8 +68,22 @@ class Configuration:
         )
 
 
-# floats in one chunk of (samples, n, d) states or (samples, pairs, d) differences
-_CHUNK_FLOATS = 1 << 20
+# floats in one chunk of (samples, n, d) states or (samples, pairs, d)
+# differences, sized so a chunk and its temporaries stay in a 2 MB L2 cache.
+# `diameters` plus `variances` of the (1001, 128, 2) record of the reference
+# simulate at seed 208, then of Gaussian states of that shape (which keep 6
+# points a sample in the median and up to 43, and a chunk pads to its widest),
+# with the tracemalloc peak of one `diameters` call on each (2 CPUs, best of 7):
+#   2^14   9.5 ms 0.39 MB   16.1 ms  0.44 MB
+#   2^15   8.7 ms 0.76 MB   14.6 ms  0.80 MB
+#   2^16   8.5 ms 1.49 MB   15.6 ms  1.58 MB
+#   2^17   8.6 ms 2.97 MB   16.4 ms  3.18 MB
+#   2^18   8.7 ms 5.88 MB   19.1 ms  6.42 MB
+#   2^19   8.6 ms 8.42 MB   19.1 ms 10.61 MB
+#   2^20   8.5 ms 8.42 MB   19.1 ms 18.99 MB
+# Below 2^15 a verify sweep's (1001, 5, 2) run would take its 20 floats a
+# sample of pair differences in two chunks instead of one.
+_CHUNK_FLOATS = 1 << 15
 # cells per block of rows that `write_csv` formats at once.  A block's text
 # and scratch arrays take about 0.22 kB a cell, 0.85 MB at 4096 cells.  A
 # (1001, 257) table took 22.3 ms in 4096-cell blocks, against 34.2, 25.6,
@@ -77,10 +93,11 @@ _CSV_CHUNK_CELLS = 4096
 
 # `diameters` screens samples of more than this many agents: up to n = 16-17
 # the screen costs more than the pairs it removes.  1002 Gaussian samples in
-# the plane, screened against the full pair list: n = 5 1.61 / 0.35 ms, n = 12
-# 3.22 / 1.98 ms, n = 16 4.66 / 2.69 ms, n = 17 4.04 / 4.10 ms, n = 20 4.38 /
-# 6.09 ms, n = 32 9.10 / 21.5 ms (2 CPUs, best of 5 interleaved rounds).  A
-# verify sweep at n = 5 makes one such call per run.
+# the plane, screened against the full pair list, in 2^15-float chunks: n = 5
+# 1.14 / 0.22 ms, n = 12 2.66 / 1.88 ms, n = 16 3.61 / 3.34 ms, n = 17 3.70 /
+# 3.86 ms, n = 20 5.23 / 5.53 ms, n = 32 6.00 / 15.3 ms, n = 128 21.7 / 515 ms
+# (2 CPUs, best of 7 interleaved rounds).  A verify sweep at n = 5 makes one
+# such call per run.
 _SCREEN_MAX_AGENTS = 16
 
 # relative slack of the screen: it covers the rounding of the computed radii
@@ -90,19 +107,24 @@ _SCREEN_SLACK = 1e-12
 _SCREEN_RANGE = (1e-100, 1e100)
 
 
+def chunk_slices(count, floats):
+    """Slices of ``count`` samples, as many a chunk as fit in _CHUNK_FLOATS
+    floats at ``floats`` a sample, at least one."""
+    step = max(1, _CHUNK_FLOATS // max(1, floats))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
 def _per_chunk(positions, floats, fn) -> np.ndarray:
     """``fn`` of every chunk of the (s, n, d) samples of (..., n, d) positions.
 
-    A chunk holds as many samples as fit in _CHUNK_FLOATS floats at
-    ``floats`` a sample, at least one.  ``fn`` maps a chunk to s values.
-    Returns shape positions.shape[:-2].
+    Chunks are `chunk_slices` at ``floats`` a sample; ``fn`` maps a chunk to
+    s values.  Returns shape positions.shape[:-2].
     """
     n, d = positions.shape[-2:]
     flat = positions.reshape(-1, n, d)
     out = np.empty(len(flat))
-    step = max(1, _CHUNK_FLOATS // max(1, floats))
-    for lo in range(0, len(flat), step):
-        out[lo:lo + step] = fn(flat[lo:lo + step])
+    for part in chunk_slices(len(flat), floats):
+        out[part] = fn(flat[part])
     return out.reshape(positions.shape[:-2])
 
 
@@ -352,8 +374,9 @@ def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
                                   np.diff(times), rec, kernel)
     except FloatingPointError as exc:
         raise NonFiniteState("integration produced non-finite coordinates") from exc
-    # einsum reports no overflow, so a last step can still end non-finite
-    if not np.all(np.isfinite(states)):
+    # einsum reports no overflow, so a last step can still end non-finite;
+    # NaN and inf fail min/max, so no record-sized mask is built
+    if not (np.isfinite(states.min()) and np.isfinite(states.max())):
         raise NonFiniteState("integration produced non-finite coordinates")
     rec_times = times[rec]
     return (Trajectory(rec_times, states[:, b], sig, kernel)

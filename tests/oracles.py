@@ -9,7 +9,8 @@ projection and eigensolver call per matrix, or brute-force Rayleigh-quotient
 minimization over direction grids, and window averages are cross-checked by
 Riemann summation or by a scalar integral that walks one time at a time.
 Piece starts come from a per-lap loop.  Window contraction factors and the
-variance dissipation residual are literal per-sample loops, diameters a full
+variance dissipation residual are literal per-sample loops (the residual
+also a batched energy per piece), diameters a full
 (T, n, n, d) broadcast, and CSV output a per-cell f-string writer.  The
 signal generators are rebuilt one AdjacencyMatrix per piece, and the
 cumulative integrals by one `np.cumsum` over the whole stack.
@@ -17,6 +18,7 @@ cumulative integrals by one `np.cumsum` over the whole stack.
 import numpy as np
 
 import consensuslab as cl
+from consensuslab.dynamics import reduce_squared_distances
 from consensuslab.signals import PERIODIC
 
 
@@ -330,6 +332,37 @@ def dissipation_residual_loop(traj, sig):
                                      traj.state(i))
         worst = max(worst, abs(slope + 2.0 * energy))
     return worst
+
+
+def dissipation_residual_per_piece(traj, sig):
+    """The dissipation residual as one batched energy per piece, reading each
+    piece's samples through `dynamics.reduce_squared_distances`, as
+    `variance_dissipation_residual` took it before it walked chunks.
+
+    Its sums are per sample, pairwise over the pairs, only with one sample a
+    chunk (`_CHUNK_FLOATS` = 1): with more, `pair_squared_distances` lays the
+    sample axis innermost, and `sum(axis=1)` adds the pairs in sequence.
+    """
+    times = traj.times
+    var = traj.variances
+    switch_times, switch_piece = sig.piece_starts(float(times[-1]) + 1e-12)
+    left, mid, right = times[:-2], times[1:-1], times[2:]
+    even = np.abs((right - mid) - (mid - left)) <= 1e-9 * (right - left)
+    lo = np.searchsorted(switch_times, left + 1e-12)
+    hi = np.searchsorted(switch_times, right - 1e-12)
+    mids = np.flatnonzero(even & (hi <= lo)) + 1
+    if mids.size == 0:
+        return 0.0
+    slope = (var[mids + 1] - var[mids - 1]) / (times[mids + 1] - times[mids - 1])
+    piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
+    energy = np.empty(mids.size)
+    for k in np.unique(piece):
+        sel, adj = piece == k, sig.piece_stack[k]
+        weights = (adj + adj.T)[np.triu_indices(traj.n, 1)]
+        energy[sel] = reduce_squared_distances(
+            traj.states[mids[sel]], lambda sq, w=weights: (w * sq).sum(axis=1))
+    energy /= 2.0 * traj.n**2
+    return float(np.abs(slope + 2.0 * energy).max())
 
 
 def rotating_star_loop(n, dwell):

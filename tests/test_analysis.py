@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from consensuslab.errors import (
     UnbalancedGraph,
 )
 
-from oracles import contraction_factors_loop, dissipation_residual_loop
+from consensuslab import dynamics
+
+from oracles import (contraction_factors_loop, dissipation_residual_loop,
+                     dissipation_residual_per_piece)
 
 
 def config(positions):
@@ -265,6 +270,37 @@ class TestVarianceDissipation:
             want = dissipation_residual_loop(traj, sig)
             got = cl.variance_dissipation_residual(traj, sig)
             assert abs(got - want) <= 1e-12 * want
+            assert got == dissipation_residual_per_piece(traj, sig)
+
+    def test_chunks_match_per_piece_oracle(self, monkeypatch):
+        # 496 pairs of 32 agents: the batched per-piece sums, taken one
+        # sample at a time, equal every chunking of the samples to the bit
+        rng = np.random.default_rng(2029)
+        sig = cl.gen_rotating_star(32, dwell=0.1)
+        x0 = config(rng.normal(size=(32, 2)))
+        traj = cl.integrate(x0, sig, cl.Constant(1.0), 2.5, 2e-3,
+                            forced_times=rng.uniform(0.0, 2.5, size=5))
+        monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", 1)
+        want = dissipation_residual_per_piece(traj, sig)
+        # one sample per chunk, 5 per chunk with an uneven tail, all samples
+        for chunk in (1, 5000, 1 << 30):
+            monkeypatch.setattr(dynamics, "_CHUNK_FLOATS", chunk)
+            assert cl.variance_dissipation_residual(traj, sig) == want, chunk
+
+    def test_memory_bounded_in_samples(self):
+        # the samples are read a chunk at a time, beside one (pieces, pairs)
+        # weight table of 1 MB and its addend: not a gather of the 20 MB record
+        states = np.random.default_rng(2030).normal(size=(20000, 64, 2))
+        traj = cl.Trajectory(1e-3 * np.arange(20000.0), states,
+                             cl.gen_rotating_star(64, 0.5), cl.Constant(1.0))
+        traj.variances  # cached, and bounded by the dynamics tests
+        tracemalloc.start()
+        try:
+            cl.variance_dissipation_residual(traj, traj.signal_ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= states.nbytes / 4, peak
 
     def test_unbalanced_rejected(self):
         piece = cl.AdjacencyMatrix.from_entries([[1.0, 1.0], [0.0, 1.0]])

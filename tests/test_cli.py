@@ -127,6 +127,15 @@ class TestParseConfig:
                      id="non_numeric_n"),
         pytest.param("system.d", lambda d: d["system"].update(d=[1]),
                      id="list_d"),
+        # pieces of 10^15 floats are refused before any is allocated
+        pytest.param("system.n", lambda d: d.update(
+            system=dict(d["system"], n=100_000),
+            signal={"type": "rotating_star", "dwell": 0.05}),
+            id="oversized_rotating_star"),
+        pytest.param("system.n", lambda d: d.update(
+            system=dict(d["system"], n=100_000),
+            signal={"type": "blinking_pairs", "dwell": 0.05, "duty": 1.0}),
+            id="oversized_blinking_pairs"),
         pytest.param("run.t_end", lambda d: d["run"].update(t_end="soon"),
                      id="non_numeric_t_end"),
         pytest.param("run.dt", lambda d: d["run"].update(dt="small"),
@@ -178,6 +187,20 @@ class TestParseConfig:
         assert err.value.field == field and "not an integer" in str(err.value)
         data[block][key] = float(int(value))  # an integral float is accepted
         parse_config(data)
+
+    @pytest.mark.parametrize("kind, pieces", [("rotating_star", 6),
+                                              ("blinking_pairs", 10)])
+    def test_generated_signal_cap(self, tmp_path, monkeypatch, kind, pieces):
+        # the cap counts at most `pieces` (n, n) pieces at n = 6
+        monkeypatch.setattr(cli, "MAX_SIGNAL_FLOATS", pieces * 36)
+        data = blinking_config(tmp_path)
+        data["system"]["n"] = 6
+        data["signal"]["type"] = kind
+        assert parse_config(data).signal.n == 6
+        monkeypatch.setattr(cli, "MAX_SIGNAL_FLOATS", pieces * 36 - 1)
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.field == "system.n"
 
     def test_default_dt_rule(self, tmp_path):
         data = blinking_config(tmp_path)

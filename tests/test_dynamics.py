@@ -418,6 +418,21 @@ class TestDiameters:
                 tracemalloc.stop()
             assert peak <= 8 * 8 * dynamics._CHUNK_FLOATS, (name, peak)
 
+    def test_default_chunk_working_set(self):
+        # Gaussian samples of the bench's `diameters` shape keep 5 points in
+        # the median and up to 43, and a chunk pads to its widest sample; at
+        # the default chunk one call still works in well under 2 MB
+        states = np.random.default_rng(53).normal(size=(1001, 128, 2))
+        counts = np.count_nonzero(dynamics._diameter_candidates(states), axis=1)
+        assert np.median(counts) <= 6 and counts.max() >= 40
+        tracemalloc.start()
+        try:
+            dynamics.diameters(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20, peak
+
     def test_non_finite_sample_stays_non_finite(self):
         states = np.random.default_rng(50).normal(size=(3, 40, 2))
         states[1, 7, 0] = np.nan
