@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Configuration, Constant, Trajectory, chunk_slices, diameters
+from ._kernels import Constant
+from .dynamics import Configuration, Trajectory, chunk_slices, diameters
 from .errors import DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort
 from .graphs import pair_squared_distances
 

@@ -1,10 +1,16 @@
 """Time the hot numeric kernels: best-of-`repeats` wall time per kernel.
 
-Run with `python -m consensuslab.bench`.
+Run with `python -m consensuslab.bench`.  The last row, `import`, is the
+best of `repeats` fresh interpreters, each timing `from consensuslab import
+cli` alone after importing numpy; it compiles the sources unless their
+bytecode is cached.
 """
 import argparse
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +30,16 @@ TRAJECTORY_SHAPE = (1001, 128, 2)
 # the (runs, factors) of the `json` row's reports: the README verify sweep
 SWEEP_SHAPE = (32, 1001, 5, 2)
 SWEEP_FACTORS = 901
+# what the `import` row's interpreters run, with this package's parent
+# directory as argv[1]
+IMPORT_PROBE = """
+import sys, time
+import numpy
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+from consensuslab import cli
+print(time.perf_counter() - start)
+"""
 
 
 def _time(fn, repeats):
@@ -34,6 +50,14 @@ def _time(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _import_seconds():
+    """Seconds of `from consensuslab import cli` in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(Path(__file__).parents[1])],
+        capture_output=True, text=True, check=True).stdout
+    return float(out)
 
 
 def _cases(rng, n_agents, dim, steps):
@@ -88,10 +112,13 @@ def run(n_agents=5, dim=2, steps=2000, repeats=5):
           f"over the critical starts of a rotating star (tau {WINDOW_TAU}), "
           f"diameters and csv of {TRAJECTORY_SHAPE} states, diameters_small "
           f"of {SWEEP_SHAPE[0]} x {SWEEP_SHAPE[1:]} states, json of "
-          f"{SWEEP_SHAPE[0]} reports of {SWEEP_FACTORS} factors, best of {repeats}")
+          f"{SWEEP_SHAPE[0]} reports of {SWEEP_FACTORS} factors, and import of "
+          f"consensuslab.cli in a fresh interpreter after numpy, best of {repeats}")
     print(f"{'kernel':<16} {'time [ms]':>12}")
     for name, fn in cases.items():
         print(f"{name:<16} {_time(fn, repeats) * 1e3:>12.3f}")
+    best = min(_import_seconds() for _ in range(repeats))
+    print(f"{'import':<16} {best * 1e3:>12.3f}")
 
 
 def main(argv=None):

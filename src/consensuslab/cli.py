@@ -4,6 +4,10 @@ Parses a JSON experiment config, runs the requested pipeline, writes CSV
 trajectories and JSON reports into the output directory and returns an
 OutputBundle.  Exit codes: 0 when every check passes, 2 when a check fails,
 1 on input or domain errors.
+
+`dynamics`, `analysis` and the float text of `_text` are imported by the
+commands that use them, on first use, so parsing a config and certifying
+load none of them.
 """
 from __future__ import annotations
 
@@ -11,13 +15,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, analysis, dynamics, signals
-from .dynamics import Configuration, Constant, CuckerSmale, Trajectory
+from . import signals
+from ._kernels import Constant, CuckerSmale, Record
 from .errors import ConfigError, ConsensusLabError
 from .signals import PiecewiseConstantSignal, Window
 
@@ -35,33 +38,44 @@ MAX_GRID_STEPS = 1_000_000
 MAX_SIGNAL_FLOATS = 1 << 25
 
 
-@dataclass
 class ExperimentConfig:
-    n: int
-    d: int
-    kernel: object
-    signal: PiecewiseConstantSignal
-    window: Window
-    t_end: float
-    dt: float
-    sample_every: int
-    out_dir: str
-    emit: tuple
-    initial: np.ndarray | None = None
-    sweep: dict | None = None
-    certify_kinds: tuple | None = None
-    observable: str = "diameter"
-    raw: dict = field(default_factory=dict, repr=False)
+    """A validated config, as `parse_config` returns it; `raw` is the parsed
+    JSON, left out of the repr."""
+
+    _fields = ("n", "d", "kernel", "signal", "window", "t_end", "dt",
+               "sample_every", "out_dir", "emit", "initial", "sweep",
+               "certify_kinds", "observable")
+    __repr__ = Record.__repr__
+
+    def __init__(self, n: int, d: int, kernel, signal: PiecewiseConstantSignal,
+                 window: Window, t_end: float, dt: float, sample_every: int,
+                 out_dir: str, emit: tuple, initial: np.ndarray | None = None,
+                 sweep: dict | None = None, certify_kinds: tuple | None = None,
+                 observable: str = "diameter", raw: dict | None = None):
+        self.n, self.d, self.kernel = n, d, kernel
+        self.signal, self.window = signal, window
+        self.t_end, self.dt, self.sample_every = t_end, dt, sample_every
+        self.out_dir, self.emit, self.initial = out_dir, emit, initial
+        self.sweep, self.certify_kinds = sweep, certify_kinds
+        self.observable = observable
+        self.raw = {} if raw is None else raw
 
 
-@dataclass
 class OutputBundle:
-    trajectory_files: list
-    persistence_report: str | None
-    contraction_report: str | None
-    decay_fit: str | None
-    summary_path: str
-    summary: dict
+    """The files a command wrote and its summary."""
+
+    _fields = ("trajectory_files", "persistence_report", "contraction_report",
+               "decay_fit", "summary_path", "summary")
+    __repr__ = Record.__repr__
+
+    def __init__(self, trajectory_files: list, persistence_report: str | None,
+                 contraction_report: str | None, decay_fit: str | None,
+                 summary_path: str, summary: dict):
+        self.trajectory_files = trajectory_files
+        self.persistence_report = persistence_report
+        self.contraction_report = contraction_report
+        self.decay_fit = decay_fit
+        self.summary_path, self.summary = summary_path, summary
 
     @property
     def exit_code(self) -> int:
@@ -97,11 +111,18 @@ def _number(cast, value, where):
 
 
 def _integer(value):
-    """``int(value)``, refusing a float that it would truncate."""
+    """``int(value)``, refusing a boolean and a float that it would truncate."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
     number = int(value)
     if isinstance(value, float) and number != value:
         raise ValueError(f"{value!r} is not an integer")
     return number
+
+
+def default_dt(dwell_min: float, tau: float, cap: float = 1e-2) -> float:
+    """Step size resolving both switching and window structure."""
+    return min(cap, dwell_min / 20.0, tau / 100.0)
 
 
 def _parse_kernel(data):
@@ -175,7 +196,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     dt = run.get("dt")
     if dt is None:
         dwell_min = float(np.diff(sig.breakpoints).min())
-        dt = dynamics.default_dt(dwell_min, window.tau)
+        dt = default_dt(dwell_min, window.tau)
     dt = _number(float, dt, "run.dt")
     if not dt > 0:
         raise ConfigError("run.dt", "must be > 0")
@@ -222,6 +243,8 @@ def parse_config(data: dict) -> ExperimentConfig:
                          required=False)
     if certify_kinds is not None:
         certify_kinds = tuple(certify_kinds)
+        if not certify_kinds:
+            raise ConfigError("certify.kinds", "must name at least one kind")
         for kind in certify_kinds:
             if kind not in ("eta", "lambda2"):
                 raise ConfigError("certify.kinds", f"unknown kind {kind!r}")
@@ -254,11 +277,13 @@ _REPR_KERNEL_FLOATS = 256
 
 def _float_text(values, sep=""):
     """`sep`.join of the floats as `json` prints each, `float.__repr__`; at
-    least _REPR_KERNEL_FLOATS of them go through `_kernels.format_repr`."""
+    least _REPR_KERNEL_FLOATS of them go through `_text.format_repr`."""
     if len(values) >= _REPR_KERNEL_FLOATS:
         x = np.array(values)
         if np.isfinite(x).all():
-            return _kernels.format_repr(x, sep)
+            from . import _text
+
+            return _text.format_repr(x, sep)
     elif all(map(math.isfinite, values)):
         return sep.join(map(float.__repr__, values))
     raise ValueError("Out of range float values are not JSON compliant")
@@ -311,7 +336,9 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _observables_csv(path: Path, traj: Trajectory) -> None:
+def _observables_csv(path: Path, traj) -> None:
+    from . import dynamics
+
     dynamics.write_csv(path, ["t", "diameter", "variance"], traj.times,
                        np.column_stack([traj.diameters, traj.variances]))
 
@@ -329,13 +356,15 @@ def _window_grid(cfg):
 
 def cmd_simulate(cfg: ExperimentConfig) -> OutputBundle:
     """Integrate one initial configuration; emit trajectory and observables."""
+    from . import dynamics
+
     if cfg.initial is None:
         raise ConfigError("initial", "simulate requires an initial configuration")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traj = dynamics.integrate(Configuration(cfg.n, cfg.d, cfg.initial), cfg.signal,
-                              cfg.kernel, cfg.t_end, cfg.dt, cfg.sample_every,
-                              forced_times=_window_grid(cfg))
+    x0 = dynamics.Configuration(cfg.n, cfg.d, cfg.initial)
+    traj = dynamics.integrate(x0, cfg.signal, cfg.kernel, cfg.t_end, cfg.dt,
+                              cfg.sample_every, forced_times=_window_grid(cfg))
 
     traj_path = out / "trajectory.csv"
     traj.to_csv(traj_path)
@@ -418,6 +447,8 @@ def cmd_verify(cfg: ExperimentConfig) -> OutputBundle:
     """Sweep initial configurations, measure per-window contraction and the
     fitted decay rate of the configured observable; certify the signal too.
     """
+    from . import analysis, dynamics
+
     if cfg.sweep is None:
         raise ConfigError("sweep", "verify requires a sweep block")
     out = Path(cfg.out_dir)

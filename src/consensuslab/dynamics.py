@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from ._kernels import Constant, CuckerSmale, Kernel  # noqa: F401  (re-exported)
+from ._kernels import Constant, Kernel
 from .errors import DegenerateDiameter, DimensionMismatch, NonFiniteState
 from .graphs import pair_squared_distances
 from .signals import PiecewiseConstantSignal
@@ -283,15 +283,17 @@ def write_csv(path, header, times, rows) -> None:
 
     Every value is printed as "%.17g" prints it, 17 significant digits,
     which round-trips float64.  ``rows`` has shape (T, k); the lines are
-    formatted by `_kernels.format_g17` a block of rows at a time, so the
+    formatted by `_text.format_g17` a block of rows at a time, so the
     writer holds the text of one block (at most _CSV_CHUNK_CELLS cells, or
     one row), not of the table.
     """
+    from . import _text
+
     step = max(1, _CSV_CHUNK_CELLS // (1 + rows.shape[1]))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(times), step):
-            fh.write(_kernels.format_g17(np.column_stack(
+            fh.write(_text.format_g17(np.column_stack(
                 [times[lo:lo + step], rows[lo:lo + step]])))
 
 
@@ -395,11 +397,6 @@ def integrate(x0: Configuration, sig: PiecewiseConstantSignal, kernel: Kernel,
     """
     return next(integrate_batch(x0.positions[None], sig, kernel, t_end, dt,
                                 sample_every, forced_times=forced_times))
-
-
-def default_dt(dwell_min: float, tau: float, cap: float = 1e-2) -> float:
-    """Step size resolving both switching and window structure."""
-    return min(cap, dwell_min / 20.0, tau / 100.0)
 
 
 def dilate(states, origin) -> np.ndarray:

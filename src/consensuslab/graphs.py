@@ -9,11 +9,10 @@ configuration.  The balance test and the algebraic connectivity also take
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import _kernels
+from ._kernels import Record
 from .errors import DimensionMismatch, UnbalancedGraph
 
 BALANCE_TOL = 1e-9
@@ -36,27 +35,26 @@ def check_entries(entries) -> None:
         raise ValueError("diagonal entries must equal 1")
 
 
-@dataclass(frozen=True, eq=False)
-class AdjacencyMatrix:
-    """n x n interaction weights; entry (i, j) is the influence of j on i."""
+class AdjacencyMatrix(Record):
+    """n x n interaction weights; entry (i, j) is the influence of j on i.
+    Matrices compare equal by their entries and are not hashable."""
 
-    n: int
-    entries: np.ndarray
+    _fields = ("n", "entries")
 
-    def __post_init__(self):
-        entries = _as_readonly(self.entries)
-        object.__setattr__(self, "entries", entries)
-        if self.n < 1:
+    def __init__(self, n: int, entries):
+        entries = _as_readonly(entries)
+        if n < 1:
             raise ValueError("agent count must be >= 1")
-        if entries.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}, got {entries.shape}")
+        if entries.shape != (n, n):
+            raise ValueError(f"entries must be {n}x{n}, got {entries.shape}")
         check_entries(entries)
+        vars(self).update(n=n, entries=entries)
 
     @classmethod
     def _view(cls, entries) -> "AdjacencyMatrix":
         """Wrap a checked, read-only (n, n) float64 array without a copy."""
         adj = object.__new__(cls)
-        adj.__dict__.update(n=entries.shape[-1], entries=entries)
+        vars(adj).update(n=entries.shape[-1], entries=entries)
         return adj
 
     @classmethod
@@ -93,17 +91,14 @@ class AdjacencyMatrix:
         return cls(int(data["n"]), np.asarray(data["entries"], dtype=np.float64))
 
 
-@dataclass(frozen=True, eq=False)
-class LaplacianMatrix:
+class LaplacianMatrix(Record):
     """Normalized Laplacian (D - A)/n with its out-degree vector."""
 
-    n: int
-    entries: np.ndarray
-    degrees: np.ndarray = field(repr=False)
+    _fields = ("n", "entries")  # the repr leaves out the degrees
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_readonly(self.entries))
-        object.__setattr__(self, "degrees", _as_readonly(self.degrees))
+    def __init__(self, n: int, entries, degrees):
+        vars(self).update(n=n, entries=_as_readonly(entries),
+                          degrees=_as_readonly(degrees))
 
 
 def scrambling(adj: AdjacencyMatrix) -> float:
@@ -196,7 +191,13 @@ def algebraic_connectivity(adj: AdjacencyMatrix) -> float:
 
 def pair_squared_distances(positions) -> np.ndarray:
     """|x_i - x_j|^2 over the pairs i < j of (..., n, d) positions, in
-    `np.triu_indices(n, 1)` order; shape (..., n(n-1)/2)."""
+    `np.triu_indices(n, 1)` order; shape (..., n(n-1)/2).
+
+    For more than one sample the result lays the sample axis innermost
+    (einsum's output order), so a sum over the pairs of one sample is a
+    strided reduction whose rounding depends on how many samples the call
+    got; a maximum, as `dynamics.diameters` takes, does not.
+    """
     i, j = np.triu_indices(positions.shape[-2], 1)
     diff = positions[..., i, :]
     diff -= positions[..., j, :]

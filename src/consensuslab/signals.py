@@ -13,12 +13,11 @@ metrics are concave, so segment minima sit at segment endpoints.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._kernels import scrambling_min
+from ._kernels import Record, ValueRecord, scrambling_min
 from .errors import HorizonUncovered, UnbalancedGraph
 from .graphs import (AdjacencyMatrix, algebraic_connectivity_unchecked,
                      check_entries, unbalanced)
@@ -37,8 +36,7 @@ _TIME_TOL = 1e-12
 _CHUNK_FLOATS = 1 << 14
 
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseConstantSignal:
+class PiecewiseConstantSignal(Record):
     """Adjacency pieces on [t_{k-1}, t_k); periodic repeat or clamped tail.
 
     `pieces` is a sequence of AdjacencyMatrix values, stacked once, or an
@@ -47,16 +45,12 @@ class PiecewiseConstantSignal:
     become AdjacencyMatrix views into it.
     """
 
-    n: int
-    breakpoints: np.ndarray
-    pieces: tuple
-    mode: str
+    _fields = ("n", "breakpoints", "pieces", "mode")
 
-    def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=np.float64)
+    def __init__(self, n: int, breakpoints, pieces, mode: str):
+        bp = np.array(breakpoints, dtype=np.float64)
         bp.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        if self.mode not in (PERIODIC, CLAMPED):
+        if mode not in (PERIODIC, CLAMPED):
             raise ValueError(f"mode must be '{PERIODIC}' or '{CLAMPED}'")
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
@@ -64,17 +58,17 @@ class PiecewiseConstantSignal:
             raise ValueError("first breakpoint must be 0")
         if not (np.all(np.diff(bp) > 0) and np.isfinite(bp[-1])):
             raise ValueError("breakpoints must be finite and strictly increasing")
-        stack = self.pieces
-        if not isinstance(stack, np.ndarray):  # AdjacencyMatrix values
-            stack = [p.entries for p in stack]
-        stack = np.ascontiguousarray(stack, dtype=np.float64)
-        if stack.shape != (bp.size - 1, self.n, self.n):
-            raise ValueError(f"need one ({self.n}, {self.n}) piece per interval "
+        if not isinstance(pieces, np.ndarray):  # AdjacencyMatrix values
+            pieces = [p.entries for p in pieces]
+        stack = np.ascontiguousarray(pieces, dtype=np.float64)
+        if stack.shape != (bp.size - 1, n, n):
+            raise ValueError(f"need one ({n}, {n}) piece per interval "
                              f"({bp.size - 1}), got shape {stack.shape}")
         check_entries(stack)
         stack.setflags(write=False)
-        object.__setattr__(self, "piece_stack", stack)
-        object.__setattr__(self, "pieces", tuple(map(AdjacencyMatrix._view, stack)))
+        vars(self).update(n=n, breakpoints=bp,
+                          pieces=tuple(map(AdjacencyMatrix._view, stack)),
+                          mode=mode, piece_stack=stack)
 
     @property
     def period(self) -> float:
@@ -162,33 +156,33 @@ class PiecewiseConstantSignal:
         return cls(int(data["n"]), data["breakpoints"], pieces, data["mode"])
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(ValueRecord):
     """Sliding-window parameters: length tau > 0 and threshold mu in (0, 1]."""
 
-    tau: float
-    mu: float
+    _fields = ("tau", "mu")
 
-    def __post_init__(self):
-        if not self.tau > 0:
+    def __init__(self, tau: float, mu: float):
+        if not tau > 0:
             raise ValueError("tau must be > 0")
-        if not 0 < self.mu <= 1:
+        if not 0 < mu <= 1:
             raise ValueError("mu must lie in (0, 1]")
+        vars(self).update(tau=tau, mu=mu)
 
 
-@dataclass(frozen=True)
-class PersistenceReport:
+class PersistenceReport(ValueRecord):
     """Result of certifying a windowed graph metric over all window starts."""
 
-    kind: str
-    window: Window
-    infimum_value: float
-    worst_start: float
-    passes: bool
-    checked_starts: int
+    _fields = ("kind", "window", "infimum_value", "worst_start", "passes",
+               "checked_starts")
+
+    def __init__(self, kind: str, window: Window, infimum_value: float,
+                 worst_start: float, passes: bool, checked_starts: int):
+        vars(self).update(kind=kind, window=window, infimum_value=infimum_value,
+                          worst_start=worst_start, passes=passes,
+                          checked_starts=checked_starts)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self), window={"tau": self.window.tau, "mu": self.window.mu})
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PersistenceReport":

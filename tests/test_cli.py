@@ -164,6 +164,18 @@ class TestParseConfig:
                      id="numeric_dir"),
         pytest.param("certify.kinds", lambda d: d.update(certify={"kinds": 5}),
                      id="numeric_kinds"),
+        pytest.param("certify.kinds", lambda d: d.update(certify={"kinds": []}),
+                     id="empty_kinds"),
+        pytest.param("system.n", lambda d: d["system"].update(n=True),
+                     id="boolean_n"),
+        pytest.param("system.d", lambda d: d["system"].update(d=True),
+                     id="boolean_d"),
+        pytest.param("run.sample_every", lambda d: d["run"].update(
+            sample_every=True), id="boolean_sample_every"),
+        pytest.param("sweep.num_initial", lambda d: d.update(
+            sweep={"num_initial": True}), id="boolean_num_initial"),
+        pytest.param("sweep.seed", lambda d: d.update(sweep={"seed": False}),
+                     id="boolean_seed"),
         pytest.param("certify", lambda d: d.update(certify=[1]), id="list_certify"),
         pytest.param("verify", lambda d: d.update(verify="x"), id="string_verify"),
         pytest.param("sweep", lambda d: d.update(sweep=[1]), id="list_sweep"),

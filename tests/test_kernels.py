@@ -6,6 +6,7 @@ import pytest
 
 import consensuslab as cl
 import consensuslab._kernels as kernels
+import consensuslab._text as text
 from consensuslab import dynamics
 
 from oracles import (csv_per_cell, lambda2_eigh, repr_join, rhs_direct,
@@ -167,7 +168,7 @@ def test_benchmark_runs(capsys):
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == ["rhs", "scrambling", "lambda2", "rk4", "rk4_linear",
                     "window_avg", "diameters", "diameters_small", "csv",
-                    "json"]
+                    "json", "import"]
 
 
 @pytest.mark.parametrize("flag, value", [("--agents", "1"), ("--dim", "0"),
@@ -196,7 +197,7 @@ def exact_ties(rng, per_k=100, digits=18):
 
 
 class TestFormatG17:
-    """`write_csv` (through `_kernels.format_g17`) against the per-cell
+    """`write_csv` (through `_text.format_g17`) against the per-cell
     "%.17g" writer, on values laid out as tables of a few widths."""
 
     def assert_per_cell(self, tmp_path, table):
@@ -275,13 +276,13 @@ class TestFormatG17:
 
 
 class TestFormatRepr:
-    """`_kernels.format_repr` against Python's repr, one float at a time.
+    """`_text.format_repr` against Python's repr, one float at a time.
     Its fast path covers 1e-4 <= |x| < 1e16; every other cell falls back."""
 
     def assert_repr(self, values, sep=","):
         values = np.asarray(values, dtype=np.float64)
         values = np.concatenate([values, -values])
-        assert kernels.format_repr(values, sep) == repr_join(values, sep)
+        assert text.format_repr(values, sep) == repr_join(values, sep)
 
     @pytest.mark.parametrize("digits", (16, 17, 18))
     def test_exact_ties(self, digits):
@@ -333,6 +334,6 @@ class TestFormatRepr:
 
     @pytest.mark.parametrize("sep", [",", ",\n    ", "%s%%", ""])
     def test_separators_and_sizes(self, sep):
-        assert kernels.format_repr(np.array([]), sep) == ""
+        assert text.format_repr(np.array([]), sep) == ""
         for values in ([0.1], [1e-5], [0.1, np.inf, 2.0, 0.0]):
-            assert kernels.format_repr(np.array(values), sep) == repr_join(values, sep)
+            assert text.format_repr(np.array(values), sep) == repr_join(values, sep)
