@@ -16,13 +16,19 @@ import numpy as np
 
 from . import _kernels, cli, dynamics
 from .graphs import algebraic_connectivity_batch
-from .signals import _critical_starts, gen_rotating_star, window_average_batch
+from .signals import (Window, _critical_starts, certify, gen_blinking_pairs,
+                      gen_rotating_star, window_average_batch)
 
 # starts integrated in one `rk4` call: the sweep size of the README verify
 RK4_BATCH = 32
 # window length of the `scrambling`, `lambda2` and `window_avg` rows, over
 # one period of a rotating star
 WINDOW_TAU = 0.35
+# agents and window length of the `certify` row, both kinds over one period
+# of blinking pairs (dwell 0.1, duty 0.5): the pipeline benchmark's certify
+# config
+CERTIFY_N = 32
+CERTIFY_TAU = 3.2
 # (samples, n, d) of the `diameters` and `csv` rows, the shape of the states
 # of a 1001-sample simulate at n = 128 in the plane
 TRAJECTORY_SHAPE = (1001, 128, 2)
@@ -76,6 +82,8 @@ def _cases(rng, n_agents, dim, steps):
     star = gen_rotating_star(n_agents, 0.1)
     star_starts = _critical_starts(star, WINDOW_TAU, star.period)
     star_avgs = window_average_batch(star, star_starts, WINDOW_TAU)
+    pairs = gen_blinking_pairs(CERTIFY_N, 0.1, 0.5)
+    pairs_window = Window(CERTIFY_TAU, 0.01)
     states = rng.normal(size=TRAJECTORY_SHAPE)
     times = np.linspace(0.0, 10.0, TRAJECTORY_SHAPE[0])
     flat = states.reshape(TRAJECTORY_SHAPE[0], -1)
@@ -96,6 +104,8 @@ def _cases(rng, n_agents, dim, steps):
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
                                                rec, linear),
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
+        "certify": lambda: certify(pairs, pairs_window, pairs.period,
+                                   ("eta", "lambda2")),
         "diameters": lambda: dynamics.diameters(states),
         "diameters_small": lambda: [dynamics.diameters(x) for x in sweep_states],
         "csv": lambda: dynamics.write_csv(os.devnull, header, times, flat),
@@ -110,6 +120,8 @@ def run(n_agents=5, dim=2, steps=2000, repeats=5):
     print(f"kernel benchmark: n={n_agents}, d={dim}, rk4 steps={steps} on a "
           f"batch of {RK4_BATCH} starts, scrambling, lambda2 and window_avg "
           f"over the critical starts of a rotating star (tau {WINDOW_TAU}), "
+          f"certify of both kinds over one period of blinking pairs (n "
+          f"{CERTIFY_N}, tau {CERTIFY_TAU}), "
           f"diameters and csv of {TRAJECTORY_SHAPE} states, diameters_small "
           f"of {SWEEP_SHAPE[0]} x {SWEEP_SHAPE[1:]} states, json of "
           f"{SWEEP_SHAPE[0]} reports of {SWEEP_FACTORS} factors, and import of "

@@ -271,7 +271,8 @@ _NESTED = (list, tuple, dict)
 # floats in a list from which `format_repr` beats one `float.__repr__` per
 # float.  The kernel costs about 100 us of numpy calls plus 0.3 us a float,
 # repr about 1 us a float: even at 192-256 floats, 0.38 / 0.83 ms at 901
-# (2 CPUs, timeit best of 7)
+# (2 CPUs, timeit best of 7).  `_json_text` renders a container that holds
+# no list this long with one `encode` call
 _REPR_KERNEL_FLOATS = 256
 
 
@@ -289,31 +290,48 @@ def _float_text(values, sep=""):
     raise ValueError("Out of range float values are not JSON compliant")
 
 
+def _holds_long_list(obj) -> bool:
+    """True if `obj` is or holds a list or tuple of _REPR_KERNEL_FLOATS or
+    more values."""
+    kind = type(obj)
+    if kind is dict:
+        values = obj.values()
+    elif kind in (list, tuple):
+        if len(obj) >= _REPR_KERNEL_FLOATS:
+            return True
+        values = obj
+    else:
+        return False
+    return any(_holds_long_list(v) for v in values if type(v) in _NESTED)
+
+
 def _json_text(obj, pad=""):
     """The text of `obj` as json.dumps(obj, **_JSON) renders it nested at
     indent `pad`, in pieces.
 
     `json` renders with `indent` through its pure-Python encoder, one call
-    per float; here a non-empty list of exact floats is one `_float_text`
-    call.  Containers that hold containers recurse, so the text of one list
-    at a time is in memory.  Strings, keys, other scalars, containers of scalars only and
-    dicts with a non-str key go to `json` itself, which stays the authority
-    for escaping and sorting.
+    per float, and each `encode` call builds that encoder's closures afresh.
+    Here whatever holds no list of _REPR_KERNEL_FLOATS or more values is one
+    `encode` call, and a float, or a long list of exact floats, is one
+    `_float_text` call.  Containers that hold a long list recurse, so the
+    text of one long list at a time is in memory.  Keys, other scalars,
+    containers without a long list and dicts with a non-str key go to
+    `json` itself, which stays the authority for escaping and sorting.
     """
     inner = pad + "  "
     sep = ",\n" + inner
     kind = type(obj)
-    if kind in (list, tuple) and obj and all(type(v) is float for v in obj):
+    long = _holds_long_list(obj)
+    if long and kind in (list, tuple) and all(type(v) is float for v in obj):
         yield "[\n" + inner + _float_text(obj, sep) + "\n" + pad + "]"
-    elif kind in (list, tuple) and any(type(v) in _NESTED for v in obj):
+    elif long and kind in (list, tuple):
         yield "[\n" + inner
         for k, value in enumerate(obj):
             if k:
                 yield sep
             yield from _json_text(value, inner)
         yield "\n" + pad + "]"
-    elif (kind is dict and all(type(k) is str for k in obj)
-          and any(type(v) in _NESTED for v in obj.values())):
+    elif long and kind is dict and all(type(k) is str for k in obj):
         head = "{\n" + inner
         for key, value in sorted(obj.items()):
             yield head + _ENCODER.encode(key) + ": "
@@ -384,14 +402,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> OutputBundle:
                         str(summary_path), summary)
 
 
-def _certify_kind(cfg, kind, out):
-    """(report, path) of `signals.certify_<kind>` over the run, written to
-    `out/persistence_<kind>.json`.  The certifier is looked up at call time,
-    so a wrapper installed on `signals` sees the call."""
-    report = getattr(signals, f"certify_{kind}")(cfg.signal, cfg.window, cfg.t_end)
+def _write_persistence(out, kind, report):
+    """Write `report` to `out/persistence_<kind>.json`; return the path."""
     path = out / f"persistence_{kind}.json"
     _write_json(path, report.to_json_dict())
-    return report, path
+    return path
 
 
 def cmd_certify(cfg: ExperimentConfig) -> OutputBundle:
@@ -402,13 +417,12 @@ def cmd_certify(cfg: ExperimentConfig) -> OutputBundle:
     kinds = cfg.certify_kinds
     if kinds is None:
         kinds = ("eta",) if cfg.signal.unbalanced_pieces else ("eta", "lambda2")
-    elif "lambda2" in kinds:
-        cfg.signal.require_balanced()  # before any report is written
-
+    kinds = list(dict.fromkeys(kinds))  # a kind listed twice is certified once
+    # looked up at call time, so a wrapper installed on `signals` sees the call
+    reports = signals.certify(cfg.signal, cfg.window, cfg.t_end, kinds)
     checks, paths = [], {}
-    for kind in dict.fromkeys(kinds):  # a kind listed twice is certified once
-        report, path = _certify_kind(cfg, kind, out)
-        paths[kind] = str(path)
+    for kind, report in zip(kinds, reports):
+        paths[kind] = str(_write_persistence(out, kind, report))
         checks.append(_check(f"{kind}_persistence", report.infimum_value,
                              cfg.window.mu, report.passes))
     summary = {"command": "certify", "checks": checks,
@@ -455,7 +469,8 @@ def cmd_verify(cfg: ExperimentConfig) -> OutputBundle:
     out.mkdir(parents=True, exist_ok=True)
 
     kind = "eta" if cfg.observable == "diameter" else "lambda2"
-    persistence, persistence_path = _certify_kind(cfg, kind, out)
+    [persistence] = signals.certify(cfg.signal, cfg.window, cfg.t_end, [kind])
+    persistence_path = _write_persistence(out, kind, persistence)
 
     # every start off consensus, normalised to diameter 1, in one batched run
     starts = _draw_initials(cfg)

@@ -9,7 +9,10 @@ cumulative sums), vectorized over times.
 Persistence of the scrambling coefficient / algebraic connectivity over
 sliding windows is certified exactly by evaluating only critical window
 starts: the averaged matrix is piecewise-affine in the start time and both
-metrics are concave, so segment minima sit at segment endpoints.
+metrics are concave, so segment minima sit at segment endpoints.  Both
+metrics are functions of the same window averages, so `certify` takes every
+requested kind in one pass: each chunk of averages is built once and fed to
+the metric of every kind.
 """
 from __future__ import annotations
 
@@ -27,10 +30,10 @@ CLAMPED = "clamped"
 
 _TIME_TOL = 1e-12
 
-# floats in one chunk of the (starts, n, n) window averages that `_certify`
-# builds and hands to one batched metric call.  128 KB stays in cache:
-# certifying both metrics over all 63 critical starts of blinking pairs at
-# n=32 as one 2^20-float chunk instead took 0.016-0.019 s against
+# floats in one chunk of the (starts, n, n) window averages that `certify`
+# builds once and hands to the batched metric of every kind.  128 KB stays in
+# cache: certifying both metrics over all 63 critical starts of blinking
+# pairs at n=32 as one 2^20-float chunk instead took 0.016-0.019 s against
 # 0.011-0.014 s (medians of 30) and raised the peak RSS by 1.7 MB (2 CPUs,
 # BLAS on one thread)
 _CHUNK_FLOATS = 1 << 14
@@ -251,25 +254,46 @@ def _critical_starts(sig, tau, horizon):
     return cands[keep]
 
 
-def _certify(sig, window, horizon, metric, kind):
+# kind -> (name of its batched metric in this module, report kind)
+_KINDS = {"eta": ("scrambling_min", "scrambling"),
+          "lambda2": ("algebraic_connectivity_unchecked", "connectivity")}
+
+
+def certify(sig: PiecewiseConstantSignal, window: Window, horizon: float,
+            kinds) -> list:
+    """One PersistenceReport per kind of `kinds` ("eta", "lambda2"), in order.
+
+    Every kind is certified over the same critical starts in one pass: each
+    chunk of window averages is built once and handed to the metric of every
+    kind.  "lambda2" requires balanced pieces (see `certify_lambda2`), checked
+    before any window average is built.
+    """
+    if "lambda2" in kinds:
+        sig.require_balanced()
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     starts = _critical_starts(sig, window.tau, horizon)
+    # looked up at call time, so a metric patched on this module is called
+    metrics = [globals()[_KINDS[kind][0]] for kind in kinds]
     step = max(1, _CHUNK_FLOATS // sig.n**2)
-    values = np.empty(len(starts))
+    values = np.empty((len(kinds), len(starts)))
     for lo in range(0, len(starts), step):
-        values[lo:lo + step] = metric(
-            window_average_batch(sig, starts[lo:lo + step], window.tau))
-    worst = int(np.argmin(values))
-    infimum = float(values[worst])
-    return PersistenceReport(
-        kind=kind,
-        window=window,
-        infimum_value=infimum,
-        worst_start=float(starts[worst]),
-        passes=bool(infimum >= window.mu),
-        checked_starts=len(starts),
-    )
+        avgs = window_average_batch(sig, starts[lo:lo + step], window.tau)
+        for row, metric in zip(values, metrics):
+            row[lo:lo + step] = metric(avgs)
+    reports = []
+    for kind, row in zip(kinds, values):
+        worst = int(np.argmin(row))
+        infimum = float(row[worst])
+        reports.append(PersistenceReport(
+            kind=_KINDS[kind][1],
+            window=window,
+            infimum_value=infimum,
+            worst_start=float(starts[worst]),
+            passes=bool(infimum >= window.mu),
+            checked_starts=len(starts),
+        ))
+    return reports
 
 
 def certify_eta(sig: PiecewiseConstantSignal, window: Window,
@@ -277,7 +301,7 @@ def certify_eta(sig: PiecewiseConstantSignal, window: Window,
     """Exact infimum over window starts of the scrambling coefficient of the
     windowed average; passes iff the infimum reaches window.mu.
     """
-    return _certify(sig, window, horizon, scrambling_min, "scrambling")
+    return certify(sig, window, horizon, ("eta",))[0]
 
 
 def certify_lambda2(sig: PiecewiseConstantSignal, window: Window,
@@ -288,9 +312,7 @@ def certify_lambda2(sig: PiecewiseConstantSignal, window: Window,
     Only the pieces are checked: a window average is a convex combination of
     them, so its degree gap is at most theirs, up to rounding.
     """
-    sig.require_balanced()
-    return _certify(sig, window, horizon, algebraic_connectivity_unchecked,
-                    "connectivity")
+    return certify(sig, window, horizon, ("lambda2",))[0]
 
 
 def gen_rotating_star(n: int, dwell: float, seed=None) -> PiecewiseConstantSignal:

@@ -310,6 +310,18 @@ class TestCertify:
         code = main(["certify", "--config", str(path)])
         assert code == 1
         assert "balanced" in capsys.readouterr().err
+        assert not list(tmp_path.glob("persistence_*.json"))
+
+    def test_uncovered_horizon_writes_no_report(self, tmp_path, capsys):
+        # both kinds fail before either report is written
+        data = two_agent_config(tmp_path)
+        data["signal"]["data"].update(mode="clamped", breakpoints=[0.0, 1.0, 2.0],
+                                      pieces=data["signal"]["data"]["pieces"] * 2)
+        data["certify"] = {"kinds": ["eta", "lambda2"]}
+        code = main(["certify", "--config", str(write_config(tmp_path, data))])
+        assert code == 1
+        assert "certification needs" in capsys.readouterr().err
+        assert not list(tmp_path.glob("persistence_*.json"))
 
     def test_unbalanced_defaults_to_eta_only(self, tmp_path):
         data = two_agent_config(tmp_path)
@@ -321,21 +333,20 @@ class TestCertify:
         assert bundle.summary["checks"][0]["name"] == "eta_persistence"
 
     def test_certifiers_looked_up_at_call_time(self, tmp_path, monkeypatch):
-        # the pipeline benchmark wraps `signals.certify_*` on the module, so
-        # both pipelines must reach the certifiers through it
+        # the pipeline benchmark wraps functions on the `signals` module, so
+        # both pipelines must reach `signals.certify` through it, once a call
         calls = []
-        for kind in ("eta", "lambda2"):
-            certify = getattr(signals, f"certify_{kind}")
-            monkeypatch.setattr(signals, f"certify_{kind}",
-                                lambda *args, kind=kind, certify=certify:
-                                calls.append(kind) or certify(*args))
+        certify = signals.certify
+        monkeypatch.setattr(signals, "certify", lambda sig, window, horizon, kinds:
+                            calls.append(list(kinds))
+                            or certify(sig, window, horizon, kinds))
         cmd_certify(parse_config(blinking_config(tmp_path)))
-        assert calls == ["eta", "lambda2"]
+        assert calls == [["eta", "lambda2"]]
         for observable, kind in (("diameter", "eta"), ("variance", "lambda2")):
             calls.clear()
             data = TestVerify().verify_config(tmp_path / observable, observable)
             cmd_verify(parse_config(data))
-            assert calls == [kind]
+            assert calls == [[kind]]
 
     def test_round_trip_persistence_report(self, tmp_path):
         cmd_certify(parse_config(blinking_config(tmp_path)))
@@ -662,3 +673,29 @@ class TestWriteJson:
             _write_json(tmp_path / "got.json", payload)
             assert ((tmp_path / "got.json").read_bytes()
                     == json_dump_bytes(tmp_path, payload)), payload
+
+    @pytest.mark.parametrize("payload", [
+        {"a": {"b": [0.5, 1.0], "c": [[1, 2.5], {"d": None}]}, "e": "\n"},
+        [[0.1] * 3, ({"x": (0.25, -0.0)},), []],
+        {"long": [0.1 * k for k in range(300)], "short": [0.5, 1.5],
+         "fit": {"t_range": [0.0, 10.0]}, "ints": list(range(300))},
+        [{"factors": [1.0 / k for k in range(1, 257)], "kappa": 0.8},
+         [0.5] * 255, [np.float64(0.25)] * 256, "s"],
+        {"runs": [{"run": k, "gamma": 0.1 * k} for k in range(260)]},
+        {1: [0.5] * 300, 2: {"a": [0.25]}},
+    ], ids=["nested_short", "nested_tuples", "long_and_short",
+            "long_lists_mixed", "long_list_of_dicts", "int_keys"])
+    def test_nested_payloads(self, tmp_path, payload):
+        _write_json(tmp_path / "got.json", payload)
+        assert ((tmp_path / "got.json").read_bytes()
+                == json_dump_bytes(tmp_path, payload))
+
+    @pytest.mark.parametrize("payload", [
+        {"a": {"b": [0.5, float("nan")]}},
+        {"long": [0.5] * 300, "fit": {"gamma": float("nan")}},
+        [[0.5] * 300, [float("nan")] * 2],
+        [{"run": 0, "gamma": float("nan")}] + [{"run": 1}] * 300,
+    ], ids=["nested_short", "beside_long", "short_beside_long", "in_long_list"])
+    def test_nested_nan_raises_value_error(self, tmp_path, payload):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", payload)

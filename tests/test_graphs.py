@@ -245,7 +245,7 @@ def random_symmetric_stack(rng, m, n):
 
 class TestBatchedMetrics:
     @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
-    @pytest.mark.parametrize("m", (1, 6))
+    @pytest.mark.parametrize("m", (1, 6, 16, 17))  # 16, 2, 1 and 1 rows a block
     def test_scrambling_matches_broadcast(self, n, m):
         rng = np.random.default_rng(100 + n + m)
         stacks = [random_symmetric_stack(rng, m, n),

@@ -167,8 +167,8 @@ def test_benchmark_runs(capsys):
                        "--repeats", "1"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == ["rhs", "scrambling", "lambda2", "rk4", "rk4_linear",
-                    "window_avg", "diameters", "diameters_small", "csv",
-                    "json", "import"]
+                    "window_avg", "certify", "diameters", "diameters_small",
+                    "csv", "json", "import"]
 
 
 @pytest.mark.parametrize("flag, value", [("--agents", "1"), ("--dim", "0"),

@@ -287,6 +287,45 @@ class TestCertify:
         assert len(chunked_seen) == len(whole_seen)
         assert all(np.array_equal(a, b) for a, b in zip(chunked_seen, whole_seen))
 
+    @pytest.mark.parametrize("mode, tau, horizon", [
+        ("periodic", 0.3, 10.0), ("periodic", 2.7, 10.0),
+        ("periodic", 0.3, 0.45), ("clamped", 0.3, 0.6)],
+        ids=["periodic", "tau_over_period", "short_horizon", "clamped"])
+    @pytest.mark.parametrize("per_chunk", [None, 3])
+    def test_one_pass_matches_each_kind(self, monkeypatch, mode, tau,
+                                        horizon, per_chunk):
+        rng = np.random.default_rng(40)
+        sig = lattice_random_signal(rng, 3, pieces=6, balanced=True, mode=mode)
+        window = cl.Window(tau, 0.1)
+        if per_chunk is not None:
+            monkeypatch.setattr(signals, "_CHUNK_FLOATS", per_chunk * sig.n**2)
+        eta = cl.certify_eta(sig, window, horizon)
+        lam = cl.certify_lambda2(sig, window, horizon)
+        assert (eta.kind, lam.kind) == ("scrambling", "connectivity")
+        kinds = ("eta", "lambda2")
+        assert signals.certify(sig, window, horizon, kinds) == [eta, lam]
+        assert signals.certify(sig, window, horizon, kinds[::-1]) == [lam, eta]
+
+    @pytest.mark.parametrize("mode, tau", [("periodic", 0.3), ("periodic", 2.7),
+                                           ("clamped", 0.3)])
+    def test_one_window_average_per_chunk(self, monkeypatch, mode, tau):
+        rng = np.random.default_rng(41)
+        sig = lattice_random_signal(rng, 3, pieces=6, balanced=True, mode=mode)
+        horizon = 10.0 if mode == "periodic" else 0.6
+        starts = signals._critical_starts(sig, tau, horizon)
+        per = 3 if len(starts) % 3 else 4
+        assert len(starts) > per and len(starts) % per  # a short last chunk
+        monkeypatch.setattr(signals, "_CHUNK_FLOATS", per * sig.n**2)
+        sizes = []
+        batch = signals.window_average_batch
+        monkeypatch.setattr(signals, "window_average_batch",
+                            lambda sig, starts, tau:
+                            sizes.append(len(starts)) or batch(sig, starts, tau))
+        reports = signals.certify(sig, cl.Window(tau, 0.1), horizon,
+                                  ("eta", "lambda2"))
+        assert [r.checked_starts for r in reports] == [len(starts)] * 2
+        assert sizes == [per] * (len(starts) // per) + [len(starts) % per]
+
     def test_blinking_full_period_passes(self):
         rep = cl.certify_eta(blinking_two(), cl.Window(1.0, 0.5), 10.0)
         assert rep.passes
