@@ -13,14 +13,15 @@ elements pays that overhead for almost no work.  `rhs_velocity` keeps the
 public (..., n, d) layout by swapping axes at its boundary.
 
 The float text of the CSV and JSON writers is in `_text`, which its callers
-import on first use, so a process that writes no long float list (certify)
+import on first use, so a process that writes no float array (certify)
 never loads it.
 
-`Record` and `ValueRecord` are the bases of the package's immutable records.
-They behave as frozen dataclasses do, but every process defines its records
-at import, and each of the 9 records on the certify path took 0.65-1.12 ms
-longer to define as a dataclass (compile and exec in fresh interpreters,
-medians of 21, 2 CPUs).
+`Record` and `ValueRecord` are the bases of every record of the package.
+They behave as frozen dataclasses do, but every process defines the records
+of the modules it imports, and each record took 0.65-1.12 ms longer to
+define as a dataclass (compile and exec in fresh interpreters, medians of
+21, 2 CPUs); with no dataclass left, the package never imports
+`dataclasses`.
 """
 import math
 from typing import Union

@@ -7,11 +7,9 @@ runs (dV/dt = -2 * Dirichlet energy).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._kernels import Constant
+from ._kernels import Constant, Record, ValueRecord
 from .dynamics import Configuration, Trajectory, chunk_slices, diameters
 from .errors import DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort
 from .graphs import pair_squared_distances
@@ -22,14 +20,15 @@ CONSENSUS_FLOOR = 1e-10
 _MATCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(ValueRecord):
     """Least-squares log-linear fit value(t) ~ alpha * value(0) * exp(-gamma t)."""
 
-    alpha: float
-    gamma: float
-    rms_log_residual: float
-    t_range: tuple
+    _fields = ("alpha", "gamma", "rms_log_residual", "t_range")
+
+    def __init__(self, alpha: float, gamma: float, rms_log_residual: float,
+                 t_range: tuple):
+        vars(self).update(alpha=alpha, gamma=gamma,
+                          rms_log_residual=rms_log_residual, t_range=t_range)
 
     def to_json_dict(self) -> dict:
         return {
@@ -40,30 +39,29 @@ class DecayFit:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class ContractionReport:
+class ContractionReport(Record):
     """Per-window observable ratios over a trajectory."""
 
-    tau: float
-    factors: np.ndarray
-    kappa_hat: float
-    all_strict: bool
+    _fields = ("tau", "factors", "kappa_hat", "all_strict")
+
+    def __init__(self, tau: float, factors: np.ndarray, kappa_hat: float,
+                 all_strict: bool):
+        vars(self).update(tau=tau, factors=factors, kappa_hat=kappa_hat,
+                          all_strict=all_strict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "factors": np.asarray(self.factors).tolist(),
-            "kappa_hat": self.kappa_hat,
-            "all_strict": self.all_strict,
-        }
+        """The fields by name, `factors` the array itself: `cli._write_json`
+        prints a float64 array as the list of its floats."""
+        return dict(vars(self))
 
 
-@dataclass(frozen=True, eq=False)
-class DiameterPairSet:
+class DiameterPairSet(Record):
     """Ordered index pairs attaining the diameter within tolerance."""
 
-    pairs: frozenset
-    value: float
+    _fields = ("pairs", "value")
+
+    def __init__(self, pairs: frozenset, value: float):
+        vars(self).update(pairs=pairs, value=value)
 
 
 def diameter(x: Configuration) -> float:
@@ -150,8 +148,9 @@ def fit_exponential(times, values) -> DecayFit:
     """OLS fit of log(values / values[0]) against time.
 
     alpha = exp(intercept), gamma = -slope.  Requires at least 3 samples and
-    strictly positive values (NonPositiveValue otherwise); callers should
-    truncate a decaying series before it reaches the floor.
+    strictly positive values (NonPositiveValue otherwise) and finite times
+    and values (ValueError otherwise); callers should truncate a decaying
+    series before it reaches the floor.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -159,6 +158,8 @@ def fit_exponential(times, values) -> DecayFit:
         raise ValueError("need at least 3 samples to fit")
     if np.any(values <= 0.0):
         raise NonPositiveValue("fit requires strictly positive values")
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("fit requires finite times and values")
     y = np.log(values / values[0])
     slope, intercept = np.polyfit(times, y, 1)
     resid = y - (intercept + slope * times)

@@ -33,7 +33,8 @@ CERTIFY_TAU = 3.2
 # of a 1001-sample simulate at n = 128 in the plane
 TRAJECTORY_SHAPE = (1001, 128, 2)
 # (runs, samples, n, d) of the `diameters_small` row, one call per run, and
-# the (runs, factors) of the `json` row's reports: the README verify sweep
+# the (runs, factors) of the `json` row's reports, whose factors are float64
+# arrays as verify writes them: the README verify sweep
 SWEEP_SHAPE = (32, 1001, 5, 2)
 SWEEP_FACTORS = 901
 # what the `import` row's interpreters run, with this package's parent
@@ -93,7 +94,7 @@ def _cases(rng, n_agents, dim, steps):
            "t_range": [0.0, 10.0]}
     reports = [{"kind": "diameter", "tau": 1.0, "kappa_hat": 0.8,
                 "all_strict": True, "fit": fit,
-                "factors": rng.uniform(0.6, 0.8, SWEEP_FACTORS).tolist()}
+                "factors": rng.uniform(0.6, 0.8, SWEEP_FACTORS)}
                for _ in range(SWEEP_SHAPE[0])]
 
     return {

@@ -266,89 +266,54 @@ def parse_config(data: dict) -> ExperimentConfig:
 # every JSON file is written as json.dump(payload, fh, **_JSON) writes it
 _JSON = {"indent": 2, "sort_keys": True, "allow_nan": False}
 _ENCODER = json.JSONEncoder(**_JSON)
-# the containers `_json_text` renders itself
-_NESTED = (list, tuple, dict)
-# floats in a list from which `format_repr` beats one `float.__repr__` per
-# float.  The kernel costs about 100 us of numpy calls plus 0.3 us a float,
-# repr about 1 us a float: even at 192-256 floats, 0.38 / 0.83 ms at 901
-# (2 CPUs, timeit best of 7).  `_json_text` renders a container that holds
-# no list this long with one `encode` call
-_REPR_KERNEL_FLOATS = 256
-
-
-def _float_text(values, sep=""):
-    """`sep`.join of the floats as `json` prints each, `float.__repr__`; at
-    least _REPR_KERNEL_FLOATS of them go through `_text.format_repr`."""
-    if len(values) >= _REPR_KERNEL_FLOATS:
-        x = np.array(values)
-        if np.isfinite(x).all():
-            from . import _text
-
-            return _text.format_repr(x, sep)
-    elif all(map(math.isfinite, values)):
-        return sep.join(map(float.__repr__, values))
-    raise ValueError("Out of range float values are not JSON compliant")
-
-
-def _holds_long_list(obj) -> bool:
-    """True if `obj` is or holds a list or tuple of _REPR_KERNEL_FLOATS or
-    more values."""
-    kind = type(obj)
-    if kind is dict:
-        values = obj.values()
-    elif kind in (list, tuple):
-        if len(obj) >= _REPR_KERNEL_FLOATS:
-            return True
-        values = obj
-    else:
-        return False
-    return any(_holds_long_list(v) for v in values if type(v) in _NESTED)
 
 
 def _json_text(obj, pad=""):
     """The text of `obj` as json.dumps(obj, **_JSON) renders it nested at
-    indent `pad`, in pieces.
+    indent `pad`, in pieces; a 1-D float64 array renders as its list.
 
     `json` renders with `indent` through its pure-Python encoder, one call
-    per float, and each `encode` call builds that encoder's closures afresh.
-    Here whatever holds no list of _REPR_KERNEL_FLOATS or more values is one
-    `encode` call, and a float, or a long list of exact floats, is one
-    `_float_text` call.  Containers that hold a long list recurse, so the
-    text of one long list at a time is in memory.  Keys, other scalars,
-    containers without a long list and dicts with a non-str key go to
-    `json` itself, which stays the authority for escaping and sorting.
+    per float.  Here such an array is one `_text.format_repr` call and any
+    other value one `encode` call.  A list, tuple or str-keyed dict whose
+    `encode` fails with TypeError (at an array) recurses, so the text of one
+    array at a time is in memory.  Any other value that `encode` refuses
+    raises its TypeError, as `json` does: an array of another dtype or
+    shape, or one under a non-str key, among them.  `json` stays the
+    authority for keys, escaping and sorting.
     """
-    inner = pad + "  "
-    sep = ",\n" + inner
     kind = type(obj)
-    long = _holds_long_list(obj)
-    if long and kind in (list, tuple) and all(type(v) is float for v in obj):
-        yield "[\n" + inner + _float_text(obj, sep) + "\n" + pad + "]"
-    elif long and kind in (list, tuple):
-        yield "[\n" + inner
-        for k, value in enumerate(obj):
-            if k:
-                yield sep
-            yield from _json_text(value, inner)
-        yield "\n" + pad + "]"
-    elif long and kind is dict and all(type(k) is str for k in obj):
-        head = "{\n" + inner
-        for key, value in sorted(obj.items()):
-            yield head + _ENCODER.encode(key) + ": "
-            yield from _json_text(value, inner)
-            head = sep
-        yield "\n" + pad + "}"
-    elif kind is float:
-        yield _float_text([obj])
+    inner = pad + "  "
+    if kind is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64:
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        from . import _text
+
+        yield ("[\n" + inner + _text.format_repr(obj, ",\n" + inner) + "\n"
+               + pad + "]") if obj.size else "[]"
+        return
+    try:
+        text = _ENCODER.encode(obj)
+    except TypeError:
+        if not (kind in (list, tuple)
+                or kind is dict and all(type(k) is str for k in obj)):
+            raise
     else:
         # json's text has no raw newline inside a string, so every "\n" in
         # it starts a line that the nesting indents by `pad`
-        yield _ENCODER.encode(obj).replace("\n", "\n" + pad)
+        yield text.replace("\n", "\n" + pad)
+        return
+    head = ("{" if kind is dict else "[") + "\n" + inner
+    for key, value in sorted(obj.items()) if kind is dict else enumerate(obj):
+        yield head + (_ENCODER.encode(key) + ": " if kind is dict else "")
+        yield from _json_text(value, inner)
+        head = ",\n" + inner
+    yield "\n" + pad + ("}" if kind is dict else "]")
 
 
 def _write_json(path: Path, payload) -> None:
     """Write the bytes that json.dump(payload, fh, **_JSON) and a final
-    newline write; NaN and inf raise ValueError."""
+    newline write, each 1-D float64 array as its list (see `_json_text`);
+    NaN and inf raise ValueError."""
     with open(path, "w") as fh:
         fh.writelines(_json_text(payload))
         fh.write("\n")

@@ -22,36 +22,35 @@ maximum comes out to the bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import Constant, Kernel
+from ._kernels import Constant, Kernel, Record
 from .errors import DegenerateDiameter, DimensionMismatch, NonFiniteState
 from .graphs import pair_squared_distances
 from .signals import PiecewiseConstantSignal
 
 
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """Positions of n agents in d-dimensional space; shape (n, d)."""
+class Configuration(Record):
+    """Positions of n agents in d-dimensional space; shape (n, d).
 
-    n: int
-    d: int
-    positions: np.ndarray
+    Equal configurations have equal n, d and positions; they are unhashable.
+    """
 
-    def __post_init__(self):
-        pos = np.array(self.positions, dtype=np.float64)
+    _fields = ("n", "d", "positions")
+
+    def __init__(self, n: int, d: int, positions):
+        pos = np.array(positions, dtype=np.float64)
         pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        if self.n < 1 or self.d < 1:
+        if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
-        if pos.shape != (self.n, self.d):
-            raise ValueError(f"positions must be {self.n}x{self.d}, got {pos.shape}")
+        if pos.shape != (n, d):
+            raise ValueError(f"positions must be {n}x{d}, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
+        vars(self).update(n=n, d=d, positions=pos)
 
     @classmethod
     def from_positions(cls, positions) -> "Configuration":
@@ -216,30 +215,28 @@ def rhs(x: Configuration, adj, kernel: Kernel) -> np.ndarray:
     return _kernels.rhs_velocity(x.positions, adj.entries, kernel)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Record):
     """Sampled solution: times (T,), states (T, n, d), plus the inputs used.
 
     ``states`` is held read-only; a C-contiguous float64 array is adopted as
-    it is, and so becomes read-only for its owner too.
+    it is, and so becomes read-only for its owner too.  The observables are
+    computed on first use and kept.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    signal_ref: PiecewiseConstantSignal
-    kernel_ref: Kernel
+    _fields = ("times", "states", "signal_ref", "kernel_ref")
 
-    def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64)
-        states = np.ascontiguousarray(self.states, dtype=np.float64)
+    def __init__(self, times, states, signal_ref: PiecewiseConstantSignal,
+                 kernel_ref: Kernel):
+        times = np.array(times, dtype=np.float64)
+        states = np.ascontiguousarray(states, dtype=np.float64)
         times.setflags(write=False)
         states.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("times must start at 0 and increase strictly")
         if states.shape[0] != times.shape[0]:
             raise ValueError("states count must match times count")
+        vars(self).update(times=times, states=states, signal_ref=signal_ref,
+                          kernel_ref=kernel_ref)
 
     @property
     def n(self) -> int:

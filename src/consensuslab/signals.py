@@ -118,9 +118,9 @@ class PiecewiseConstantSignal(Record):
         return lead, rem, idx
 
     def piece_index_at(self, t: float) -> int:
-        """Index of the piece active at time t >= 0 (right-continuous)."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
+        """Index of the piece active at finite time t >= 0 (right-continuous)."""
+        if not 0 <= t < np.inf:
+            raise ValueError("t must be >= 0 and finite")
         return int(self._locate(t)[2])
 
     def piece_starts(self, t_end: float):
@@ -160,13 +160,14 @@ class PiecewiseConstantSignal(Record):
 
 
 class Window(ValueRecord):
-    """Sliding-window parameters: length tau > 0 and threshold mu in (0, 1]."""
+    """Sliding-window parameters: finite length tau > 0 and threshold mu in
+    (0, 1]."""
 
     _fields = ("tau", "mu")
 
     def __init__(self, tau: float, mu: float):
-        if not tau > 0:
-            raise ValueError("tau must be > 0")
+        if not 0 < tau < np.inf:
+            raise ValueError("tau must be finite and > 0")
         if not 0 < mu <= 1:
             raise ValueError("mu must lie in (0, 1]")
         vars(self).update(tau=tau, mu=mu)
@@ -210,16 +211,17 @@ def window_average(sig: PiecewiseConstantSignal, t: float, tau: float) -> Adjace
 
 
 def window_average_batch(sig: PiecewiseConstantSignal, starts, tau: float) -> np.ndarray:
-    """Window averages for many start times t >= 0; shape (len(starts), n, n).
+    """Window averages for many finite start times t >= 0; shape
+    (len(starts), n, n).
 
     Each is the exact (1/tau) * integral of A over [t, t+tau], clipped to
-    [0, 1] against roundoff, with a unit diagonal.
+    [0, 1] against roundoff, with a unit diagonal; tau must be finite.
     """
     starts = np.asarray(starts, dtype=np.float64)
-    if np.any(starts < 0):
-        raise ValueError("t must be >= 0")
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+    if not np.all((starts >= 0) & (starts < np.inf)):
+        raise ValueError("t must be >= 0 and finite")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be finite and > 0")
     avg = (sig._integrals(starts + tau) - sig._integrals(starts)) / tau
     np.clip(avg, 0.0, 1.0, out=avg)
     ii = np.arange(sig.n)

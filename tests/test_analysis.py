@@ -218,6 +218,18 @@ class TestFitExponential:
         with pytest.raises(ValueError):
             cl.fit_exponential([0.0, 1.0], [1.0, 0.5])
 
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 0.25]),
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 0.25]),
+        ([0.0, 1.0, 2.0], [np.inf, 0.5, 0.25]),
+        ([0.0, np.nan, 2.0], [1.0, 0.5, 0.25]),
+        ([0.0, 1.0, np.inf], [1.0, 0.5, 0.25]),
+    ], ids=["nan_value", "inf_value", "inf_first_value", "nan_time", "inf_time"])
+    def test_non_finite_rejected(self, capfd, times, values):
+        with pytest.raises(ValueError, match="finite"):
+            cl.fit_exponential(times, values)
+        assert capfd.readouterr().err == ""
+
 
 class TestVarianceDissipation:
     def test_identity_signal_zero(self):

@@ -461,8 +461,9 @@ class TestVerify:
 
         assert [r["consensus_at_t0"] for r in runs] == [False, True, False, False]
         assert bundle.summary["runs"] == runs
-        assert json.loads((tmp_path / "analysis_reports.json").read_text()) == reports
-        assert json.loads((tmp_path / "decay_fits.json").read_text()) == fits
+        for name, payload in (("analysis_reports", reports), ("decay_fits", fits)):
+            assert json.loads((tmp_path / f"{name}.json").read_text()) == json.loads(
+                json.dumps(payload, default=np.ndarray.tolist))
 
     def test_emitted_trajectories_match_per_cell_writer(self, tmp_path):
         rng = np.random.default_rng(47)
@@ -593,10 +594,12 @@ class TestDeterminismAndOverrides:
 
 
 def json_dump_bytes(tmp_path, payload):
-    """The bytes json.dump writes for `payload`, the writer's reference."""
+    """The bytes json.dump writes for `payload`, each array as its list: the
+    writer's reference."""
     path = tmp_path / "want.json"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False,
+                  default=np.ndarray.tolist)
         fh.write("\n")
     return path.read_bytes()
 
@@ -611,17 +614,21 @@ def pick(rng, values):
     return values[rng.integers(len(values))]
 
 
-def random_payload(rng, depth=0):
+def random_payload(rng, depth=0, arrays=True):
     """A nested value of every kind `json` writes: dicts (str keys, some
     non-str), lists and tuples of floats alone or mixed, np.float64, bool,
-    int, None and awkward strings, empty containers included."""
+    int, None and awkward strings, empty containers included; with `arrays`,
+    also 1-D float64 arrays (empty, strided or holding FLOAT_SPECIALS), but
+    none under a non-str key."""
     kind = rng.integers(0, 10 if depth < 4 else 5)
+    as_array = arrays and rng.random() < 0.5
     if kind == 0:
-        return [float(v) for v in rng.choice(FLOAT_SPECIALS, rng.integers(1, 6))]
+        values = rng.choice(FLOAT_SPECIALS, rng.integers(0 if as_array else 1, 6))
+        return values if as_array else [float(v) for v in values]
     if kind == 1:
         values = rng.normal(size=rng.integers(1, 400)) * 10.0 ** rng.integers(-8, 18)
         values[rng.random(values.size) < 0.1] = pick(rng, FLOAT_SPECIALS)
-        return values.tolist()
+        return values[::rng.integers(1, 3)] if as_array else values.tolist()
     if kind == 2:
         return [rng.normal(), 1, True, None, False, -7, "s", np.float64(0.25),
                 float(rng.normal())][:rng.integers(1, 10)]
@@ -633,21 +640,33 @@ def random_payload(rng, depth=0):
     if kind == 5:
         return [np.float64(v) for v in rng.normal(size=rng.integers(1, 5))]
     if kind == 6:
-        return tuple(random_payload(rng, depth + 1)
+        return tuple(random_payload(rng, depth + 1, arrays)
                      for _ in range(rng.integers(1, 4)))
     if kind == 7:
         keys = rng.choice([0, 1, 2, 3, 4, 5], rng.integers(1, 4), replace=False)
-        return {int(k): random_payload(rng, depth + 1) for k in keys}
+        return {int(k): random_payload(rng, depth + 1, False) for k in keys}
     if kind == 8:
-        return [random_payload(rng, depth + 1) for _ in range(rng.integers(1, 5))]
+        return [random_payload(rng, depth + 1, arrays)
+                for _ in range(rng.integers(1, 5))]
     keys = rng.choice(STRINGS + ["a", "b", "kappa", "Z", "ä"], rng.integers(1, 6),
                       replace=False)
-    return {str(k): random_payload(rng, depth + 1) for k in keys}
+    return {str(k): random_payload(rng, depth + 1, arrays) for k in keys}
+
+
+def arrays_in(obj):
+    """The arrays held by a payload, at any depth."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple, dict)):
+        values = obj.values() if isinstance(obj, dict) else obj
+        return [a for value in values for a in arrays_in(value)]
+    return []
 
 
 class TestWriteJson:
     """`_write_json` writes the bytes of json.dump(indent=2, sort_keys=True,
-    allow_nan=False) and a newline."""
+    allow_nan=False, default=np.ndarray.tolist) and a newline: a 1-D float64
+    array is written as its list."""
 
     def test_sweep_payloads(self, tmp_path, monkeypatch):
         written = []
@@ -662,6 +681,8 @@ class TestWriteJson:
             data["run"]["t_end"] = 10.0  # the README sweep: 901 factors a run
             cmd_verify(parse_config(data))
         assert len(written) == 8
+        factors = [a for _, payload in written for a in arrays_in(payload)]
+        assert factors and all(a.dtype == np.float64 and a.size == 901 for a in factors)
         for path, payload in written:
             assert Path(path).read_bytes() == json_dump_bytes(tmp_path, payload)
 
@@ -674,6 +695,16 @@ class TestWriteJson:
             assert ((tmp_path / "got.json").read_bytes()
                     == json_dump_bytes(tmp_path, payload)), payload
 
+    def test_random_payloads_hold_arrays(self):
+        arrays = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                arrays += arrays_in(random_payload(rng))
+        assert any(a.size == 0 for a in arrays)
+        assert any(not a.flags.c_contiguous for a in arrays)
+        assert any(np.isin(a, [5e-324, -0.0, 1e17]).any() for a in arrays)
+
     @pytest.mark.parametrize("payload", [
         {"a": {"b": [0.5, 1.0], "c": [[1, 2.5], {"d": None}]}, "e": "\n"},
         [[0.1] * 3, ({"x": (0.25, -0.0)},), []],
@@ -683,8 +714,12 @@ class TestWriteJson:
          [0.5] * 255, [np.float64(0.25)] * 256, "s"],
         {"runs": [{"run": k, "gamma": 0.1 * k} for k in range(260)]},
         {1: [0.5] * 300, 2: {"a": [0.25]}},
+        np.linspace(0.1, 0.9, 901),
+        {"factors": np.geomspace(1e-6, 1e18, 300), "empty": np.array([]),
+         "kappa": 0.5, "in": [np.array([-0.0, 5e-324]), (np.array([1e16]),)]},
     ], ids=["nested_short", "nested_tuples", "long_and_short",
-            "long_lists_mixed", "long_list_of_dicts", "int_keys"])
+            "long_lists_mixed", "long_list_of_dicts", "int_keys", "array",
+            "nested_arrays"])
     def test_nested_payloads(self, tmp_path, payload):
         _write_json(tmp_path / "got.json", payload)
         assert ((tmp_path / "got.json").read_bytes()
@@ -698,4 +733,22 @@ class TestWriteJson:
     ], ids=["nested_short", "beside_long", "short_beside_long", "in_long_list"])
     def test_nested_nan_raises_value_error(self, tmp_path, payload):
         with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", payload)
+
+    @pytest.mark.parametrize("payload", [
+        np.array([0.5, np.nan]), [np.full(300, np.inf)],
+        {"a": ({"b": np.array([-np.inf])},)},
+    ], ids=["array", "in_list", "nested"])
+    def test_non_finite_array_raises_value_error(self, tmp_path, payload):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", payload)
+
+    @pytest.mark.parametrize("payload", [
+        np.zeros((2, 2)), [np.arange(3)], {"a": np.zeros(3, np.float32)},
+        np.zeros(()), {1: np.zeros(3)}, {"a": [{2: np.zeros(1)}]},
+    ], ids=["2d", "int", "float32", "0d", "int_key", "nested_int_key"])
+    def test_other_arrays_raise_type_error(self, tmp_path, payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload)
+        with pytest.raises(TypeError):
             _write_json(tmp_path / "out.json", payload)

@@ -98,6 +98,38 @@ def test_certify_loads_only_what_it_runs(tmp_path):
                 "consensuslab._text"} & set(loaded)
 
 
+def test_pipelines_never_import_dataclasses(tmp_path):
+    """No record is a dataclass, so a simulate and a verify (which load the
+    integrator and the analysis) leave `dataclasses` unloaded; numpy alone
+    does not load it either."""
+    base = {
+        "system": {"n": 3, "d": 2, "kernel": {"form": "cucker_smale", "K": 1.0,
+                                              "beta": 1.0}},
+        "signal": {"type": "rotating_star", "dwell": 0.2},
+        "window": {"tau": 0.6, "mu": 0.01},
+        "run": {"t_end": 1.2, "dt": 0.01},
+    }
+    simulate = dict(base, initial=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                    outputs={"dir": str(tmp_path / "simulate")})
+    verify = dict(base, sweep={"num_initial": 2},
+                  outputs={"dir": str(tmp_path / "verify")})
+    out = run_python(
+        "import json, sys\n"
+        "import numpy\n"
+        "loaded = ['dataclasses' in sys.modules]\n"
+        "from consensuslab import cli\n"
+        "for command, data in zip(('simulate', 'verify'), sys.argv[1:]):\n"
+        "    cfg = cli.parse_config(json.loads(data))\n"
+        "    cli.COMMANDS[command](cfg)\n"
+        "    loaded.append('dataclasses' in sys.modules)\n"
+        "print(json.dumps([loaded, sorted(sys.modules)]))",
+        json.dumps(simulate), json.dumps(verify))
+    loaded, modules = json.loads(out)
+    assert loaded == [False, False, False]
+    assert {"consensuslab.analysis", "consensuslab.dynamics"} <= set(modules)
+    assert (tmp_path / "verify" / "analysis_reports.json").is_file()
+
+
 RECORDS = [
     pytest.param(lambda: cl.Constant(c=1.5), "Constant(c=1.5)", True, "c",
                  id="Constant"),
@@ -122,11 +154,30 @@ RECORDS = [
         "PiecewiseConstantSignal(n=1, breakpoints=array([0., 1.]), "
         "pieces=(AdjacencyMatrix(n=1, entries=array([[1.]])),), mode='clamped')",
         False, "mode", id="PiecewiseConstantSignal"),
+    pytest.param(lambda: cl.Configuration(n=1, d=2, positions=[[0.5, -1.0]]),
+                 "Configuration(n=1, d=2, positions=array([[ 0.5, -1. ]]))", None,
+                 "positions", id="Configuration"),
+    pytest.param(lambda: cl.Trajectory(times=[0.0], states=np.zeros((1, 1, 1)),
+                                       signal_ref=None, kernel_ref=cl.Constant(1.0)),
+                 "Trajectory(times=array([0.]), states=array([[[0.]]]), "
+                 "signal_ref=None, kernel_ref=Constant(c=1.0))", False, "times",
+                 id="Trajectory"),
+    pytest.param(lambda: cl.DecayFit(alpha=1.0, gamma=0.5, rms_log_residual=0.0,
+                                     t_range=(0.0, 2.0)),
+                 "DecayFit(alpha=1.0, gamma=0.5, rms_log_residual=0.0, "
+                 "t_range=(0.0, 2.0))", True, "gamma", id="DecayFit"),
+    pytest.param(lambda: cl.ContractionReport(tau=1.0, factors=np.array([0.5]),
+                                              kappa_hat=0.5, all_strict=True),
+                 "ContractionReport(tau=1.0, factors=array([0.5]), kappa_hat=0.5, "
+                 "all_strict=True)", False, "factors", id="ContractionReport"),
+    pytest.param(lambda: cl.DiameterPairSet(pairs=frozenset({(0, 1)}), value=1.0),
+                 "DiameterPairSet(pairs=frozenset({(0, 1)}), value=1.0)", False,
+                 "value", id="DiameterPairSet"),
 ]
 
 
 class TestRecords:
-    """The certify path's records keep a frozen dataclass's contract:
+    """Every record keeps a frozen dataclass's contract:
     keyword constructors, the dataclass repr, read-only fields, and value
     equality and hashing where the dataclass had them (`by_value` True),
     array equality without hashing (None) or identity (False)."""

@@ -170,6 +170,20 @@ class TestEvaluate:
                                          (first, second), "clamped")
         assert cl.evaluate(sig, 7.0) == second
 
+    @pytest.mark.parametrize("mode", ("periodic", "clamped"))
+    def test_nan_time_rejected(self, mode):
+        sig = constant_signal(cl.AdjacencyMatrix.ones(2), mode=mode)
+        with pytest.raises(ValueError, match="finite"):
+            sig.piece_index_at(np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            cl.evaluate(sig, np.inf)
+
+
+class TestWindow:
+    def test_infinite_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            cl.Window(np.inf, 0.5)
+
 
 class TestWindowAverage:
     def test_constant_signal(self):
@@ -228,6 +242,22 @@ class TestWindowAverage:
             cl.window_average_batch(sig, [0.5, -1.0], 0.5)
         with pytest.raises(ValueError, match="t must be >= 0"):
             cl.window_average(sig, -1.0, 0.5)
+
+    def test_nan_start_rejected(self):
+        sig = lattice_random_signal(np.random.default_rng(38), 3, pieces=3)
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            cl.window_average_batch(sig, [np.nan], 0.3)
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            cl.window_average_batch(sig, [0.5, np.nan], 0.3)
+
+    @pytest.mark.parametrize("mode", ("periodic", "clamped"))
+    @pytest.mark.parametrize("start, tau", [(np.inf, 0.3), (0.0, np.inf)],
+                             ids=["inf_start", "inf_tau"])
+    def test_infinite_start_or_tau_rejected(self, mode, start, tau):
+        sig = lattice_random_signal(np.random.default_rng(39), 3, pieces=3,
+                                    mode=mode)
+        with pytest.raises(ValueError, match="finite"):
+            cl.window_average_batch(sig, [start], tau)
 
     def test_clamped_beyond_coverage(self):
         first = cl.AdjacencyMatrix.ones(2)
