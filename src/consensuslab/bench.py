@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, cli, dynamics
+from . import _kernels, analysis, cli, dynamics
 from .graphs import algebraic_connectivity_batch
 from .signals import (Window, _critical_starts, certify, gen_blinking_pairs,
                       gen_rotating_star, window_average_batch)
@@ -29,9 +29,18 @@ WINDOW_TAU = 0.35
 # config
 CERTIFY_N = 32
 CERTIFY_TAU = 3.2
-# (samples, n, d) of the `diameters` and `csv` rows, the shape of the states
-# of a 1001-sample simulate at n = 128 in the plane
+# (samples, n, d) of the `diameters`, `contraction`, `fit`, `residual` and
+# `csv` rows, the shape of the states of a 1001-sample simulate at n = 128 in
+# the plane
 TRAJECTORY_SHAPE = (1001, 128, 2)
+# the pipeline benchmark's simulate config: a rotating star at n = 128 (the
+# `signal` row builds it, the `residual` row reads its pieces), stepped on a
+# grid to t_end with step dt and records forced at every multiple of tau (the
+# `grid` row), whose windows of tau the `contraction` row scans
+SIMULATE_DWELL = 0.05
+SIMULATE_T_END = 10.0
+SIMULATE_DT = 0.01
+SIMULATE_TAU = 1.0
 # (runs, samples, n, d) of the `diameters_small` row, one call per run, and
 # the (runs, factors) of the `json` row's reports, whose factors are float64
 # arrays as verify writes them: the README verify sweep
@@ -86,7 +95,15 @@ def _cases(rng, n_agents, dim, steps):
     pairs = gen_blinking_pairs(CERTIFY_N, 0.1, 0.5)
     pairs_window = Window(CERTIFY_TAU, 0.01)
     states = rng.normal(size=TRAJECTORY_SHAPE)
-    times = np.linspace(0.0, 10.0, TRAJECTORY_SHAPE[0])
+    times = np.linspace(0.0, SIMULATE_T_END, TRAJECTORY_SHAPE[0])
+    sim_n = TRAJECTORY_SHAPE[1]
+    sim_star = gen_rotating_star(sim_n, SIMULATE_DWELL)
+    forced = SIMULATE_TAU * np.arange(SIMULATE_T_END // SIMULATE_TAU + 1)
+    # the observables are cached on first use (the warm-up call), so the
+    # `contraction` and `residual` rows time what follows the diameters and
+    # variances, which have rows of their own
+    traj = dynamics.Trajectory(times, states, sim_star, linear)
+    decay = np.exp(-0.3 * times)
     flat = states.reshape(TRAJECTORY_SHAPE[0], -1)
     header = ["t"] + [f"x{k}" for k in range(flat.shape[1])]
     sweep_states = rng.normal(size=SWEEP_SHAPE)
@@ -101,6 +118,9 @@ def _cases(rng, n_agents, dim, steps):
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs),
         "scrambling": lambda: _kernels.scrambling_min(star_avgs),
         "lambda2": lambda: algebraic_connectivity_batch(star_avgs),
+        "signal": lambda: gen_rotating_star(sim_n, SIMULATE_DWELL),
+        "grid": lambda: dynamics._build_grid(sim_star, SIMULATE_T_END,
+                                             SIMULATE_DT, forced),
         "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec, cs),
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
                                                rec, linear),
@@ -109,6 +129,10 @@ def _cases(rng, n_agents, dim, steps):
                                    ("eta", "lambda2")),
         "diameters": lambda: dynamics.diameters(states),
         "diameters_small": lambda: [dynamics.diameters(x) for x in sweep_states],
+        "contraction": lambda: analysis.window_contraction(traj, SIMULATE_TAU),
+        "fit": lambda: analysis.fit_exponential(times, decay),
+        "residual": lambda: analysis.variance_dissipation_residual(traj,
+                                                                   sim_star),
         "csv": lambda: dynamics.write_csv(os.devnull, header, times, flat),
         "json": lambda: cli._write_json(os.devnull, reports),
     }
@@ -121,9 +145,13 @@ def run(n_agents=5, dim=2, steps=2000, repeats=5):
     print(f"kernel benchmark: n={n_agents}, d={dim}, rk4 steps={steps} on a "
           f"batch of {RK4_BATCH} starts, scrambling, lambda2 and window_avg "
           f"over the critical starts of a rotating star (tau {WINDOW_TAU}), "
+          f"signal of a rotating star (n {TRAJECTORY_SHAPE[1]}, dwell "
+          f"{SIMULATE_DWELL}) and grid of its steps (t_end {SIMULATE_T_END}, "
+          f"dt {SIMULATE_DT}, records every {SIMULATE_TAU}), "
           f"certify of both kinds over one period of blinking pairs (n "
           f"{CERTIFY_N}, tau {CERTIFY_TAU}), "
-          f"diameters and csv of {TRAJECTORY_SHAPE} states, diameters_small "
+          f"diameters and csv of {TRAJECTORY_SHAPE} states, and contraction "
+          f"(tau {SIMULATE_TAU}), fit and residual on them, diameters_small "
           f"of {SWEEP_SHAPE[0]} x {SWEEP_SHAPE[1:]} states, json of "
           f"{SWEEP_SHAPE[0]} reports of {SWEEP_FACTORS} factors, and import of "
           f"consensuslab.cli in a fresh interpreter after numpy, best of {repeats}")

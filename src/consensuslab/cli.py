@@ -31,10 +31,13 @@ SERIES_FLOOR_REL = 1e-14
 # samples in one array, so a mistyped dt must fail here instead of stalling or
 # exhausting memory; the reference configs use 1000 steps.
 MAX_GRID_STEPS = 1_000_000
-# Largest (pieces, n, n) stack a generated signal may have, in floats (256 MB).
-# A generator fills its stack at once, so an oversized system.n must fail here
-# instead of raising MemoryError or exhausting memory; a rotating star fits up
-# to n = 322, blinking pairs up to n = 256.
+# Largest dense (pieces, n, n) array a generated signal's pieces may make, in
+# floats (256 MB).  The dense arrays built from pieces (the blinking pairs'
+# stack, the prefix sums a certify caches) are allocated at once, so an
+# oversized system.n must fail here instead of raising MemoryError or
+# exhausting memory; a rotating star (whose own stack is a view of one hub
+# pattern, but whose prefix sums are dense) fits up to n = 322, blinking pairs
+# up to n = 256.
 MAX_SIGNAL_FLOATS = 1 << 25
 
 

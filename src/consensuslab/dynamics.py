@@ -231,8 +231,9 @@ class Trajectory(Record):
         states = np.ascontiguousarray(states, dtype=np.float64)
         times.setflags(write=False)
         states.setflags(write=False)
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must start at 0 and increase strictly")
+        if not (np.all(np.isfinite(times)) and times[0] == 0.0
+                and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be finite, start at 0 and increase strictly")
         if states.shape[0] != times.shape[0]:
             raise ValueError("states count must match times count")
         vars(self).update(times=times, states=states, signal_ref=signal_ref,

@@ -43,9 +43,12 @@ class PiecewiseConstantSignal(Record):
     """Adjacency pieces on [t_{k-1}, t_k); periodic repeat or clamped tail.
 
     `pieces` is a sequence of AdjacencyMatrix values, stacked once, or an
-    (m, n, n) array, checked once, adopted (no copy if C-contiguous float64)
-    and made read-only.  That `piece_stack` is the one storage: `pieces`
-    become AdjacencyMatrix views into it.
+    (m, n, n) array, checked once and adopted.  A read-only float64 array is
+    adopted as it is, whatever its strides (`gen_rotating_star` hands over a
+    view of one hub pattern); any other array is converted to C-contiguous
+    float64 (no copy if it already is) and made read-only.  That
+    `piece_stack` is the one storage: `pieces` become AdjacencyMatrix views
+    into it.
     """
 
     _fields = ("n", "breakpoints", "pieces", "mode")
@@ -63,7 +66,10 @@ class PiecewiseConstantSignal(Record):
             raise ValueError("breakpoints must be finite and strictly increasing")
         if not isinstance(pieces, np.ndarray):  # AdjacencyMatrix values
             pieces = [p.entries for p in pieces]
-        stack = np.ascontiguousarray(pieces, dtype=np.float64)
+        stack = pieces
+        if not (isinstance(pieces, np.ndarray) and pieces.dtype == np.float64
+                and not pieces.flags.writeable):
+            stack = np.ascontiguousarray(pieces, dtype=np.float64)
         if stack.shape != (bp.size - 1, n, n):
             raise ValueError(f"need one ({n}, {n}) piece per interval "
                              f"({bp.size - 1}), got shape {stack.shape}")
@@ -215,14 +221,20 @@ def window_average_batch(sig: PiecewiseConstantSignal, starts, tau: float) -> np
     (len(starts), n, n).
 
     Each is the exact (1/tau) * integral of A over [t, t+tau], clipped to
-    [0, 1] against roundoff, with a unit diagonal; tau must be finite.
+    [0, 1] against roundoff, with a unit diagonal; tau must be finite, and
+    every end t + tau finite and above its start (a start whose ulp exceeds
+    tau would round its window away).
     """
     starts = np.asarray(starts, dtype=np.float64)
     if not np.all((starts >= 0) & (starts < np.inf)):
         raise ValueError("t must be >= 0 and finite")
     if not 0 < tau < np.inf:
         raise ValueError("tau must be finite and > 0")
-    avg = (sig._integrals(starts + tau) - sig._integrals(starts)) / tau
+    with np.errstate(over="ignore"):
+        ends = starts + tau
+    if not np.all((ends > starts) & (ends < np.inf)):
+        raise ValueError("t + tau must be finite and exceed t")
+    avg = (sig._integrals(ends) - sig._integrals(starts)) / tau
     np.clip(avg, 0.0, 1.0, out=avg)
     ii = np.arange(sig.n)
     avg[:, ii, ii] = 1.0
@@ -323,14 +335,24 @@ def gen_rotating_star(n: int, dwell: float, seed=None) -> PiecewiseConstantSigna
     Piece k (length `dwell`) is the star centered at agent k: every snapshot
     is a single hub, while the period average couples every agent pair.
     Deterministic; `seed` is accepted for interface uniformity and unused.
+
+    Piece k is the star centered at agent 0 shifted by k along both axes, so
+    the (n, n, n) stack is a read-only view of one (2n - 1, 2n - 1) hub
+    pattern, 4n^2 floats instead of n^3: a unit diagonal with an all-ones
+    middle row and column, entry [k, i, j] at hub[i - k + n - 1, j - k + n - 1].
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not dwell > 0:
         raise ValueError("dwell must be > 0")
-    stack = np.zeros((n, n, n))
-    k = np.arange(n)
-    stack[:, k, k] = stack[k, k, :] = stack[k, :, k] = 1.0
+    hub = np.eye(2 * n - 1)
+    hub[n - 1, :] = hub[:, n - 1] = 1.0
+    hub.setflags(write=False)
+    row, col = hub.strides
+    # np.ndarray checks that every entry lies inside the hub (as_strided would not)
+    stack = np.ndarray((n, n, n), np.float64, buffer=hub,
+                       offset=(n - 1) * (row + col),
+                       strides=(-(row + col), row, col))
     return PiecewiseConstantSignal(n, dwell * np.arange(n + 1.0), stack, PERIODIC)
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -281,6 +282,29 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [
             "error: integration produced non-finite coordinates"]
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_star_simulate_memory_bound(self, tmp_path):
+        # the shape of the pipeline benchmark's simulate: n = 128 in the
+        # plane, a rotating star of dwell 0.05, 1001 samples.  The star's
+        # pieces are one hub pattern (0.5 MB); as a dense (n, n, n) stack
+        # they alone took 16.8 MB of an 18.9 MB peak
+        data = {
+            "system": {"n": 128, "d": 2, "kernel": {"form": "constant", "c": 1.0}},
+            "signal": {"type": "rotating_star", "dwell": 0.05},
+            "window": {"tau": 1.0, "mu": 0.01},
+            "run": {"t_end": 10.0, "dt": 0.01, "sample_every": 1},
+            "initial": np.random.default_rng(3).normal(size=(128, 2)).tolist(),
+            "outputs": {"dir": str(tmp_path / "warm")},
+        }
+        cmd_simulate(parse_config(dict(data, run={"t_end": 1.0, "dt": 0.01})))
+        data["outputs"] = {"dir": str(tmp_path / "out")}
+        tracemalloc.start()
+        try:
+            cmd_simulate(parse_config(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 class TestCertify:

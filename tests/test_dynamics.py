@@ -506,6 +506,22 @@ class TestRescaleDilation:
             cl.rescale_dilation(x0, traj)
 
 
+class TestTrajectoryTimes:
+    @pytest.mark.parametrize("times", [
+        pytest.param([0.0, np.nan, 2.0], id="nan_inside"),
+        pytest.param([0.0, 1.0, np.nan], id="nan_last"),
+        pytest.param([0.0, 1.0, np.inf], id="inf_last"),
+        pytest.param([0.0, np.inf, np.inf], id="inf_twice"),
+    ])
+    def test_non_finite_times_rejected(self, times):
+        # NaN compares false both ways, so a check for decreasing steps
+        # alone let [0, nan, 2] through and window_contraction then found
+        # no factors
+        with pytest.raises(ValueError, match="times must be finite"):
+            cl.Trajectory(times, np.zeros((3, 3, 1)), all_ones_signal(3),
+                          cl.Constant(1.0))
+
+
 class TestTrajectoryExport:
     # -0.0, subnormals, +-1e300 and integer-valued floats, in the times too
     SPECIAL = np.array([-0.0, 5e-324, 2.5e-310, 1e-300, 1.0, 3.0, 1e16, 1e300])

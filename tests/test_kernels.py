@@ -106,6 +106,27 @@ def test_rk4_batch_equals_single_starts(kernel, batch):
                 assert np.array_equal(got[(slice(None),) + b], one), (n, d, b)
 
 
+@pytest.mark.parametrize("batch", (1, 3))
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
+def test_rk4_on_star_view_equals_contiguous_stack(kernel, batch):
+    # a rotating star's pieces are views of one (2n - 1, 2n - 1) hub, so BLAS
+    # reads them with a leading dimension of 2n - 1 instead of n
+    rng = np.random.default_rng(17)
+    steps = 24
+    hs = rng.uniform(0.005, 0.02, size=steps)
+    rec = np.zeros(steps + 1, dtype=bool)
+    rec[::4] = rec[-1] = True
+    for n in (2, 5, 33, 128):
+        view = cl.gen_rotating_star(n, 0.1).piece_stack
+        assert not view.flags.c_contiguous
+        piece_idx = rng.integers(0, n, size=steps)
+        x0s = rng.normal(size=(batch, n, 2))
+        got = kernels.rk4_run(x0s, view, piece_idx, hs, rec, kernel)
+        want = kernels.rk4_run(x0s, np.ascontiguousarray(view), piece_idx, hs,
+                               rec, kernel)
+        assert np.array_equal(got, want), n
+
+
 @pytest.mark.parametrize("kernel", KERNEL_CASES)
 def test_rk4_layout_contract(kernel):
     # the record is C-ordered (n, d) states, the start is not written to,
@@ -166,9 +187,10 @@ def test_benchmark_runs(capsys):
     assert bench.main(["--agents", "8", "--dim", "2", "--steps", "20",
                        "--repeats", "1"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
-    assert rows == ["rhs", "scrambling", "lambda2", "rk4", "rk4_linear",
-                    "window_avg", "certify", "diameters", "diameters_small",
-                    "csv", "json", "import"]
+    assert rows == ["rhs", "scrambling", "lambda2", "signal", "grid", "rk4",
+                    "rk4_linear", "window_avg", "certify", "diameters",
+                    "diameters_small", "contraction", "fit", "residual", "csv",
+                    "json", "import"]
 
 
 @pytest.mark.parametrize("flag, value", [("--agents", "1"), ("--dim", "0"),

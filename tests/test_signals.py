@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,21 +72,31 @@ class TestSignalType:
             cl.PiecewiseConstantSignal(2, np.array([0.0, 1.0, bad]),
                                        (piece, piece), "periodic")
 
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda: cl.gen_rotating_star(5, 0.2), id="rotating_star"),
-        pytest.param(lambda: cl.gen_blinking_pairs(6, 0.5, 0.3), id="blinking"),
+    # `hub`: the stack is a view of one (2n - 1, 2n - 1) hub pattern
+    @pytest.mark.parametrize("build, hub", [
+        pytest.param(lambda: cl.gen_rotating_star(5, 0.2), True,
+                     id="rotating_star"),
+        pytest.param(lambda: cl.gen_blinking_pairs(6, 0.5, 0.3), False,
+                     id="blinking"),
         pytest.param(lambda: cl.PiecewiseConstantSignal(
             2, [0.0, 1.0, 2.0], [cl.AdjacencyMatrix.ones(2),
                                  cl.AdjacencyMatrix.identity(2)], "clamped"),
-            id="adjacency_sequence"),
+            False, id="adjacency_sequence"),
         pytest.param(lambda: cl.PiecewiseConstantSignal(
-            3, [0.0, 0.5], np.ones((1, 3, 3)), "periodic"), id="array"),
+            3, [0.0, 0.5], np.ones((1, 3, 3)), "periodic"), False, id="array"),
     ])
-    def test_pieces_are_views_of_one_stack(self, build):
+    def test_pieces_are_views_of_one_stack(self, build, hub):
         sig = build()
         stack = sig.piece_stack
         assert stack.shape == (len(sig.pieces), sig.n, sig.n)
-        assert stack.dtype == np.float64 and stack.flags.c_contiguous
+        assert stack.dtype == np.float64
+        if hub:
+            # (2n - 1)^2 floats, not n^3
+            base = stack.base
+            assert base.shape == (2 * sig.n - 1,) * 2
+            assert base.dtype == np.float64 and not base.flags.writeable
+        else:
+            assert stack.flags.c_contiguous
         assert not stack.flags.writeable
         for k, piece in enumerate(sig.pieces):
             assert isinstance(piece, cl.AdjacencyMatrix) and piece.n == sig.n
@@ -103,6 +114,17 @@ class TestSignalType:
         sig = cl.PiecewiseConstantSignal(3, [0.0, 1.0, 2.0], strided, "periodic")
         assert sig.piece_stack.flags.c_contiguous
         assert np.array_equal(sig.piece_stack, strided)
+        # ... unless it is float64 and already read-only: then it is adopted
+        # as it is, whatever its strides
+        strided.setflags(write=False)
+        sig = cl.PiecewiseConstantSignal(3, [0.0, 1.0, 2.0], strided, "periodic")
+        assert sig.piece_stack is strided
+        # a read-only array of another dtype is still converted
+        ints = np.ones((2, 3, 3), dtype=np.int64)
+        ints.setflags(write=False)
+        sig = cl.PiecewiseConstantSignal(3, [0.0, 1.0, 2.0], ints, "periodic")
+        assert sig.piece_stack.dtype == np.float64
+        assert sig.piece_stack.flags.c_contiguous
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda s: s.__setitem__((1, 0, 2), np.nan), id="nan"),
@@ -258,6 +280,18 @@ class TestWindowAverage:
                                     mode=mode)
         with pytest.raises(ValueError, match="finite"):
             cl.window_average_batch(sig, [start], tau)
+
+    @pytest.mark.parametrize("start, tau", [(1e300, 0.3), (1.7e308, 1e308)],
+                             ids=["rounded_away", "overflow"])
+    def test_window_lost_to_rounding_rejected(self, start, tau):
+        # 1e300 + 0.3 rounds back to 1e300 (an empty window), and
+        # 1.7e308 + 1e308 overflows: both raise instead of a wrong average
+        # or a RuntimeWarning
+        sig = cl.gen_rotating_star(3, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t \\+ tau must be finite"):
+                cl.window_average_batch(sig, [start], tau)
 
     def test_clamped_beyond_coverage(self):
         first = cl.AdjacencyMatrix.ones(2)
@@ -498,6 +532,18 @@ class TestGenerators:
         sig = cl.gen_rotating_star(3, 1.0)
         assert sig.period == 3.0
         assert sig.pieces[0] == cl.AdjacencyMatrix.star(3, 0)
+
+    def test_rotating_star_holds_one_hub(self):
+        # 4n^2 floats of hub pattern (0.5 MB at n = 128), not n^3 (16.8 MB)
+        cl.gen_rotating_star(4, 0.05)
+        tracemalloc.start()
+        try:
+            sig = cl.gen_rotating_star(128, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sig.piece_stack.nbytes == 8 * 128**3
 
     def test_rotating_star_pieces_balanced(self):
         for n in (2, 3, 5, 8):
