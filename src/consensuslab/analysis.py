@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import Constant, Record, ValueRecord
-from .dynamics import Configuration, Trajectory, chunk_slices, diameters
+from .dynamics import Configuration, Trajectory, chunk_slices, diameters, variances
 from .errors import DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort
-from .graphs import pair_squared_distances
+from .graphs import dirichlet_energies, pair_squared_distances
 
 PAIR_TOL = 1e-9
 STRICT_MARGIN = 1e-12
@@ -71,8 +71,7 @@ def diameter(x: Configuration) -> float:
 
 def variance(x: Configuration) -> float:
     """Mean squared distance to the barycenter, (1/n) * sum |x_i - mean|^2."""
-    centered = x.positions - x.positions.mean(axis=0)
-    return float(np.einsum("ic,ic->", centered, centered) / x.n)
+    return float(variances(x.positions))
 
 
 def mean(x: Configuration) -> np.ndarray:
@@ -84,6 +83,8 @@ def diameter_pairs(x: Configuration, tol: float = PAIR_TOL) -> DiameterPairSet:
     """All ordered pairs whose distance is within tol of the diameter."""
     if x.n < 2:
         raise ValueError("need at least two agents")
+    if not tol >= 0:  # NaN too
+        raise ValueError("tol must be >= 0")
     dist = np.sqrt(pair_squared_distances(x.positions))
     value = float(dist.max())
     near = dist >= value - tol
@@ -99,6 +100,8 @@ def check_maximizer_geometry(x: Configuration, pair, y_index: int,
     later) configuration lie strictly on the j-side of the maximizer i.
     Raises InvalidPair when (i, j) does not attain the diameter.
     """
+    if not tol >= 0:  # NaN too
+        raise ValueError("tol must be >= 0")
     i, j = pair
     pos = x.positions
     delta = pos[i] - pos[j]
@@ -113,9 +116,11 @@ def window_contraction(traj: Trajectory, tau: float,
                        observable: str = "diameter") -> ContractionReport:
     """Ratios value(t + tau) / value(t) at every sample whose endpoint is also
     a sample.  Window starts where the observable is below the consensus
-    floor are skipped.  Raises SpanTooShort when the trajectory is shorter
-    than tau.
+    floor are skipped.  tau must be finite and > 0, as a `Window`'s is.
+    Raises SpanTooShort when the trajectory is shorter than tau.
     """
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be finite and > 0")
     if observable == "diameter":
         series = traj.diameters
     elif observable == "variance":
@@ -185,6 +190,8 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
     dV/dt = -2 E(A(t), x(t)) holds exactly.  Stencils spanning a topology
     switch (or uneven sample spacing) are skipped: the slope of V jumps
     there, so a centered difference does not estimate either one-sided value.
+    The energies are `graphs.dirichlet_energies` of a chunk of samples at a
+    time and of those samples' pieces, so memory scales with the chunk.
     Contract: residual = O(dt^2) + O(sample spacing^2).
     """
     kernel = traj.kernel_ref
@@ -207,16 +214,9 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
         return 0.0
     slope = (var[mids + 1] - var[mids - 1]) / (times[mids + 1] - times[mids - 1])
 
-    # Dirichlet energy (1/(2 n^2)) sum_ij a_ij |x_i - x_j|^2, summed over the
-    # pairs i < j as `dirichlet_energy` sums it, with weights a_ij + a_ji from
-    # one (pieces, pairs) table; the samples are read a chunk at a time
     piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
-    i, j = np.triu_indices(traj.n, 1)
-    weights = sig.piece_stack[:, i, j]
-    weights += sig.piece_stack[:, j, i]
     energy = np.empty(mids.size)
-    for part in chunk_slices(mids.size, i.size * traj.d):
-        sq = pair_squared_distances(traj.states[mids[part]])
-        energy[part] = (weights[piece[part]] * sq).sum(axis=1)
-    energy /= 2.0 * traj.n**2
+    for part in chunk_slices(mids.size, traj.n * (traj.n - 1) // 2 * traj.d):
+        energy[part] = dirichlet_energies(sig.piece_stack[piece[part]],
+                                          traj.states[mids[part]])
     return float(np.abs(slope + 2.0 * energy).max())

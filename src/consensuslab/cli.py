@@ -152,11 +152,11 @@ def _parse_signal(data, n):
     try:
         if kind == "rotating_star":
             sig = signals.gen_rotating_star(
-                n, float(_get(data, "dwell", "signal")), data.get("seed"))
+                n, float(_get(data, "dwell", "signal")))
         elif kind == "blinking_pairs":
             sig = signals.gen_blinking_pairs(
                 n, float(_get(data, "dwell", "signal")),
-                float(_get(data, "duty", "signal")), data.get("seed"))
+                float(_get(data, "duty", "signal")))
         elif kind == "inline":
             sig = PiecewiseConstantSignal.from_json_dict(
                 _get(data, "data", "signal", dict))
@@ -249,7 +249,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not certify_kinds:
             raise ConfigError("certify.kinds", "must name at least one kind")
         for kind in certify_kinds:
-            if kind not in ("eta", "lambda2"):
+            if not (isinstance(kind, str) and kind in signals._KINDS):
                 raise ConfigError("certify.kinds", f"unknown kind {kind!r}")
 
     observable = _block(data, "verify").get("observable", "diameter")

@@ -198,9 +198,16 @@ def diameters(positions) -> np.ndarray:
     return _per_chunk(positions, n * d, _chunk_diameters)
 
 
+def variances(positions) -> np.ndarray:
+    """Mean squared distance to the barycenter, (1/n) * sum |x_i - mean|^2,
+    of each (n, d) configuration in (..., n, d)."""
+    n, d = positions.shape[-2:]
+    return _per_chunk(positions, n * d, _variances)
+
+
 def kernel_bounds(kernel: Kernel, diam_max: float):
     """(c_phi, C_phi): inf and sup of the kernel on [0, diam_max]."""
-    if diam_max < 0:
+    if not diam_max >= 0:  # NaN too
         raise ValueError("diam_max must be >= 0")
     if isinstance(kernel, Constant):
         return kernel.c, kernel.c
@@ -256,7 +263,7 @@ class Trajectory(Record):
 
     @cached_property
     def variances(self) -> np.ndarray:
-        return _per_chunk(self.states, self.n * self.d, _variances)
+        return variances(self.states)
 
     @cached_property
     def means(self) -> np.ndarray:

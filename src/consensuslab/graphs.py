@@ -4,8 +4,8 @@ Adjacency matrices carry weights in [0, 1] with unit diagonal.  The module
 computes the scrambling coefficient, degree vectors, the balance test, the
 normalized Laplacian (D - A)/n, the algebraic connectivity of balanced
 graphs, pairwise squared distances and the Dirichlet energy of a
-configuration.  The balance test and the algebraic connectivity also take
-(m, n, n) stacks of entries; the single-matrix forms are batches of one.
+configuration.  The balance test, the algebraic connectivity and the Dirichlet
+energy also take stacks of entries; the single-matrix forms are batches of one.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ def degrees(adj: AdjacencyMatrix):
 def unbalanced(stack, tol: float = BALANCE_TOL) -> np.ndarray:
     """Mask over an (m, n, n) stack of adjacency entries, shape (m,): True
     where some agent's in-degree and out-degree differ by more than tol."""
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValueError("tol must be >= 0")
     gap = np.abs(stack.sum(axis=-2) - stack.sum(axis=-1)).max(axis=-1)
     return ~(gap <= tol)
@@ -204,12 +204,25 @@ def pair_squared_distances(positions) -> np.ndarray:
     return np.einsum("...pc,...pc->...p", diff, diff)
 
 
+def dirichlet_energies(entries, positions) -> np.ndarray:
+    """(1/(2 n^2)) * sum_ij a_ij |x_i - x_j|^2 of (..., n, n) entries and
+    (..., n, d) positions, over the pairs i < j; shape (...)."""
+    n = entries.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    # `take` along the flat last axis gathers faster than [..., i, j]
+    flat = entries.reshape(*entries.shape[:-2], n * n)
+    weights = np.take(flat, i * n + j, -1) + np.take(flat, j * n + i, -1)
+    # a sum over the pairs rounds by its terms' layout: C order keeps the
+    # pairs of each sample contiguous, whatever the distances' layout
+    terms = np.multiply(weights, pair_squared_distances(positions), order="C")
+    return terms.sum(axis=-1) / (2.0 * n**2)
+
+
 def dirichlet_energy(adj: AdjacencyMatrix, x) -> float:
-    """(1/(2 n^2)) * sum_ij a_ij |x_i - x_j|^2 for a Configuration x."""
+    """`dirichlet_energies` of one adjacency and one Configuration x."""
     pos = np.asarray(x.positions, dtype=np.float64)
     if pos.shape[0] != adj.n:
         raise DimensionMismatch(
             f"adjacency has n={adj.n} but configuration has n={pos.shape[0]}"
         )
-    weights = (adj.entries + adj.entries.T)[np.triu_indices(adj.n, 1)]
-    return float((weights * pair_squared_distances(pos)).sum() / (2.0 * adj.n**2))
+    return float(dirichlet_energies(adj.entries, pos))

@@ -280,8 +280,12 @@ def certify(sig: PiecewiseConstantSignal, window: Window, horizon: float,
     Every kind is certified over the same critical starts in one pass: each
     chunk of window averages is built once and handed to the metric of every
     kind.  "lambda2" requires balanced pieces (see `certify_lambda2`), checked
-    before any window average is built.
+    before any window average is built.  Raises ValueError naming the first
+    unknown kind.
     """
+    for kind in kinds:
+        if not (isinstance(kind, str) and kind in _KINDS):
+            raise ValueError(f"unknown certify kind {kind!r}")
     if "lambda2" in kinds:
         sig.require_balanced()
     if not horizon > 0:
@@ -329,12 +333,12 @@ def certify_lambda2(sig: PiecewiseConstantSignal, window: Window,
     return certify(sig, window, horizon, ("lambda2",))[0]
 
 
-def gen_rotating_star(n: int, dwell: float, seed=None) -> PiecewiseConstantSignal:
+def gen_rotating_star(n: int, dwell: float) -> PiecewiseConstantSignal:
     """Periodic signal cycling a symmetric star through every center.
 
     Piece k (length `dwell`) is the star centered at agent k: every snapshot
     is a single hub, while the period average couples every agent pair.
-    Deterministic; `seed` is accepted for interface uniformity and unused.
+    Deterministic.
 
     Piece k is the star centered at agent 0 shifted by k along both axes, so
     the (n, n, n) stack is a read-only view of one (2n - 1, 2n - 1) hub
@@ -356,14 +360,13 @@ def gen_rotating_star(n: int, dwell: float, seed=None) -> PiecewiseConstantSigna
     return PiecewiseConstantSignal(n, dwell * np.arange(n + 1.0), stack, PERIODIC)
 
 
-def gen_blinking_pairs(n: int, dwell: float, duty: float,
-                       seed=None) -> PiecewiseConstantSignal:
+def gen_blinking_pairs(n: int, dwell: float,
+                       duty: float) -> PiecewiseConstantSignal:
     """Periodic round-robin perfect matchings, on for duty*dwell per dwell.
 
     Each dwell slot shows one matching of the round-robin schedule, active
     for the first duty fraction and replaced by the identity adjacency for
-    the rest.  All pieces are symmetric, hence balanced.  Deterministic;
-    `seed` is accepted for interface uniformity and unused.
+    the rest.  All pieces are symmetric, hence balanced.  Deterministic.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 2")

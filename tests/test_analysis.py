@@ -48,6 +48,18 @@ class TestObservables:
         assert cl.variance(config(x + shift)) == pytest.approx(
             cl.variance(config(x)), rel=1e-12)
 
+    def test_variance_is_batch_of_one(self):
+        # one (n, d) configuration, alone and inside a stack of them
+        rng = np.random.default_rng(76)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            scale = 10.0 ** rng.uniform(-6, 6)
+            stack = scale * (rng.normal(size=(3, n, d)) + rng.normal())
+            batch = dynamics.variances(stack)
+            for k, pos in enumerate(stack):
+                got = cl.variance(config(pos))
+                assert got == dynamics.variances(pos) == batch[k]
+
     def test_mean_examples(self):
         assert cl.mean(config([-1.0, 1.0]))[0] == 0.0
         assert np.array_equal(cl.mean(config([[2.0, 3.0]])), [2.0, 3.0])
@@ -83,6 +95,12 @@ class TestDiameterPairs:
         assert pairs.pairs == {(0, 2), (0, 3), (1, 2), (1, 3),
                                (2, 0), (3, 0), (2, 1), (3, 1)}
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # NaN or a negative tol used to give an empty pair set
+        with pytest.raises(ValueError, match="tol"):
+            cl.diameter_pairs(config([0.0, 0.5, 1.0]), tol)
+
 
 class TestMaximizerGeometry:
     def test_line_midpoint_gap(self):
@@ -104,6 +122,12 @@ class TestMaximizerGeometry:
         x = config([0.0, 0.5, 1.0])
         with pytest.raises(ValueError):
             cl.check_maximizer_geometry(x, (2, 0), 2)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tol used to accept any pair, here one not attaining the diameter
+        with pytest.raises(ValueError, match="tol"):
+            cl.check_maximizer_geometry(config([0.0, 0.5, 1.0]), (0, 1), 2, tol)
 
     def test_gaps_against_later_states(self):
         # hull nesting: positions from any later time are valid test points
@@ -177,6 +201,16 @@ class TestWindowContraction:
             assert np.array_equal(got, want)
             assert want.size > 0
         assert np.any(series <= 1e-10)
+
+    @pytest.mark.parametrize("tau", [np.nan, -1.0, 0.0, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        # NaN gave no factors and a vacuous all_strict, -1 backward ratios
+        # and 0 factors of 1
+        traj = cl.integrate(config([-1.0, 1.0]), all_ones_signal(),
+                            cl.Constant(1.0), 2.0, 1e-2)
+        for observable in ("diameter", "variance"):
+            with pytest.raises(ValueError, match="tau"):
+                cl.window_contraction(traj, tau, observable)
 
     def test_span_too_short(self):
         traj = cl.integrate(config([-1.0, 1.0]), all_ones_signal(),
@@ -300,8 +334,8 @@ class TestVarianceDissipation:
             assert cl.variance_dissipation_residual(traj, sig) == want, chunk
 
     def test_memory_bounded_in_samples(self):
-        # the samples are read a chunk at a time, beside one (pieces, pairs)
-        # weight table of 1 MB and its addend: not a gather of the 20 MB record
+        # the samples are read a chunk at a time, each beside the pieces of
+        # its own samples: not a gather of the 20 MB record
         states = np.random.default_rng(2030).normal(size=(20000, 64, 2))
         traj = cl.Trajectory(1e-3 * np.arange(20000.0), states,
                              cl.gen_rotating_star(64, 0.5), cl.Constant(1.0))
@@ -313,6 +347,22 @@ class TestVarianceDissipation:
         finally:
             tracemalloc.stop()
         assert peak <= states.nbytes / 4, peak
+
+    def test_memory_bounded_in_pieces(self):
+        # the weights come from each chunk's own pieces: no (pieces, pairs)
+        # table, which with its addend took 16.8 MB for the 128 pieces of
+        # 8128 pairs of a rotating star at n = 128
+        states = np.random.default_rng(2031).normal(size=(1001, 128, 2))
+        traj = cl.Trajectory(np.linspace(0.0, 10.0, 1001), states,
+                             cl.gen_rotating_star(128, 0.05), cl.Constant(1.0))
+        traj.variances
+        tracemalloc.start()
+        try:
+            cl.variance_dissipation_residual(traj, traj.signal_ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
 
     def test_unbalanced_rejected(self):
         piece = cl.AdjacencyMatrix.from_entries([[1.0, 1.0], [0.0, 1.0]])

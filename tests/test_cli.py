@@ -167,6 +167,10 @@ class TestParseConfig:
                      id="numeric_kinds"),
         pytest.param("certify.kinds", lambda d: d.update(certify={"kinds": []}),
                      id="empty_kinds"),
+        pytest.param("certify.kinds", lambda d: d.update(
+            certify={"kinds": ["eta", "foo"]}), id="unknown_kind"),
+        pytest.param("certify.kinds", lambda d: d.update(
+            certify={"kinds": [["eta"]]}), id="nested_kind"),
         pytest.param("system.n", lambda d: d["system"].update(n=True),
                      id="boolean_n"),
         pytest.param("system.d", lambda d: d["system"].update(d=True),
@@ -214,6 +218,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert err.value.field == "system.n"
+
+    def test_certify_kinds_are_the_certifiers(self, tmp_path, monkeypatch):
+        # parse_config accepts exactly the kinds signals.certify knows
+        data = blinking_config(tmp_path)
+        data["certify"] = {"kinds": ["eta2"]}
+        with pytest.raises(ConfigError, match="'eta2'"):
+            parse_config(data)
+        monkeypatch.setitem(signals._KINDS, "eta2", signals._KINDS["eta"])
+        assert parse_config(data).certify_kinds == ("eta2",)
+
+    @pytest.mark.parametrize("kind", ["rotating_star", "blinking_pairs"])
+    def test_signal_seed_ignored(self, tmp_path, kind):
+        # the generators are deterministic; a config may still carry a seed
+        data = blinking_config(tmp_path)
+        data["signal"]["type"] = kind
+        want = parse_config(data).signal.to_json_dict()
+        data["signal"]["seed"] = 5
+        assert parse_config(data).signal.to_json_dict() == want
 
     def test_default_dt_rule(self, tmp_path):
         data = blinking_config(tmp_path)

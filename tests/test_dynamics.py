@@ -58,6 +58,13 @@ class TestKernels:
     def test_kernel_bounds_beta_zero(self):
         assert cl.kernel_bounds(cl.CuckerSmale(2.0, 0.0), 5.0) == (2.0, 2.0)
 
+    @pytest.mark.parametrize("kernel", [cl.Constant(1.0),
+                                        cl.CuckerSmale(1.0, 1.0)])
+    def test_kernel_bounds_nan_diameter_rejected(self, kernel):
+        # returned (nan, K) for Cucker-Smale
+        with pytest.raises(ValueError, match="diam_max"):
+            cl.kernel_bounds(kernel, np.nan)
+
 
 class TestRhs:
     def test_coincident_agents_zero(self):

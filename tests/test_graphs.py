@@ -4,7 +4,8 @@ import pytest
 import consensuslab as cl
 from consensuslab import _kernels
 from consensuslab.errors import DimensionMismatch, UnbalancedGraph
-from consensuslab.graphs import algebraic_connectivity_batch, unbalanced
+from consensuslab.graphs import (algebraic_connectivity_batch,
+                                 dirichlet_energies, unbalanced)
 
 from oracles import (lambda2_eigh, lambda2_householder, lambda2_rayleigh_grid,
                      scrambling_broadcast, scrambling_direct)
@@ -129,6 +130,14 @@ class TestDegreesAndBalance:
         assert np.array_equal(out_deg, [2.0, 1.0])
         assert np.array_equal(in_deg, [1.0, 2.0])
         assert not cl.is_balanced(adj(entries), tol=0.5)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tol used to call the identity unbalanced
+        with pytest.raises(ValueError, match="tol"):
+            unbalanced(np.eye(3)[None], tol)
+        with pytest.raises(ValueError, match="tol"):
+            cl.is_balanced(cl.AdjacencyMatrix.identity(3), tol)
 
     def test_symmetric_always_balanced(self):
         rng = np.random.default_rng(14)
@@ -296,6 +305,32 @@ class TestDirichletEnergy:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             cl.dirichlet_energy(cl.AdjacencyMatrix.ones(3), config([0.0, 1.0]))
+
+    def test_energy_is_batch_of_one(self):
+        # one matrix and configuration, alone and inside stacks of them
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            entries = rng.random((3, n, n)) * (rng.random((3, n, n)) < 0.6)
+            entries[:, np.arange(n), np.arange(n)] = 1.0
+            positions = rng.normal(size=(3, n, d))
+            batch = dirichlet_energies(entries, positions)
+            for k in range(3):
+                got = cl.dirichlet_energy(adj(entries[k]), config(positions[k]))
+                assert got == dirichlet_energies(entries[k], positions[k]) \
+                    == batch[k]
+
+    def test_energy_on_hub_view_pieces(self):
+        # the rotating star's pieces are strided views of one hub pattern
+        rng = np.random.default_rng(24)
+        sig = cl.gen_rotating_star(33, 0.1)
+        positions = rng.normal(size=(33, 33, 2))
+        batch = dirichlet_energies(sig.piece_stack, positions)
+        for k, piece in enumerate(sig.pieces):
+            dense = np.array(piece.entries)
+            assert not piece.entries.flags.c_contiguous
+            got = cl.dirichlet_energy(piece, config(positions[k]))
+            assert got == dirichlet_energies(dense, positions[k]) == batch[k]
 
     def test_energy_variance_bound(self):
         # energy >= lambda2 * variance for every configuration, with equality

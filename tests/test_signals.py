@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -317,6 +318,12 @@ class TestPieceStarts:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("kinds", [("foo",), ("eta", "foo"), (["eta"],)])
+    def test_unknown_kind_named(self, kinds):
+        sig = cl.gen_blinking_pairs(4, 0.5, 0.5)
+        with pytest.raises(ValueError, match=re.escape(repr(kinds[-1]))):
+            signals.certify(sig, cl.Window(1.0, 0.1), 2.0, kinds)
+
     def test_chunked_matches_single_chunk(self, monkeypatch):
         rng = np.random.default_rng(39)
         sig = lattice_random_signal(rng, 3, pieces=5, balanced=True)
@@ -522,6 +529,14 @@ class TestCertify:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("make", [
+        lambda: cl.gen_rotating_star(4, 0.1, 7),
+        lambda: cl.gen_blinking_pairs(4, 0.1, 0.5, 7)], ids=["star", "pairs"])
+    def test_no_seed_parameter(self, make):
+        # both generators are deterministic; the unused seed is gone
+        with pytest.raises(TypeError):
+            make()
+
     def test_rotating_star_two_agents(self):
         sig = cl.gen_rotating_star(2, 1.0)
         assert len(sig.pieces) == 2
