@@ -85,10 +85,11 @@ def diameter_pairs(x: Configuration, tol: float = PAIR_TOL) -> DiameterPairSet:
         raise ValueError("need at least two agents")
     if not tol >= 0:  # NaN too
         raise ValueError("tol must be >= 0")
-    dist = np.sqrt(pair_squared_distances(x.positions))
+    pairs = np.triu_indices(x.n, 1)
+    dist = np.sqrt(pair_squared_distances(x.positions, pairs))
     value = float(dist.max())
     near = dist >= value - tol
-    ii, jj = (idx[near].tolist() for idx in np.triu_indices(x.n, 1))
+    ii, jj = (idx[near].tolist() for idx in pairs)
     return DiameterPairSet(frozenset(zip(ii + jj, jj + ii)), value)
 
 
@@ -114,20 +115,25 @@ def check_maximizer_geometry(x: Configuration, pair, y_index: int,
 
 def window_contraction(traj: Trajectory, tau: float,
                        observable: str = "diameter") -> ContractionReport:
-    """Ratios value(t + tau) / value(t) at every sample whose endpoint is also
-    a sample.  Window starts where the observable is below the consensus
-    floor are skipped.  tau must be finite and > 0, as a `Window`'s is.
-    Raises SpanTooShort when the trajectory is shorter than tau.
-    """
-    if not 0 < tau < np.inf:
-        raise ValueError("tau must be finite and > 0")
+    """`series_contraction` of the trajectory's diameters or variances."""
     if observable == "diameter":
         series = traj.diameters
     elif observable == "variance":
         series = traj.variances
     else:
         raise ValueError("observable must be 'diameter' or 'variance'")
-    times = traj.times
+    return series_contraction(traj.times, series, tau)
+
+
+def series_contraction(times, series, tau: float) -> ContractionReport:
+    """Ratios value(t + tau) / value(t) of a series sampled at ``times`` at
+    every sample whose endpoint is also a sample.  Window starts where the
+    value is below the consensus floor are skipped.  tau must be finite and
+    > 0, as a `Window`'s is.  Raises SpanTooShort when the samples span less
+    than tau.
+    """
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be finite and > 0")
     if times[-1] - times[0] + 1e-12 < tau:
         raise SpanTooShort(f"trajectory spans {times[-1] - times[0]}, need {tau}")
 
@@ -216,7 +222,8 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
 
     piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
     energy = np.empty(mids.size)
+    pairs = np.triu_indices(traj.n, 1)
     for part in chunk_slices(mids.size, traj.n * (traj.n - 1) // 2 * traj.d):
         energy[part] = dirichlet_energies(sig.piece_stack[piece[part]],
-                                          traj.states[mids[part]])
+                                          traj.states[mids[part]], pairs)
     return float(np.abs(slope + 2.0 * energy).max())

@@ -87,6 +87,9 @@ def _cases(rng, n_agents, dim, steps):
     hs = np.full(steps, 1e-3)
     rec = np.zeros(steps + 1, dtype=bool)
     rec[0] = rec[-1] = True
+    def discard(lo, block):  # the sink of the rk4 rows
+        pass
+
     cs = _kernels.CuckerSmale(1.0, 1.0)
     linear = _kernels.Constant(1.0)
     star = gen_rotating_star(n_agents, 0.1)
@@ -121,9 +124,10 @@ def _cases(rng, n_agents, dim, steps):
         "signal": lambda: gen_rotating_star(sim_n, SIMULATE_DWELL),
         "grid": lambda: dynamics._build_grid(sim_star, SIMULATE_T_END,
                                              SIMULATE_DT, forced),
-        "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec, cs),
+        "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec, cs,
+                                        discard),
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
-                                               rec, linear),
+                                               rec, linear, discard),
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
         "certify": lambda: certify(pairs, pairs_window, pairs.period,
                                    ("eta", "lambda2")),

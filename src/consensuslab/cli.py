@@ -27,9 +27,9 @@ from .signals import PiecewiseConstantSignal, Window
 SERIES_FLOOR_REL = 1e-14
 
 # Largest step grid a config may ask for, ceil(run.t_end / run.dt).  The grid
-# is built by a Python walk over every step and the integrator records all its
-# samples in one array, so a mistyped dt must fail here instead of stalling or
-# exhausting memory; the reference configs use 1000 steps.
+# is built by a Python walk over every step, with a few arrays of its length,
+# so a mistyped dt must fail here instead of stalling; the recorded states are
+# streamed, so it bounds no record.  The reference configs use 1000 steps.
 MAX_GRID_STEPS = 1_000_000
 # Largest dense (pieces, n, n) array a generated signal's pieces may make, in
 # floats (256 MB).  The dense arrays built from pieces (the blinking pairs'
@@ -322,13 +322,6 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _observables_csv(path: Path, traj) -> None:
-    from . import dynamics
-
-    dynamics.write_csv(path, ["t", "diameter", "variance"], traj.times,
-                       np.column_stack([traj.diameters, traj.variances]))
-
-
 def _check(name, value, threshold, ok):
     return {"name": name, "value": value, "threshold": threshold,
             "verdict": "pass" if ok else "fail"}
@@ -341,7 +334,10 @@ def _window_grid(cfg):
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> OutputBundle:
-    """Integrate one initial configuration; emit trajectory and observables."""
+    """Integrate one initial configuration; emit trajectory and observables.
+
+    The recorded states are written and measured a block at a time, and
+    never held whole."""
     from . import dynamics
 
     if cfg.initial is None:
@@ -349,15 +345,18 @@ def cmd_simulate(cfg: ExperimentConfig) -> OutputBundle:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     x0 = dynamics.Configuration(cfg.n, cfg.d, cfg.initial)
-    traj = dynamics.integrate(x0, cfg.signal, cfg.kernel, cfg.t_end, cfg.dt,
-                              cfg.sample_every, forced_times=_window_grid(cfg))
+    run = dynamics.Integration(x0.positions[None], cfg.signal, cfg.kernel,
+                               cfg.t_end, cfg.dt, cfg.sample_every,
+                               forced_times=_window_grid(cfg))
 
     traj_path = out / "trajectory.csv"
-    traj.to_csv(traj_path)
+    [diameters], [variances] = run.series(
+        (dynamics.diameters, dynamics.variances), [traj_path])
     obs_path = out / "observables.csv"
-    _observables_csv(obs_path, traj)
+    dynamics.write_csv(obs_path, ["t", "diameter", "variance"], run.times,
+                       np.column_stack([diameters, variances]))
 
-    growth = float(np.diff(traj.diameters).max()) if len(traj.times) > 1 else 0.0
+    growth = float(np.diff(diameters).max()) if len(run.times) > 1 else 0.0
     checks = [
         _check("state_finite", True, True, True),
         _check("diameter_nonincreasing", growth, 1e-9, growth <= 1e-9),
@@ -446,27 +445,26 @@ def cmd_verify(cfg: ExperimentConfig) -> OutputBundle:
     runs = [{"run": idx, "consensus_at_t0": bool(flag)}
             for idx, flag in enumerate(at_consensus)]
     live = np.flatnonzero(~at_consensus)
-    trajs = ()
+    series, traj_files = (), []
     if live.size:
         live_starts = starts[live]
-        trajs = dynamics.integrate_batch(
+        run = dynamics.Integration(
             dynamics.dilate(live_starts, live_starts), cfg.signal, cfg.kernel,
             cfg.t_end, cfg.dt, cfg.sample_every, forced_times=_window_grid(cfg))
-    contraction_dicts, fit_dicts, traj_files = [], [], []
-    for idx, traj in zip(live, trajs):
+        observe = (dynamics.diameters if cfg.observable == "diameter"
+                   else dynamics.variances)
         if "trajectories" in cfg.emit:
-            path = out / f"trajectory_{idx:03d}.csv"
-            traj.to_csv(path)
-            traj_files.append(str(path))
-
-        series = traj.diameters if cfg.observable == "diameter" else traj.variances
-        contraction = analysis.window_contraction(traj, cfg.window.tau,
-                                                  cfg.observable)
-        keep = series > SERIES_FLOOR_REL * series[0]
+            traj_files = [str(out / f"trajectory_{idx:03d}.csv") for idx in live]
+        [series] = run.series([observe], traj_files)
+    contraction_dicts, fit_dicts = [], []
+    for idx, values in zip(live, series):
+        contraction = analysis.series_contraction(run.times, values,
+                                                  cfg.window.tau)
+        keep = values > SERIES_FLOOR_REL * values[0]
         if keep.sum() < 3:
             raise ConfigError("run.sample_every", f"run {idx} keeps {keep.sum()} "
                               "samples to fit, need at least 3")
-        fit = analysis.fit_exponential(traj.times[keep], series[keep])
+        fit = analysis.fit_exponential(run.times[keep], values[keep])
         runs[idx].update(
             kappa_hat=contraction.kappa_hat,
             all_strict=contraction.all_strict,

@@ -8,10 +8,18 @@ Laplacian form x' = -(c/n) L(t) x, L = diag(A 1) - A, evaluated as one matrix
 product per stage; on balanced graphs this is exactly the linear balanced
 consensus system.
 
+An `Integration` hands its recorded states to a sink a block at a time (see
+`_kernels.rk4_run`): `integrate_batch` keeps them all in one record, while
+`Integration.series` writes and measures each block and drops it, and
+writes its tables through `staged_csvs`, so a failed run leaves no partial
+file.
+
 Diameters and variances go through one chunk loop, `_per_chunk`, over
 `chunk_slices` of at most _CHUNK_FLOATS floats, sized to the L2 cache; so
-beside the record their memory is bounded for any number of samples, and the
-dissipation residual walks its samples by the same slices.  A diameter is
+beside the samples they are given their memory is bounded for any number of
+samples, and the dissipation residual walks its samples by the same slices.
+Their values do not depend on the chunking, so a block's are those of its
+samples in the whole record.  A diameter is
 the maximum over the pairs i < j of `graphs.pair_squared_distances`, screened
 above _SCREEN_MAX_AGENTS points (Akl & Toussaint's throw-away principle): with
 c the midpoint of a sample's bounding box, r_i = |x_i - c| and R = max r, an
@@ -22,7 +30,9 @@ maximum comes out to the bit.
 """
 from __future__ import annotations
 
+import contextlib
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -136,8 +146,9 @@ def reduce_squared_distances(positions, reduce) -> np.ndarray:
     shape positions.shape[:-2].
     """
     n, d = positions.shape[-2:]
+    pairs = np.triu_indices(n, 1)
     return _per_chunk(positions, n * (n - 1) // 2 * d,
-                      lambda pts: reduce(pair_squared_distances(pts)))
+                      lambda pts: reduce(pair_squared_distances(pts, pairs)))
 
 
 def _diameter_candidates(flat) -> np.ndarray:
@@ -271,9 +282,7 @@ class Trajectory(Record):
 
     def to_csv(self, path) -> None:
         """Write t, x_1_1, ..., x_N_d rows with 17 significant digits."""
-        header = ["t"] + [f"x_{i + 1}_{c + 1}" for i in range(self.n)
-                          for c in range(self.d)]
-        write_csv(path, header, self.times,
+        write_csv(path, state_header(self.n, self.d), self.times,
                   self.states.reshape(len(self.times), -1))
 
 
@@ -283,11 +292,25 @@ def _variances(pts) -> np.ndarray:
     return np.einsum("tic,tic->t", centered, centered) / pts.shape[1]
 
 
+def state_header(n, d) -> list:
+    """Header of a trajectory table: t, x_1_1, ..., x_n_d."""
+    return ["t"] + [f"x_{i + 1}_{c + 1}" for i in range(n) for c in range(d)]
+
+
 def write_csv(path, header, times, rows) -> None:
-    """Write the header, then one ``t, row...`` line per sample.
+    """Write the header, then one ``t, row...`` line per sample, as
+    `append_csv` writes them."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+    append_csv(path, times, rows)
+
+
+def append_csv(path, times, rows) -> None:
+    """Append one ``t, row...`` line per sample to the file at ``path``.
 
     Every value is printed as "%.17g" prints it, 17 significant digits,
-    which round-trips float64.  ``rows`` has shape (T, k); the lines are
+    which round-trips float64, so the text does not depend on how a table
+    is split into calls.  ``rows`` has shape (T, k); the lines are
     formatted by `_text.format_g17` a block of rows at a time, so the
     writer holds the text of one block (at most _CSV_CHUNK_CELLS cells, or
     one row), not of the table.
@@ -295,11 +318,32 @@ def write_csv(path, header, times, rows) -> None:
     from . import _text
 
     step = max(1, _CSV_CHUNK_CELLS // (1 + rows.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "a") as fh:
         for lo in range(0, len(times), step):
             fh.write(_text.format_g17(np.column_stack(
                 [times[lo:lo + step], rows[lo:lo + step]])))
+
+
+@contextlib.contextmanager
+def staged_csvs(paths, header):
+    """Write a set of tables all or none.
+
+    Yields one temporary path per path, next to it and holding the header
+    line, for `append_csv` to fill.  When the block exits cleanly each is
+    renamed to its path; when it raises, every one is removed, so a failed
+    run leaves no partial table behind.
+    """
+    parts = [Path(f"{path}.part") for path in paths]
+    try:
+        for part in parts:
+            part.write_text(",".join(header) + "\n")
+        yield parts
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
+    for part, path in zip(parts, paths):
+        part.replace(path)
 
 
 def _build_grid(sig, t_end, dt, forced_times):
@@ -345,48 +389,105 @@ def _build_grid(sig, t_end, dt, forced_times):
     return times, step_piece, is_forced
 
 
+class Integration(Record):
+    """A batch of starts, shape (B, n, d), to be stepped together by RK4 on
+    one breakpoint-aligned grid over [0, t_end].
+
+    Records every `sample_every`-th accepted step plus the final state;
+    `forced_times` are additionally snapped onto the grid and always
+    recorded (used to place window endpoints on the sample grid).  The
+    recorded times are ``times``, known before anything is integrated.
+    Validates the starts and builds the grid on construction.
+    """
+
+    _fields = ("starts", "signal_ref", "kernel_ref", "times")
+
+    def __init__(self, x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
+                 t_end: float, dt: float, sample_every: int = 1, *,
+                 forced_times=()):
+        x0s = np.asarray(x0s, dtype=np.float64)
+        if x0s.ndim != 3 or x0s.shape[0] < 1:
+            raise ValueError(f"starts must have shape (B, n, d) with B >= 1, "
+                             f"got {x0s.shape}")
+        if sig.n != x0s.shape[1]:
+            raise DimensionMismatch(
+                f"signal n={sig.n}, configuration n={x0s.shape[1]}")
+        if not np.all(np.isfinite(x0s)):
+            raise ValueError("positions must be finite")
+        if not t_end > 0:
+            raise ValueError("t_end must be > 0")
+        if not dt > 0:
+            raise ValueError("dt must be > 0")
+        if sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
+
+        grid, step_piece, is_forced = _build_grid(sig, t_end, dt, forced_times)
+        rec = (np.arange(len(grid)) % sample_every == 0) | is_forced
+        rec[-1] = True
+        vars(self).update(starts=x0s, signal_ref=sig, kernel_ref=kernel,
+                          times=grid[rec], _step_piece=step_piece,
+                          _hs=np.diff(grid), _rec=rec)
+
+    def stream(self, sink) -> None:
+        """Integrate, handing every block of recorded states to
+        ``sink(lo, block)``: ``block`` has shape (k, B, n, d) and holds the
+        states at ``times[lo:lo + k]`` (see `_kernels.rk4_run`).
+        Raises NonFiniteState if a coordinate of any start diverges; the
+        blocks before the one that diverged have reached the sink.
+        """
+        try:
+            _kernels.rk4_run(self.starts, self.signal_ref.piece_stack,
+                             self._step_piece, self._hs, self._rec,
+                             self.kernel_ref, sink)
+        except FloatingPointError as exc:
+            raise NonFiniteState(
+                "integration produced non-finite coordinates") from exc
+
+    def series(self, measures, tables=()) -> list:
+        """Integrate, keeping only what each of ``measures`` (`diameters`,
+        say) makes of every recorded state: one (B, T) array per measure.
+
+        ``tables`` is empty or names one CSV file per start, which gets that
+        start's states as `Trajectory.to_csv` writes them.  They are written
+        a block at a time through `staged_csvs`, so they appear only when
+        the whole run succeeds.  Raises NonFiniteState as `stream` does.
+        """
+        kept = [[] for _ in measures]
+        n, d = self.starts.shape[1:]
+        with staged_csvs(tables, state_header(n, d)) as parts:
+            def sink(lo, block):
+                for values, measure in zip(kept, measures):
+                    values.append(measure(block))
+                times = self.times[lo:lo + len(block)]
+                for b, part in enumerate(parts):
+                    append_csv(part, times, block[:, b].reshape(len(block), -1))
+
+            self.stream(sink)
+        return [np.ascontiguousarray(np.concatenate(values).T) for values in kept]
+
+
 def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
                     t_end: float, dt: float, sample_every: int = 1, *,
                     forced_times=()):
     """Integrate a batch of starts, shape (B, n, d), in one RK4 run.
 
     Every start is stepped on the same breakpoint-aligned grid as
-    `integrate` would use.  Returns an iterator of B Trajectory objects, in
-    batch order; each is copied out of the shared (T, B, n, d) record only
-    when it is reached, so one per-run copy is alive at a time.  A batch of
-    one copies nothing: its Trajectory adopts the record.
+    `integrate` would use.  The blocks of an `Integration`'s stream are
+    kept in one (T, B, n, d) record.  Returns an iterator of B Trajectory
+    objects, in batch order; each is copied out of the record only when it
+    is reached, so one per-run copy is alive at a time.  A batch of one
+    copies nothing: its Trajectory adopts the record.
     Raises NonFiniteState if a coordinate of any start diverges.
     """
-    x0s = np.asarray(x0s, dtype=np.float64)
-    if x0s.ndim != 3 or x0s.shape[0] < 1:
-        raise ValueError(f"starts must have shape (B, n, d) with B >= 1, "
-                         f"got {x0s.shape}")
-    if sig.n != x0s.shape[1]:
-        raise DimensionMismatch(f"signal n={sig.n}, configuration n={x0s.shape[1]}")
-    if not np.all(np.isfinite(x0s)):
-        raise ValueError("positions must be finite")
-    if not t_end > 0:
-        raise ValueError("t_end must be > 0")
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    run = Integration(x0s, sig, kernel, t_end, dt, sample_every,
+                      forced_times=forced_times)
+    states = np.empty((len(run.times),) + run.starts.shape)
 
-    times, step_piece, is_forced = _build_grid(sig, t_end, dt, forced_times)
-    rec = (np.arange(len(times)) % sample_every == 0) | is_forced
-    rec[-1] = True
+    def keep(lo, block):
+        states[lo:lo + len(block)] = block
 
-    try:
-        states = _kernels.rk4_run(x0s, sig.piece_stack, step_piece,
-                                  np.diff(times), rec, kernel)
-    except FloatingPointError as exc:
-        raise NonFiniteState("integration produced non-finite coordinates") from exc
-    # einsum reports no overflow, so a last step can still end non-finite;
-    # NaN and inf fail min/max, so no record-sized mask is built
-    if not (np.isfinite(states.min()) and np.isfinite(states.max())):
-        raise NonFiniteState("integration produced non-finite coordinates")
-    rec_times = times[rec]
-    return (Trajectory(rec_times, states[:, b], sig, kernel)
+    run.stream(keep)
+    return (Trajectory(run.times, states[:, b], sig, kernel)
             for b in range(states.shape[1]))
 
 

@@ -189,32 +189,31 @@ def algebraic_connectivity(adj: AdjacencyMatrix) -> float:
     return float(algebraic_connectivity_batch(adj.entries[None])[0])
 
 
-def pair_squared_distances(positions) -> np.ndarray:
+def pair_squared_distances(positions, pairs=None) -> np.ndarray:
     """|x_i - x_j|^2 over the pairs i < j of (..., n, d) positions, in
     `np.triu_indices(n, 1)` order; shape (..., n(n-1)/2).
 
-    For more than one sample the result lays the sample axis innermost
-    (einsum's output order), so a sum over the pairs of one sample is a
-    strided reduction whose rounding depends on how many samples the call
-    got; a maximum, as `dynamics.diameters` takes, does not.
+    ``pairs`` is that (i, j) index pair, built here when not given; a
+    caller that makes many calls at one n builds it once and passes it.
+    The points are gathered with `np.take`, so the result is C-ordered,
+    the pairs of each sample contiguous whatever the sample count.
     """
-    i, j = np.triu_indices(positions.shape[-2], 1)
-    diff = positions[..., i, :]
-    diff -= positions[..., j, :]
+    i, j = np.triu_indices(positions.shape[-2], 1) if pairs is None else pairs
+    diff = np.take(positions, i, -2)
+    diff -= np.take(positions, j, -2)
     return np.einsum("...pc,...pc->...p", diff, diff)
 
 
-def dirichlet_energies(entries, positions) -> np.ndarray:
+def dirichlet_energies(entries, positions, pairs=None) -> np.ndarray:
     """(1/(2 n^2)) * sum_ij a_ij |x_i - x_j|^2 of (..., n, n) entries and
-    (..., n, d) positions, over the pairs i < j; shape (...)."""
+    (..., n, d) positions, over the pairs i < j; shape (...).  ``pairs`` is
+    as in `pair_squared_distances`."""
     n = entries.shape[-1]
-    i, j = np.triu_indices(n, 1)
+    i, j = np.triu_indices(n, 1) if pairs is None else pairs
     # `take` along the flat last axis gathers faster than [..., i, j]
     flat = entries.reshape(*entries.shape[:-2], n * n)
     weights = np.take(flat, i * n + j, -1) + np.take(flat, j * n + i, -1)
-    # a sum over the pairs rounds by its terms' layout: C order keeps the
-    # pairs of each sample contiguous, whatever the distances' layout
-    terms = np.multiply(weights, pair_squared_distances(positions), order="C")
+    terms = weights * pair_squared_distances(positions, (i, j))
     return terms.sum(axis=-1) / (2.0 * n**2)
 
 

@@ -339,9 +339,10 @@ def dissipation_residual_per_piece(traj, sig):
     piece's samples through `dynamics.reduce_squared_distances`, as
     `variance_dissipation_residual` took it before it walked chunks.
 
-    Its sums are per sample, pairwise over the pairs, only with one sample a
-    chunk (`_CHUNK_FLOATS` = 1): with more, `pair_squared_distances` lays the
-    sample axis innermost, and `sum(axis=1)` adds the pairs in sequence.
+    Its sums are per sample, pairwise over the contiguous pairs of each
+    sample.  `pair_squared_distances` once laid the sample axis innermost,
+    so `sum(axis=1)` added the pairs in sequence unless a chunk held one
+    sample (`_CHUNK_FLOATS` = 1), as the callers still set it.
     """
     times = traj.times
     var = traj.variances
@@ -403,3 +404,33 @@ def cumulative_cumsum(sig):
     `np.cumsum` over the duration-weighted stack."""
     durations = np.diff(sig.breakpoints)
     return np.cumsum(durations[:, None, None] * sig.piece_stack, axis=0)
+
+
+def pair_squares_indexed(positions):
+    """|x_i - x_j|^2 over the pairs i < j, one (n, d) sample at a time,
+    gathered by advanced indexing and summed over the coordinates by
+    einsum."""
+    n = positions.shape[-2]
+    i, j = np.triu_indices(n, 1)
+    flat = positions.reshape(-1, n, positions.shape[-1])
+    out = np.empty((len(flat), len(i)))
+    for s, x in enumerate(flat):
+        diff = x[i] - x[j]
+        out[s] = np.einsum("pc,pc->p", diff, diff)
+    return out.reshape(positions.shape[:-2] + (len(i),))
+
+
+def dirichlet_energies_loop(entries, positions):
+    """(1/(2 n^2)) * sum over i < j of (a_ij + a_ji) |x_i - x_j|^2, one
+    sample at a time: the pair weights by advanced indexing, the squares by
+    `pair_squares_indexed` and one contiguous sum over the pairs."""
+    n = entries.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    shape = np.broadcast_shapes(entries.shape[:-2], positions.shape[:-2])
+    entries = np.broadcast_to(entries, shape + (n, n)).reshape(-1, n, n)
+    positions = np.broadcast_to(positions, shape + positions.shape[-2:])
+    squares = pair_squares_indexed(positions).reshape(len(entries), -1)
+    out = np.empty(len(entries))
+    for s, (a, sq) in enumerate(zip(entries, squares)):
+        out[s] = ((a[i, j] + a[j, i]) * sq).sum() / (2.0 * n**2)
+    return out.reshape(shape)

@@ -329,6 +329,29 @@ class TestSimulate:
         assert peak < 6 << 20
 
 
+    def test_long_simulate_memory_bound(self, tmp_path):
+        # 10^4 steps of the pipeline benchmark's simulate: the (10001, 1,
+        # 128, 2) record would take 20.5 MB, but the run streams it and
+        # holds a few blocks of it and the two 10001-sample series
+        data = {
+            "system": {"n": 128, "d": 2, "kernel": {"form": "constant", "c": 1.0}},
+            "signal": {"type": "rotating_star", "dwell": 0.05},
+            "window": {"tau": 1.0, "mu": 0.01},
+            "run": {"t_end": 100.0, "dt": 0.01},
+            "initial": np.random.default_rng(4).normal(size=(128, 2)).tolist(),
+            "outputs": {"dir": str(tmp_path / "warm")},
+        }
+        cmd_simulate(parse_config(dict(data, run={"t_end": 1.0, "dt": 0.01})))
+        data["outputs"] = {"dir": str(tmp_path / "out")}
+        tracemalloc.start()
+        try:
+            cmd_simulate(parse_config(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * cl._kernels._RECORD_BLOCK_FLOATS + 2 * 8 * 10001
+
+
 class TestCertify:
     def test_blinking_pass(self, tmp_path):
         bundle = cmd_certify(parse_config(blinking_config(tmp_path)))
@@ -536,6 +559,55 @@ class TestVerify:
                          traj.states.reshape(len(traj.times), -1))
             assert ((tmp_path / f"trajectory_{idx:03d}.csv").read_bytes()
                     == want.read_bytes())
+
+    def test_sweep_memory_below_the_record(self, tmp_path):
+        # the pipeline benchmark's verify: 32 runs of 1001 samples of 5
+        # agents in the plane.  The sweep streams its (1001, 32, 5, 2)
+        # record, so it peaks below the 2.56 MB the record would take
+        data = {
+            "system": {"n": 5, "d": 2,
+                       "kernel": {"form": "cucker_smale", "K": 1.0, "beta": 1.0}},
+            "signal": {"type": "rotating_star", "dwell": 0.2},
+            "window": {"tau": 1.0, "mu": 0.04},
+            "run": {"t_end": 10.0, "dt": 0.01, "sample_every": 1},
+            "sweep": {"num_initial": 32, "init_set": "unit_ball", "seed": 0},
+            "outputs": {"dir": str(tmp_path / "warm")},
+        }
+        cmd_verify(parse_config(dict(data, run={"t_end": 1.0, "dt": 0.01})))
+        data["outputs"] = {"dir": str(tmp_path / "out")}
+        tracemalloc.start()
+        try:
+            cmd_verify(parse_config(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1001 * 32 * 5 * 2 * 8
+
+    @pytest.mark.parametrize("floats", (1, None), ids=("1", "default"))
+    def test_diverging_sweep_leaves_no_trajectories(self, tmp_path, capsys,
+                                                    monkeypatch, floats):
+        # as the diverging simulate, with every run's table asked for; at one
+        # sample a block, each table has rows before the overflow, and the
+        # failed run removes them all
+        if floats is not None:
+            monkeypatch.setattr(cl._kernels, "_RECORD_BLOCK_FLOATS", floats)
+        data = {
+            "system": {"n": 4, "d": 1, "kernel": {"form": "constant", "c": 1e6}},
+            "signal": {"type": "rotating_star", "dwell": 1.0},
+            "window": {"tau": 4.0, "mu": 0.01},
+            "run": {"t_end": 4000.0, "dt": 1.0},
+            "sweep": {"num_initial": 3, "seed": 1},
+            "outputs": {"dir": str(tmp_path / "out"), "emit": ["trajectories"]},
+        }
+        path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--config", str(path)])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: integration produced non-finite coordinates"]
+        assert list((tmp_path / "out").glob("trajectory_*")) == []
 
     def test_sweep_required(self, tmp_path):
         data = self.verify_config(tmp_path)

@@ -10,8 +10,8 @@ from consensuslab.errors import (
     NonFiniteState,
 )
 
-from consensuslab import dynamics
-from consensuslab.cli import _observables_csv
+from consensuslab import _kernels, dynamics
+from consensuslab.cli import cmd_simulate, parse_config
 
 from oracles import (csv_per_cell, diameters_broadcast, two_agent_closed_form,
                      variances_whole)
@@ -234,6 +234,43 @@ class TestStabilityEstimates:
             assert np.all(traj.diameters >= floor)
 
 
+class TestStream:
+    @pytest.mark.parametrize("floats", (1, 7, None), ids=("1", "7", "whole"))
+    @pytest.mark.parametrize("batch", (1, 3))
+    @pytest.mark.parametrize("kernel", (cl.Constant(1.3), cl.CuckerSmale(0.9, 1.4)),
+                             ids=("constant", "cucker_smale"))
+    def test_blocks_concatenate_to_the_record(self, monkeypatch, kernel, batch,
+                                              floats):
+        # every third step and the forced times recorded: the blocks come in
+        # order, each as large as the block size allows, and join bit for bit
+        # into the record that `integrate_batch` keeps; so do the diameters
+        # and variances measured a block at a time
+        rng = np.random.default_rng(61)
+        starts = rng.normal(size=(batch, 5, 2))
+        sig = cl.gen_rotating_star(5, 0.15)
+        args = (starts, sig, kernel, 1.0, 2e-2, 3)
+        forced = [0.33, 0.5, 0.71]
+        trajs = list(cl.integrate_batch(*args, forced_times=forced))
+        record = np.stack([traj.states for traj in trajs], axis=1)
+        run = dynamics.Integration(*args, forced_times=forced)
+        assert len(np.unique(np.diff(run.times).round(9))) > 1  # gaps in rec
+        assert np.array_equal(run.times, trajs[0].times)
+
+        floats = floats or record.size
+        monkeypatch.setattr(_kernels, "_RECORD_BLOCK_FLOATS", floats)
+        blocks, starts_at = [], []
+        run.stream(lambda lo, block: (starts_at.append(lo),
+                                      blocks.append(block.copy())))
+        rows = max(1, floats // starts.size)
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert starts_at == [rows * k for k in range(len(blocks))]
+        assert np.array_equal(np.concatenate(blocks), record)
+        for name in ("diameters", "variances"):
+            per_block = np.concatenate([getattr(dynamics, name)(b) for b in blocks])
+            for b, traj in enumerate(trajs):
+                assert np.array_equal(per_block[:, b], getattr(traj, name)), name
+
+
 class TestIntegrateBatch:
     def test_each_start_equals_its_own_run(self):
         rng = np.random.default_rng(44)
@@ -259,21 +296,19 @@ class TestIntegrateBatch:
         for traj in cl.integrate_batch(starts, sig, kernel, 1.0, 2e-2):
             assert traj.states.flags.c_contiguous
 
-    def test_single_run_adopts_the_record(self, monkeypatch):
-        # each record rk4_run returns; a batch run keeps a copy per start
-        rk4_run, records = dynamics._kernels.rk4_run, []
-        monkeypatch.setattr(dynamics._kernels, "rk4_run", lambda *args: (
-            records.append(rk4_run(*args)) or records[-1]))
+    def test_single_run_adopts_the_record(self):
+        # the streamed blocks are kept in one (T, B, n, d) record; a single
+        # run's Trajectory is a view of it, a batch run's a copy per start
         starts = np.random.default_rng(46).normal(size=(2, 4, 2))
         one = cl.integrate(config(starts[0]), cl.gen_rotating_star(4, 0.15),
                            cl.Constant(1.0), 1.0, 2e-2)
-        assert np.shares_memory(one.states, records[0])
+        assert one.states.base.shape == (len(one.times), 1, 4, 2)
         runs = list(cl.integrate_batch(starts, cl.gen_rotating_star(4, 0.15),
                                        cl.Constant(1.0), 1.0, 2e-2))
         for traj in [one] + runs:
             assert not traj.states.flags.writeable
         for traj in runs:
-            assert not np.shares_memory(traj.states, records[1])
+            assert traj.states.base is None
 
     def test_non_contiguous_states_are_copied(self):
         states = np.random.default_rng(47).normal(size=(5, 3, 4))[:, :, ::2]
@@ -551,14 +586,23 @@ class TestTrajectoryExport:
                 == (tmp_path / "want.csv").read_bytes())
 
     def test_observables_csv_matches_per_cell_writer(self, tmp_path):
-        traj = cl.integrate(config([[0.0, 3.0], [-0.0, 1e-300], [2.0, -1.0]]),
-                            cl.gen_rotating_star(3, 0.2), cl.Constant(1.0),
-                            1.0, 0.05)
-        _observables_csv(tmp_path / "got.csv", traj)
+        # simulate measures and writes its observables a block at a time;
+        # the file is what the per-cell writer makes of the whole run's
+        start = [[0.0, 3.0], [-0.0, 1e-300], [2.0, -1.0]]
+        traj = cl.integrate(config(start), cl.gen_rotating_star(3, 0.2),
+                            cl.Constant(1.0), 1.0, 0.05)
+        cmd_simulate(parse_config({
+            "system": {"n": 3, "d": 2, "kernel": {"form": "constant", "c": 1.0}},
+            "signal": {"type": "rotating_star", "dwell": 0.2},
+            "window": {"tau": 1.0, "mu": 0.01},
+            "run": {"t_end": 1.0, "dt": 0.05},
+            "initial": start,
+            "outputs": {"dir": str(tmp_path)},
+        }))
         csv_per_cell(tmp_path / "want.csv", ["t", "diameter", "variance"],
                      traj.times,
                      np.column_stack([traj.diameters, traj.variances]))
-        assert ((tmp_path / "got.csv").read_bytes()
+        assert ((tmp_path / "observables.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
     def test_csv_round_trip(self, tmp_path):

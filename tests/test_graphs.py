@@ -5,10 +5,13 @@ import consensuslab as cl
 from consensuslab import _kernels
 from consensuslab.errors import DimensionMismatch, UnbalancedGraph
 from consensuslab.graphs import (algebraic_connectivity_batch,
-                                 dirichlet_energies, unbalanced)
+                                 dirichlet_energies, pair_squared_distances,
+                                 unbalanced)
 
-from oracles import (lambda2_eigh, lambda2_householder, lambda2_rayleigh_grid,
-                     scrambling_broadcast, scrambling_direct)
+from oracles import (dirichlet_energies_loop, lambda2_eigh,
+                     lambda2_householder, lambda2_rayleigh_grid,
+                     pair_squares_indexed, scrambling_broadcast,
+                     scrambling_direct)
 
 
 def adj(entries):
@@ -287,6 +290,22 @@ class TestBatchedMetrics:
         assert algebraic_connectivity_batch(np.delete(stack, 3, axis=0)).shape == (4,)
 
 
+class TestPairSquaredDistances:
+    def test_equals_per_sample_indexed_gather(self):
+        # bit for bit, C-ordered, whatever the batch shape, and the same
+        # with the pair indices passed in
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            batch = tuple(rng.integers(1, 5, size=int(rng.integers(0, 3))))
+            positions = rng.normal(size=batch + (n, d))
+            got = pair_squared_distances(positions)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, pair_squares_indexed(positions))
+            pairs = np.triu_indices(n, 1)
+            assert np.array_equal(pair_squared_distances(positions, pairs), got)
+
+
 class TestDirichletEnergy:
     def test_coincident_zero(self):
         x = config(np.zeros((4, 2)))
@@ -319,6 +338,21 @@ class TestDirichletEnergy:
                 got = cl.dirichlet_energy(adj(entries[k]), config(positions[k]))
                 assert got == dirichlet_energies(entries[k], positions[k]) \
                     == batch[k]
+
+    def test_energies_equal_per_sample_loop(self):
+        # bit for bit the per-sample sum, for stacks of entries and of
+        # positions, one matrix against many positions, and one of each
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+            entries = rng.random((3, n, n)) * (rng.random((3, n, n)) < 0.6)
+            entries[:, np.arange(n), np.arange(n)] = 1.0
+            positions = rng.normal(size=(3, n, d))
+            for a in (entries, entries[0]):
+                assert np.array_equal(dirichlet_energies(a, positions),
+                                      dirichlet_energies_loop(a, positions))
+            got = cl.dirichlet_energy(adj(entries[0]), config(positions[0]))
+            assert got == dirichlet_energies_loop(entries[0], positions[0])
 
     def test_energy_on_hub_view_pieces(self):
         # the rotating star's pieces are strided views of one hub pattern

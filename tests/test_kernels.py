@@ -13,6 +13,15 @@ from oracles import (csv_per_cell, lambda2_eigh, repr_join, rhs_direct,
                      rk4_direct)
 
 
+def rk4_record(x0, pieces, piece_idx, hs, rec, kernel):
+    """The blocks `rk4_run` hands its sink, concatenated: every recorded
+    state, shape (recorded,) + x0.shape."""
+    blocks = []
+    kernels.rk4_run(x0, pieces, piece_idx, hs, rec, kernel,
+                    lambda lo, block: blocks.append(block.copy()))
+    return np.concatenate(blocks)
+
+
 def random_case(seed, n=7, d=3):
     rng = np.random.default_rng(seed)
     pos = rng.normal(size=(n, d))
@@ -43,7 +52,7 @@ def test_rk4_matches_loop_rk4(kernel):
     rec = np.zeros(steps + 1, dtype=bool)
     rec[::7] = True
     rec[-1] = True
-    got = kernels.rk4_run(pos, np.stack([adj]), np.zeros(steps, dtype=np.int64),
+    got = rk4_record(pos, np.stack([adj]), np.zeros(steps, dtype=np.int64),
                           np.full(steps, h), rec, kernel)
     want = rk4_direct(pos, adj, h, steps, kernel)
     assert np.allclose(got, want[rec], rtol=1e-12, atol=1e-14)
@@ -70,7 +79,7 @@ def test_rk4_equals_per_stage_rhs(kernel):
             k4 = kernels.rhs_velocity(x + h * k3, pieces[p], kernel)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             want.append(x)
-        got = kernels.rk4_run(want[0], pieces, piece_idx, hs, rec, kernel)
+        got = rk4_record(want[0], pieces, piece_idx, hs, rec, kernel)
         assert np.array_equal(got, np.stack(want)), (n, d)
 
 
@@ -99,10 +108,10 @@ def test_rk4_batch_equals_single_starts(kernel, batch):
         pieces = rng.random((3, n, n))
         for d in (1, 2, 3):
             x0s = rng.normal(size=batch + (n, d))
-            got = kernels.rk4_run(x0s, pieces, piece_idx, hs, rec, kernel)
+            got = rk4_record(x0s, pieces, piece_idx, hs, rec, kernel)
             assert got.shape == (np.count_nonzero(rec),) + x0s.shape
             for b in np.ndindex(batch):
-                one = kernels.rk4_run(x0s[b], pieces, piece_idx, hs, rec, kernel)
+                one = rk4_record(x0s[b], pieces, piece_idx, hs, rec, kernel)
                 assert np.array_equal(got[(slice(None),) + b], one), (n, d, b)
 
 
@@ -121,15 +130,15 @@ def test_rk4_on_star_view_equals_contiguous_stack(kernel, batch):
         assert not view.flags.c_contiguous
         piece_idx = rng.integers(0, n, size=steps)
         x0s = rng.normal(size=(batch, n, 2))
-        got = kernels.rk4_run(x0s, view, piece_idx, hs, rec, kernel)
-        want = kernels.rk4_run(x0s, np.ascontiguousarray(view), piece_idx, hs,
+        got = rk4_record(x0s, view, piece_idx, hs, rec, kernel)
+        want = rk4_record(x0s, np.ascontiguousarray(view), piece_idx, hs,
                                rec, kernel)
         assert np.array_equal(got, want), n
 
 
 @pytest.mark.parametrize("kernel", KERNEL_CASES)
 def test_rk4_layout_contract(kernel):
-    # the record is C-ordered (n, d) states, the start is not written to,
+    # every block is C-ordered (n, d) states, the start is not written to,
     # and a strided start steps exactly like its contiguous copy
     rng = np.random.default_rng(13)
     n, d, steps = 6, 3, 20
@@ -137,15 +146,18 @@ def test_rk4_layout_contract(kernel):
     piece_idx, hs, rec = random_grid(rng, steps)
     x0 = rng.normal(size=(4, n, d))
     before = x0.copy()
-    got = kernels.rk4_run(x0, pieces, piece_idx, hs, rec, kernel)
-    assert got.flags.c_contiguous
+    layouts = []
+    kernels.rk4_run(x0, pieces, piece_idx, hs, rec, kernel, lambda lo, block:
+                    layouts.append((block.flags.c_contiguous, block.shape[1:])))
+    assert layouts == [(True, x0.shape)]
+    got = rk4_record(x0, pieces, piece_idx, hs, rec, kernel)
     assert np.array_equal(x0, before)
     assert np.array_equal(got[0], x0)
 
     strided = rng.normal(size=(d, n, 8)).T[::2]  # shape (4, n, d), no unit stride
     assert not strided.flags.c_contiguous
-    want = kernels.rk4_run(strided.copy(), pieces, piece_idx, hs, rec, kernel)
-    got = kernels.rk4_run(strided, pieces, piece_idx, hs, rec, kernel)
+    want = rk4_record(strided.copy(), pieces, piece_idx, hs, rec, kernel)
+    got = rk4_record(strided, pieces, piece_idx, hs, rec, kernel)
     assert np.array_equal(got, want)
 
 
