@@ -1,6 +1,6 @@
 """Float text for the CSV and JSON writers, vectorized with numpy.
 
-`dynamics.write_csv` and `cli._json_text` import this module when they
+`dynamics.append_csv` and `cli._json_text` import this module when they
 first format, so only a process that writes such text loads it.
 
 `format_g17` prints a table exactly as Python's "%.17g" prints each cell,

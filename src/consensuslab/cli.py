@@ -344,8 +344,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> OutputBundle:
         raise ConfigError("initial", "simulate requires an initial configuration")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    x0 = dynamics.Configuration(cfg.n, cfg.d, cfg.initial)
-    run = dynamics.Integration(x0.positions[None], cfg.signal, cfg.kernel,
+    run = dynamics.Integration(cfg.initial[None], cfg.signal, cfg.kernel,
                                cfg.t_end, cfg.dt, cfg.sample_every,
                                forced_times=_window_grid(cfg))
 

@@ -8,11 +8,13 @@ Laplacian form x' = -(c/n) L(t) x, L = diag(A 1) - A, evaluated as one matrix
 product per stage; on balanced graphs this is exactly the linear balanced
 consensus system.
 
-An `Integration` hands its recorded states to a sink a block at a time (see
-`_kernels.rk4_run`): `integrate_batch` keeps them all in one record, while
-`Integration.series` writes and measures each block and drops it, and
-writes its tables through `staged_csvs`, so a failed run leaves no partial
-file.
+An `Integration` is read through `Integration.series`, the one caller of
+`_kernels.rk4_run`: each of its measures maps every block of recorded
+states to values kept in one array per measure, and its tables are written
+a block at a time.  `simulate` and `verify` keep only diameter or variance
+series; `integrate_batch` measures the identity and so keeps the
+(B, T, n, d) record.  Every CSV is written through `staged_csvs`, so a
+failed run leaves no partial file.
 
 Diameters and variances go through one chunk loop, `_per_chunk`, over
 `chunk_slices` of at most _CHUNK_FLOATS floats, sized to the L2 cache; so
@@ -93,7 +95,7 @@ class Configuration(Record):
 # Below 2^15 a verify sweep's (1001, 5, 2) run would take its 20 floats a
 # sample of pair differences in two chunks instead of one.
 _CHUNK_FLOATS = 1 << 15
-# cells per block of rows that `write_csv` formats at once.  A block's text
+# cells per block of rows that `append_csv` formats at once.  A block's text
 # and scratch arrays take about 0.22 kB a cell, 0.85 MB at 4096 cells.  A
 # (1001, 257) table took 22.3 ms in 4096-cell blocks, against 34.2, 25.6,
 # 23.4, 22.1 and 26.1 ms in 1024-, 2048-, 3072-, 6144- and 8192-cell ones
@@ -299,10 +301,10 @@ def state_header(n, d) -> list:
 
 def write_csv(path, header, times, rows) -> None:
     """Write the header, then one ``t, row...`` line per sample, as
-    `append_csv` writes them."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-    append_csv(path, times, rows)
+    `append_csv` writes them; through `staged_csvs`, so the file appears
+    only when every line is written."""
+    with staged_csvs([path], header) as [part]:
+        append_csv(part, times, rows)
 
 
 def append_csv(path, times, rows) -> None:
@@ -397,7 +399,8 @@ class Integration(Record):
     `forced_times` are additionally snapped onto the grid and always
     recorded (used to place window endpoints on the sample grid).  The
     recorded times are ``times``, known before anything is integrated.
-    Validates the starts and builds the grid on construction.
+    Every start is stepped on the same grid, and is bit-identical to its
+    own run.  Validates the starts and builds the grid on construction.
     """
 
     _fields = ("starts", "signal_ref", "kernel_ref", "times")
@@ -428,81 +431,70 @@ class Integration(Record):
                           times=grid[rec], _step_piece=step_piece,
                           _hs=np.diff(grid), _rec=rec)
 
-    def stream(self, sink) -> None:
-        """Integrate, handing every block of recorded states to
-        ``sink(lo, block)``: ``block`` has shape (k, B, n, d) and holds the
-        states at ``times[lo:lo + k]`` (see `_kernels.rk4_run`).
-        Raises NonFiniteState if a coordinate of any start diverges; the
-        blocks before the one that diverged have reached the sink.
-        """
-        try:
-            _kernels.rk4_run(self.starts, self.signal_ref.piece_stack,
-                             self._step_piece, self._hs, self._rec,
-                             self.kernel_ref, sink)
-        except FloatingPointError as exc:
-            raise NonFiniteState(
-                "integration produced non-finite coordinates") from exc
-
     def series(self, measures, tables=()) -> list:
-        """Integrate, keeping only what each of ``measures`` (`diameters`,
-        say) makes of every recorded state: one (B, T) array per measure.
+        """Integrate, keeping only what each of ``measures`` makes of every
+        recorded state: one (B, T, ...) array per measure.
+
+        A measure maps a (k, B, n, d) block of states (see
+        `_kernels.rk4_run`) to a (k, B, ...) array: `diameters` gives the
+        (B, T) diameter series, ``lambda block: block`` the (B, T, n, d)
+        record.  Each array is allocated from the first block's values and
+        filled a block at a time.
 
         ``tables`` is empty or names one CSV file per start, which gets that
         start's states as `Trajectory.to_csv` writes them.  They are written
         a block at a time through `staged_csvs`, so they appear only when
-        the whole run succeeds.  Raises NonFiniteState as `stream` does.
+        the whole run succeeds.  Raises NonFiniteState if a coordinate of
+        any start diverges.
         """
-        kept = [[] for _ in measures]
+        kept = [None] * len(measures)
         n, d = self.starts.shape[1:]
         with staged_csvs(tables, state_header(n, d)) as parts:
             def sink(lo, block):
-                for values, measure in zip(kept, measures):
-                    values.append(measure(block))
-                times = self.times[lo:lo + len(block)]
+                hi = lo + len(block)
+                for k, measure in enumerate(measures):
+                    values = np.swapaxes(measure(block), 0, 1)
+                    if kept[k] is None:
+                        kept[k] = np.empty(values.shape[:1] + self.times.shape
+                                           + values.shape[2:], values.dtype)
+                    kept[k][:, lo:hi] = values
                 for b, part in enumerate(parts):
-                    append_csv(part, times, block[:, b].reshape(len(block), -1))
+                    append_csv(part, self.times[lo:hi],
+                               block[:, b].reshape(len(block), -1))
 
-            self.stream(sink)
-        return [np.ascontiguousarray(np.concatenate(values).T) for values in kept]
+            try:
+                _kernels.rk4_run(self.starts, self.signal_ref.piece_stack,
+                                 self._step_piece, self._hs, self._rec,
+                                 self.kernel_ref, sink)
+            except FloatingPointError as exc:
+                raise NonFiniteState(
+                    "integration produced non-finite coordinates") from exc
+        return kept
 
 
 def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
                     t_end: float, dt: float, sample_every: int = 1, *,
-                    forced_times=()):
-    """Integrate a batch of starts, shape (B, n, d), in one RK4 run.
+                    forced_times=()) -> list:
+    """Integrate a batch of starts, shape (B, n, d), as one `Integration`.
 
-    Every start is stepped on the same breakpoint-aligned grid as
-    `integrate` would use.  The blocks of an `Integration`'s stream are
-    kept in one (T, B, n, d) record.  Returns an iterator of B Trajectory
-    objects, in batch order; each is copied out of the record only when it
-    is reached, so one per-run copy is alive at a time.  A batch of one
-    copies nothing: its Trajectory adopts the record.
-    Raises NonFiniteState if a coordinate of any start diverges.
+    Returns B Trajectory objects in batch order, each a read-only view of
+    one (B, T, n, d) record.  Raises NonFiniteState if a coordinate of any
+    start diverges.
     """
     run = Integration(x0s, sig, kernel, t_end, dt, sample_every,
                       forced_times=forced_times)
-    states = np.empty((len(run.times),) + run.starts.shape)
-
-    def keep(lo, block):
-        states[lo:lo + len(block)] = block
-
-    run.stream(keep)
-    return (Trajectory(run.times, states[:, b], sig, kernel)
-            for b in range(states.shape[1]))
+    [record] = run.series([lambda block: block])
+    return [Trajectory(run.times, states, sig, kernel) for states in record]
 
 
 def integrate(x0: Configuration, sig: PiecewiseConstantSignal, kernel: Kernel,
               t_end: float, dt: float, sample_every: int = 1, *,
               forced_times=()) -> Trajectory:
-    """Fixed-step RK4 run over [0, t_end], breakpoint-aligned.
-
-    Records every `sample_every`-th accepted step plus the final state;
-    `forced_times` are additionally snapped onto the grid and always recorded
-    (used to place window endpoints on the sample grid).  Deterministic.
-    Raises NonFiniteState if a coordinate diverges.
-    """
-    return next(integrate_batch(x0.positions[None], sig, kernel, t_end, dt,
-                                sample_every, forced_times=forced_times))
+    """Fixed-step RK4 run of one start over [0, t_end]: `integrate_batch`
+    of a batch of one.  Deterministic."""
+    [traj] = integrate_batch(x0.positions[None], sig, kernel, t_end, dt,
+                             sample_every, forced_times=forced_times)
+    return traj
 
 
 def dilate(states, origin) -> np.ndarray:

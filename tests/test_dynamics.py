@@ -10,7 +10,8 @@ from consensuslab.errors import (
     NonFiniteState,
 )
 
-from consensuslab import _kernels, dynamics
+from consensuslab import _kernels, _text, dynamics
+from consensuslab.dynamics import state_header
 from consensuslab.cli import cmd_simulate, parse_config
 
 from oracles import (csv_per_cell, diameters_broadcast, two_agent_closed_form,
@@ -241,16 +242,17 @@ class TestStream:
                              ids=("constant", "cucker_smale"))
     def test_blocks_concatenate_to_the_record(self, monkeypatch, kernel, batch,
                                               floats):
-        # every third step and the forced times recorded: the blocks come in
-        # order, each as large as the block size allows, and join bit for bit
-        # into the record that `integrate_batch` keeps; so do the diameters
-        # and variances measured a block at a time
+        # every third step and the forced times recorded: `series` hands its
+        # measures the blocks in order, each as large as the block size
+        # allows, and they join bit for bit into the record that
+        # `integrate_batch` keeps; so do the diameters and variances
+        # measured a block at a time
         rng = np.random.default_rng(61)
         starts = rng.normal(size=(batch, 5, 2))
         sig = cl.gen_rotating_star(5, 0.15)
         args = (starts, sig, kernel, 1.0, 2e-2, 3)
         forced = [0.33, 0.5, 0.71]
-        trajs = list(cl.integrate_batch(*args, forced_times=forced))
+        trajs = cl.integrate_batch(*args, forced_times=forced)
         record = np.stack([traj.states for traj in trajs], axis=1)
         run = dynamics.Integration(*args, forced_times=forced)
         assert len(np.unique(np.diff(run.times).round(9))) > 1  # gaps in rec
@@ -258,17 +260,21 @@ class TestStream:
 
         floats = floats or record.size
         monkeypatch.setattr(_kernels, "_RECORD_BLOCK_FLOATS", floats)
-        blocks, starts_at = [], []
-        run.stream(lambda lo, block: (starts_at.append(lo),
-                                      blocks.append(block.copy())))
+        blocks = []
+
+        def recording(block):
+            blocks.append(block.copy())
+            return block[:, :, 0, 0]
+
+        firsts, diams, variances = run.series(
+            [recording, dynamics.diameters, dynamics.variances])
         rows = max(1, floats // starts.size)
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert starts_at == [rows * k for k in range(len(blocks))]
         assert np.array_equal(np.concatenate(blocks), record)
-        for name in ("diameters", "variances"):
-            per_block = np.concatenate([getattr(dynamics, name)(b) for b in blocks])
-            for b, traj in enumerate(trajs):
-                assert np.array_equal(per_block[:, b], getattr(traj, name)), name
+        assert np.array_equal(firsts, record[:, :, 0, 0].T)
+        for b, traj in enumerate(trajs):
+            assert np.array_equal(diams[b], traj.diameters)
+            assert np.array_equal(variances[b], traj.variances)
 
 
 class TestIntegrateBatch:
@@ -297,18 +303,23 @@ class TestIntegrateBatch:
             assert traj.states.flags.c_contiguous
 
     def test_single_run_adopts_the_record(self):
-        # the streamed blocks are kept in one (T, B, n, d) record; a single
-        # run's Trajectory is a view of it, a batch run's a copy per start
+        # the blocks are kept in one (B, T, n, d) record, and every run's
+        # Trajectory, a single run's too, is a read-only view of it
         starts = np.random.default_rng(46).normal(size=(2, 4, 2))
         one = cl.integrate(config(starts[0]), cl.gen_rotating_star(4, 0.15),
                            cl.Constant(1.0), 1.0, 2e-2)
-        assert one.states.base.shape == (len(one.times), 1, 4, 2)
-        runs = list(cl.integrate_batch(starts, cl.gen_rotating_star(4, 0.15),
-                                       cl.Constant(1.0), 1.0, 2e-2))
+        assert one.states.base.shape == (1, len(one.times), 4, 2)
+        runs = cl.integrate_batch(starts, cl.gen_rotating_star(4, 0.15),
+                                  cl.Constant(1.0), 1.0, 2e-2)
+        assert len(runs) == 2
+        base = runs[0].states.base
+        assert base.shape == (2, len(one.times), 4, 2)
         for traj in [one] + runs:
+            assert traj.states.flags.c_contiguous
             assert not traj.states.flags.writeable
-        for traj in runs:
-            assert traj.states.base is None
+        for b, traj in enumerate(runs):
+            assert traj.states.base is base
+            assert np.shares_memory(traj.states, base[b])
 
     def test_non_contiguous_states_are_copied(self):
         states = np.random.default_rng(47).normal(size=(5, 3, 4))[:, :, ::2]
@@ -604,6 +615,56 @@ class TestTrajectoryExport:
                      np.column_stack([traj.diameters, traj.variances]))
         assert ((tmp_path / "observables.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
+
+    @pytest.fixture
+    def failing_format(self, monkeypatch):
+        """`_text.format_g17` that raises on the second block of a table of
+        the given width, a few rows a block."""
+        def install(width):
+            original, calls = _text.format_g17, []
+
+            def format_g17(table):
+                if table.shape[1] == width:
+                    calls.append(len(table))
+                    if len(calls) == 2:
+                        raise OSError("no space left")
+                return original(table)
+
+            monkeypatch.setattr(_text, "format_g17", format_g17)
+            monkeypatch.setattr(dynamics, "_CSV_CHUNK_CELLS", 8)
+        return install
+
+    @pytest.mark.parametrize("writer", ("to_csv", "write_csv"))
+    def test_failed_write_leaves_no_file(self, tmp_path, failing_format,
+                                         writer):
+        # a table appears whole or not at all: neither the file nor its
+        # staged `.part` is left behind when a block fails to format
+        traj = self.special_trajectory()
+        failing_format(1 + traj.n * traj.d)
+        path = tmp_path / "traj.csv"
+        with pytest.raises(OSError):
+            if writer == "to_csv":
+                traj.to_csv(path)
+            else:
+                dynamics.write_csv(path, state_header(traj.n, traj.d), traj.times,
+                                   traj.states.reshape(len(traj.times), -1))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_simulate_leaves_no_observables(self, tmp_path,
+                                                   failing_format):
+        # the trajectory is written whole, then the observables fail
+        failing_format(3)
+        with pytest.raises(OSError):
+            cmd_simulate(parse_config({
+                "system": {"n": 3, "d": 2,
+                           "kernel": {"form": "constant", "c": 1.0}},
+                "signal": {"type": "rotating_star", "dwell": 0.2},
+                "window": {"tau": 1.0, "mu": 0.01},
+                "run": {"t_end": 1.0, "dt": 0.05},
+                "initial": [[0.0, 3.0], [1.0, 1.0], [2.0, -1.0]],
+                "outputs": {"dir": str(tmp_path)},
+            }))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
 
     def test_csv_round_trip(self, tmp_path):
         traj = cl.integrate(config([-1.0, 1.0]), all_ones_signal(),

@@ -196,8 +196,7 @@ def test_certify_lambda2_n64_warning_free():
 def test_benchmark_runs(capsys):
     from consensuslab import bench
 
-    assert bench.main(["--agents", "8", "--dim", "2", "--steps", "20",
-                       "--repeats", "1"]) == 0
+    assert bench.main(["--repeats", "1"]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
     assert rows == ["rhs", "scrambling", "lambda2", "signal", "grid", "rk4",
                     "rk4_linear", "window_avg", "certify", "diameters",
@@ -205,8 +204,7 @@ def test_benchmark_runs(capsys):
                     "json", "import"]
 
 
-@pytest.mark.parametrize("flag, value", [("--agents", "1"), ("--dim", "0"),
-                                         ("--steps", "0"), ("--repeats", "0")])
+@pytest.mark.parametrize("flag, value", [("--repeats", "0")])
 def test_benchmark_rejects_too_small_sizes(capsys, flag, value):
     from consensuslab import bench
 
