@@ -12,7 +12,7 @@ import numpy as np
 from ._kernels import Constant, Record, ValueRecord
 from .dynamics import Configuration, Trajectory, chunk_slices, diameters, variances
 from .errors import DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort
-from .graphs import dirichlet_energies, pair_squared_distances
+from .graphs import dirichlet_energies, pair_indices, pair_squared_distances
 
 PAIR_TOL = 1e-9
 STRICT_MARGIN = 1e-12
@@ -85,11 +85,10 @@ def diameter_pairs(x: Configuration, tol: float = PAIR_TOL) -> DiameterPairSet:
         raise ValueError("need at least two agents")
     if not tol >= 0:  # NaN too
         raise ValueError("tol must be >= 0")
-    pairs = np.triu_indices(x.n, 1)
-    dist = np.sqrt(pair_squared_distances(x.positions, pairs))
+    dist = np.sqrt(pair_squared_distances(x.positions))
     value = float(dist.max())
     near = dist >= value - tol
-    ii, jj = (idx[near].tolist() for idx in pairs)
+    ii, jj = (idx[near].tolist() for idx in pair_indices(x.n))
     return DiameterPairSet(frozenset(zip(ii + jj, jj + ii)), value)
 
 
@@ -222,8 +221,7 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
 
     piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
     energy = np.empty(mids.size)
-    pairs = np.triu_indices(traj.n, 1)
     for part in chunk_slices(mids.size, traj.n * (traj.n - 1) // 2 * traj.d):
         energy[part] = dirichlet_energies(sig.piece_stack[piece[part]],
-                                          traj.states[mids[part]], pairs)
+                                          traj.states[mids[part]])
     return float(np.abs(slope + 2.0 * energy).max())

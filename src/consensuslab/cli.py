@@ -26,10 +26,11 @@ from .signals import PiecewiseConstantSignal, Window
 
 SERIES_FLOOR_REL = 1e-14
 
-# Largest step grid a config may ask for, ceil(run.t_end / run.dt).  The grid
-# is built by a Python walk over every step, with a few arrays of its length,
-# so a mistyped dt must fail here instead of stalling; the recorded states are
-# streamed, so it bounds no record.  The reference configs use 1000 steps.
+# Most points a config's step grid may hold, counted before any is built:
+# ceil(t_end/dt) uniform steps, floor(t_end/tau) + 1 window ends and the
+# signal's piece starts in [0, t_end).  A mistyped dt, a tiny tau or a dense
+# signal must fail here instead of exhausting memory or stalling; the record
+# is streamed and not bounded by it.  The reference configs count 1,061-4,253.
 MAX_GRID_STEPS = 1_000_000
 # Largest dense (pieces, n, n) array a generated signal's pieces may make, in
 # floats (256 MB).  The dense arrays built from pieces (the blinking pairs'
@@ -203,9 +204,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     dt = _number(float, dt, "run.dt")
     if not dt > 0:
         raise ConfigError("run.dt", "must be > 0")
-    if t_end / dt > MAX_GRID_STEPS:
-        raise ConfigError("run.dt", f"t_end/dt = {t_end / dt:.6g} steps exceeds "
-                                    f"the cap of {MAX_GRID_STEPS}")
+    laps = np.ceil(t_end / sig.period) if sig.mode == signals.PERIODIC else 1
+    points = {"run.dt": np.ceil(t_end / dt), "signal": len(sig.pieces) * laps,
+              "window.tau": np.floor(t_end / window.tau) + 1}
+    if sum(points.values()) > MAX_GRID_STEPS:
+        raise ConfigError(max(points, key=points.get), f"the step grid would "
+                          f"hold {sum(points.values()):.6g} points, over the "
+                          f"cap of {MAX_GRID_STEPS}")
     sample_every = _number(_integer, run.get("sample_every", 1),
                            "run.sample_every")
     if sample_every < 1:

@@ -148,9 +148,8 @@ def reduce_squared_distances(positions, reduce) -> np.ndarray:
     shape positions.shape[:-2].
     """
     n, d = positions.shape[-2:]
-    pairs = np.triu_indices(n, 1)
     return _per_chunk(positions, n * (n - 1) // 2 * d,
-                      lambda pts: reduce(pair_squared_distances(pts, pairs)))
+                      lambda pts: reduce(pair_squared_distances(pts)))
 
 
 def _diameter_candidates(flat) -> np.ndarray:
@@ -238,16 +237,16 @@ def rhs(x: Configuration, adj, kernel: Kernel) -> np.ndarray:
 class Trajectory(Record):
     """Sampled solution: times (T,), states (T, n, d), plus the inputs used.
 
-    ``states`` is held read-only; a C-contiguous float64 array is adopted as
-    it is, and so becomes read-only for its owner too.  The observables are
-    computed on first use and kept.
+    ``times`` and ``states`` are held read-only; a C-contiguous float64
+    array is adopted as it is, and so becomes read-only for its owner too.
+    The observables are computed on first use and kept.
     """
 
     _fields = ("times", "states", "signal_ref", "kernel_ref")
 
     def __init__(self, times, states, signal_ref: PiecewiseConstantSignal,
                  kernel_ref: Kernel):
-        times = np.array(times, dtype=np.float64)
+        times = np.ascontiguousarray(times, dtype=np.float64)
         states = np.ascontiguousarray(states, dtype=np.float64)
         times.setflags(write=False)
         states.setflags(write=False)
@@ -351,41 +350,32 @@ def staged_csvs(paths, header):
 def _build_grid(sig, t_end, dt, forced_times):
     """Step grid: uniform dt points, breakpoints, forced times and t_end.
 
-    Points closer than a relative tolerance are merged, preferring breakpoint
-    values (so signal evaluation at piece starts stays exact).  Returns the
-    grid, the per-step piece indices and which grid points are forced records.
+    A sorted candidate more than 1e-9 * dt above the one before starts a grid
+    point, which takes its last breakpoint's value (signals stay exact at
+    piece starts) and is forced if any of its candidates is.  Measuring from
+    the point kept so far would differ only on a chain of gaps within the
+    tolerance spanning more than it; no config makes one, as every candidate
+    rounds an exact time.  Returns the grid, per-step pieces and forced flags.
     """
     ev_t, ev_p = sig.piece_starts(t_end)
     n_uniform = int(np.ceil(t_end / dt - 1e-9))
-    uniform = dt * np.arange(n_uniform)
     forced = np.asarray(forced_times, dtype=np.float64)
-    if forced.size and (forced.min() < 0 or forced.max() > t_end + 1e-9):
+    if forced.size and not (forced.min() >= 0 and forced.max() <= t_end + 1e-9):
         raise ValueError("forced record times must lie in [0, t_end]")
     forced = np.minimum(forced, t_end)
 
     # priority: 0 = breakpoint event, 1 = forced record, 2 = uniform/t_end
-    cand_t = np.concatenate([ev_t, forced, uniform, [t_end]])
-    cand_p = np.concatenate([
-        np.zeros(len(ev_t), dtype=np.int64),
-        np.ones(len(forced), dtype=np.int64),
-        np.full(n_uniform + 1, 2, dtype=np.int64),
-    ])
+    cand_t = np.concatenate([ev_t, forced, dt * np.arange(n_uniform), [t_end]])
+    cand_p = np.repeat([0, 1, 2], [len(ev_t), len(forced), n_uniform + 1])
     order = np.lexsort((cand_p, cand_t))
     cand_t, cand_p = cand_t[order], cand_p[order]
 
-    tol = 1e-9 * dt
-    times, is_forced = [], []
-    for t, p in zip(cand_t, cand_p):
-        if times and t - times[-1] <= tol:
-            if p < 2:
-                is_forced[-1] = is_forced[-1] or p == 1
-            if p == 0:
-                times[-1] = t  # keep the exact breakpoint value
-            continue
-        times.append(float(t))
-        is_forced.append(p == 1)
-    times = np.asarray(times)
-    is_forced = np.asarray(is_forced, dtype=bool)
+    head = np.diff(cand_t, prepend=-np.inf) > 1e-9 * dt
+    point = np.cumsum(head) - 1
+    times = cand_t[head]
+    # a point's last breakpoint is its largest, whichever order `at` goes in
+    np.maximum.at(times, point[cand_p == 0], cand_t[cand_p == 0])
+    is_forced = np.bincount(point[cand_p == 1], minlength=len(times)) > 0
 
     step_piece = ev_p[np.searchsorted(ev_t, times[:-1], side="right") - 1]
     return times, step_piece, is_forced
@@ -398,7 +388,7 @@ class Integration(Record):
     Records every `sample_every`-th accepted step plus the final state;
     `forced_times` are additionally snapped onto the grid and always
     recorded (used to place window endpoints on the sample grid).  The
-    recorded times are ``times``, known before anything is integrated.
+    recorded times are the read-only ``times``, known before integrating.
     Every start is stepped on the same grid, and is bit-identical to its
     own run.  Validates the starts and builds the grid on construction.
     """
@@ -430,6 +420,7 @@ class Integration(Record):
         vars(self).update(starts=x0s, signal_ref=sig, kernel_ref=kernel,
                           times=grid[rec], _step_piece=step_piece,
                           _hs=np.diff(grid), _rec=rec)
+        self.times.setflags(write=False)
 
     def series(self, measures, tables=()) -> list:
         """Integrate, keeping only what each of ``measures`` makes of every
@@ -478,8 +469,8 @@ def integrate_batch(x0s, sig: PiecewiseConstantSignal, kernel: Kernel,
     """Integrate a batch of starts, shape (B, n, d), as one `Integration`.
 
     Returns B Trajectory objects in batch order, each a read-only view of
-    one (B, T, n, d) record.  Raises NonFiniteState if a coordinate of any
-    start diverges.
+    one (B, T, n, d) record, all holding the run's one ``times``.  Raises
+    NonFiniteState if a coordinate of any start diverges.
     """
     run = Integration(x0s, sig, kernel, t_end, dt, sample_every,
                       forced_times=forced_times)
@@ -517,5 +508,5 @@ def rescale_dilation(x0: Configuration, traj: Trajectory) -> Trajectory:
     The rescaled initial state is centered, has diameter 1 and lies in the
     unit max-norm ball.  Raises DegenerateDiameter when diameter(x0) is 0.
     """
-    return Trajectory(traj.times.copy(), dilate(traj.states, x0.positions),
+    return Trajectory(traj.times, dilate(traj.states, x0.positions),
                       traj.signal_ref, traj.kernel_ref)

@@ -9,6 +9,8 @@ energy also take stacks of entries; the single-matrix forms are batches of one.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import _kernels
@@ -189,31 +191,34 @@ def algebraic_connectivity(adj: AdjacencyMatrix) -> float:
     return float(algebraic_connectivity_batch(adj.entries[None])[0])
 
 
-def pair_squared_distances(positions, pairs=None) -> np.ndarray:
-    """|x_i - x_j|^2 over the pairs i < j of (..., n, d) positions, in
-    `np.triu_indices(n, 1)` order; shape (..., n(n-1)/2).
+@functools.cache
+def pair_indices(n) -> np.ndarray:
+    """The rows i, j of `np.triu_indices(n, 1)`, built once per n, read-only."""
+    pairs = np.array(np.triu_indices(n, 1))
+    pairs.setflags(write=False)
+    return pairs
 
-    ``pairs`` is that (i, j) index pair, built here when not given; a
-    caller that makes many calls at one n builds it once and passes it.
-    The points are gathered with `np.take`, so the result is C-ordered,
-    the pairs of each sample contiguous whatever the sample count.
-    """
-    i, j = np.triu_indices(positions.shape[-2], 1) if pairs is None else pairs
+
+def pair_squared_distances(positions) -> np.ndarray:
+    """|x_i - x_j|^2 over the `pair_indices` pairs i < j of (..., n, d)
+    positions; shape (..., n(n-1)/2).  Gathered with `np.take`, the result
+    is C-ordered, the pairs of each sample contiguous whatever the sample
+    count."""
+    i, j = pair_indices(positions.shape[-2])
     diff = np.take(positions, i, -2)
     diff -= np.take(positions, j, -2)
     return np.einsum("...pc,...pc->...p", diff, diff)
 
 
-def dirichlet_energies(entries, positions, pairs=None) -> np.ndarray:
+def dirichlet_energies(entries, positions) -> np.ndarray:
     """(1/(2 n^2)) * sum_ij a_ij |x_i - x_j|^2 of (..., n, n) entries and
-    (..., n, d) positions, over the pairs i < j; shape (...).  ``pairs`` is
-    as in `pair_squared_distances`."""
+    (..., n, d) positions, over the pairs i < j; shape (...)."""
     n = entries.shape[-1]
-    i, j = np.triu_indices(n, 1) if pairs is None else pairs
+    i, j = pair_indices(n)
     # `take` along the flat last axis gathers faster than [..., i, j]
     flat = entries.reshape(*entries.shape[:-2], n * n)
     weights = np.take(flat, i * n + j, -1) + np.take(flat, j * n + i, -1)
-    terms = weights * pair_squared_distances(positions, (i, j))
+    terms = weights * pair_squared_distances(positions)
     return terms.sum(axis=-1) / (2.0 * n**2)
 
 

@@ -8,7 +8,8 @@ eigensolver with the constant direction shifted away, one Householder
 projection and eigensolver call per matrix, or brute-force Rayleigh-quotient
 minimization over direction grids, and window averages are cross-checked by
 Riemann summation or by a scalar integral that walks one time at a time.
-Piece starts come from a per-lap loop.  Window contraction factors and the
+Piece starts come from a per-lap loop, and the step grid from a walk that
+merges one candidate time at a time.  Window contraction factors and the
 variance dissipation residual are literal per-sample loops (the residual
 also a batched energy per piece), diameters a full
 (T, n, n, d) broadcast, and CSV output a per-cell f-string writer.  The
@@ -434,3 +435,43 @@ def dirichlet_energies_loop(entries, positions):
     for s, (a, sq) in enumerate(zip(entries, squares)):
         out[s] = ((a[i, j] + a[j, i]) * sq).sum() / (2.0 * n**2)
     return out.reshape(shape)
+
+
+def build_grid_loop(sig, t_end, dt, forced_times):
+    """`dynamics._build_grid` as one Python walk over the sorted candidates:
+    each is merged into the last grid point kept when within 1e-9 * dt of
+    it, a breakpoint replacing that point's value, else starts a new one."""
+    ev_t, ev_p = sig.piece_starts(t_end)
+    n_uniform = int(np.ceil(t_end / dt - 1e-9))
+    uniform = dt * np.arange(n_uniform)
+    forced = np.asarray(forced_times, dtype=np.float64)
+    if forced.size and (forced.min() < 0 or forced.max() > t_end + 1e-9):
+        raise ValueError("forced record times must lie in [0, t_end]")
+    forced = np.minimum(forced, t_end)
+
+    # priority: 0 = breakpoint event, 1 = forced record, 2 = uniform/t_end
+    cand_t = np.concatenate([ev_t, forced, uniform, [t_end]])
+    cand_p = np.concatenate([
+        np.zeros(len(ev_t), dtype=np.int64),
+        np.ones(len(forced), dtype=np.int64),
+        np.full(n_uniform + 1, 2, dtype=np.int64),
+    ])
+    order = np.lexsort((cand_p, cand_t))
+    cand_t, cand_p = cand_t[order], cand_p[order]
+
+    tol = 1e-9 * dt
+    times, is_forced = [], []
+    for t, p in zip(cand_t, cand_p):
+        if times and t - times[-1] <= tol:
+            if p < 2:
+                is_forced[-1] = is_forced[-1] or p == 1
+            if p == 0:
+                times[-1] = t  # keep the exact breakpoint value
+            continue
+        times.append(float(t))
+        is_forced.append(p == 1)
+    times = np.asarray(times)
+    is_forced = np.asarray(is_forced, dtype=bool)
+
+    step_piece = ev_p[np.searchsorted(ev_t, times[:-1], side="right") - 1]
+    return times, step_piece, is_forced

@@ -93,6 +93,45 @@ class TestParseConfig:
         assert "run.dt" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    # a grid point per piece start (10^13) or per window end (10^10):
+    # before the cap counted them, the first raised MemoryError building
+    # the piece starts and the second building the window ends
+    DENSE_GRIDS = [
+        pytest.param("sweep_cs_n5", "signal", "dwell", 1e-12, "signal",
+                     id="dwell"),
+        pytest.param("simulate_linear_n128", "window", "tau", 1e-9,
+                     "window.tau", id="tau"),
+    ]
+
+    @staticmethod
+    def dense_grid_config(tmp_path, name, block, key, value):
+        path = Path(__file__).parents[1] / "pipebench" / "configs" / f"{name}.json"
+        data = json.loads(path.read_text())
+        data[block][key] = value
+        data["outputs"]["dir"] = str(tmp_path)
+        return data
+
+    @pytest.mark.parametrize("name, block, key, value, field", DENSE_GRIDS)
+    def test_grid_cap_counts_every_point(self, tmp_path, name, block, key,
+                                         value, field):
+        data = self.dense_grid_config(tmp_path, name, block, key, value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("name, block, key, value, field", DENSE_GRIDS)
+    def test_dense_grid_exits_1(self, tmp_path, capsys, name, block, key,
+                                value, field):
+        data = self.dense_grid_config(tmp_path, name, block, key, value)
+        command = "verify" if "sweep" in data else "simulate"
+        if command == "simulate":
+            data["initial"] = np.zeros((128, 2)).tolist()
+        path = write_config(tmp_path, data)
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("field, edit", [
         pytest.param("system.kernel", lambda d: d["system"].update(
             kernel={"form": "cucker_smale", "K": -1.0, "beta": 0.5}),

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from consensuslab.errors import (
 
 from consensuslab import _kernels, _text, dynamics
 from consensuslab.dynamics import state_header
-from consensuslab.cli import cmd_simulate, parse_config
+from consensuslab.cli import _window_grid, cmd_simulate, parse_config
 
-from oracles import (csv_per_cell, diameters_broadcast, two_agent_closed_form,
-                     variances_whole)
+from oracles import (build_grid_loop, csv_per_cell, diameters_broadcast,
+                     two_agent_closed_form, variances_whole)
 
 
 def config(positions):
@@ -194,6 +196,73 @@ class TestIntegrate:
         assert 12.0 <= ratio <= 20.0
 
 
+def random_grid_case(rng):
+    """(signal, t_end, dt, forced times) of a random step grid: a periodic
+    star, blinking pairs or a clamped signal with breakpoints just off the
+    uniform points and one pair closer than the merge tolerance; dt need
+    not divide the dwell, tau or t_end, and the forced times hold the
+    multiples of tau, times just off the uniform points and the tolerance
+    itself, which merges into 0.  The candidates within the tolerance of a
+    uniform point span less than it (see `dynamics._build_grid`)."""
+    dt = float(rng.choice([0.01, 0.013, 0.025, 0.03, 0.07, 0.1]))
+    dwell = float(rng.choice([0.05, 0.1, 0.2, 0.25, 0.3, rng.uniform(0.04, 0.4)]))
+    t_end = float(rng.uniform(0.7, 3.0))
+    tol = 1e-9 * dt
+    kind = rng.integers(3)
+    if kind == 0:
+        sig = cl.gen_rotating_star(int(rng.integers(2, 6)), dwell)
+    elif kind == 1:
+        sig = cl.gen_blinking_pairs(2 * int(rng.integers(1, 4)), dwell,
+                                    float(rng.choice([0.3, 0.5, 1.0])))
+    else:
+        steps = dt * rng.choice(int(t_end / dt) + 2, size=6, replace=False)
+        near = steps + tol * rng.choice([-3.0, -0.3, 0.0, 0.3, 3.0], size=6)
+        bp = np.unique(np.concatenate([[0.0], near, rng.uniform(0.0, t_end, 3)]))
+        bp = bp[bp >= 0.0]
+        bp = np.insert(bp, 2, bp[1] + 0.25 * min(tol, bp[2] - bp[1]))
+        sig = cl.PiecewiseConstantSignal(
+            2, bp, np.tile(np.eye(2), (len(bp) - 1, 1, 1)), "clamped")
+    tau = float(rng.choice([0.3, 0.5, 1.0, 2 * dwell]))
+    uniform = dt * rng.integers(0, int(t_end / dt), size=4)
+    forced = np.concatenate([
+        tau * np.arange(int(t_end / tau + 1e-9) + 1),
+        uniform + tol * rng.choice([-6.0, -0.3, 0.3, 6.0], size=4),
+        [tol, t_end]])
+    return sig, t_end, dt, np.clip(forced, 0.0, t_end)
+
+
+def assert_grids_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestBuildGrid:
+    def test_matches_the_merge_loop(self):
+        # times, step pieces and forced flags, bit for bit and dtype for
+        # dtype; breakpoints rounded onto the grid keep their own value and
+        # a forced time merged after a breakpoint or a uniform point still
+        # marks its point
+        rng = np.random.default_rng(71)
+        for _ in range(1200):
+            case = random_grid_case(rng)
+            assert_grids_equal(dynamics._build_grid(*case), build_grid_loop(*case))
+
+    @pytest.mark.parametrize("forced", [[-1e-3], [1.0 + 1e-6], [0.5, np.nan]])
+    def test_forced_times_outside_the_horizon_rejected(self, forced):
+        # a NaN compares false both ways, so a check for times below 0 or
+        # past t_end alone let it through
+        with pytest.raises(ValueError, match="forced record times"):
+            dynamics._build_grid(all_ones_signal(), 1.0, 0.1, forced)
+
+    @pytest.mark.parametrize("name", ["sweep_cs_n5", "certify_pairs_n32",
+                                      "simulate_linear_n128"])
+    def test_pipeline_benchmark_grids(self, name):
+        path = Path(__file__).parents[1] / "pipebench" / "configs" / f"{name}.json"
+        cfg = parse_config(json.loads(path.read_text()))
+        case = (cfg.signal, cfg.t_end, cfg.dt, _window_grid(cfg))
+        assert_grids_equal(dynamics._build_grid(*case), build_grid_loop(*case))
+
+
 class TestStabilityEstimates:
     def run_random(self, seed):
         rng = np.random.default_rng(seed)
@@ -320,6 +389,14 @@ class TestIntegrateBatch:
         for b, traj in enumerate(runs):
             assert traj.states.base is base
             assert np.shares_memory(traj.states, base[b])
+
+    def test_runs_share_one_read_only_times(self):
+        # the recorded times are built once per batch and held by every run
+        starts = np.random.default_rng(48).normal(size=(3, 4, 2))
+        runs = cl.integrate_batch(starts, cl.gen_rotating_star(4, 0.15),
+                                  cl.Constant(1.0), 1.0, 2e-2)
+        assert all(traj.times is runs[0].times for traj in runs)
+        assert not runs[0].times.flags.writeable
 
     def test_non_contiguous_states_are_copied(self):
         states = np.random.default_rng(47).normal(size=(5, 3, 4))[:, :, ::2]

@@ -5,8 +5,8 @@ import consensuslab as cl
 from consensuslab import _kernels
 from consensuslab.errors import DimensionMismatch, UnbalancedGraph
 from consensuslab.graphs import (algebraic_connectivity_batch,
-                                 dirichlet_energies, pair_squared_distances,
-                                 unbalanced)
+                                 dirichlet_energies, pair_indices,
+                                 pair_squared_distances, unbalanced)
 
 from oracles import (dirichlet_energies_loop, lambda2_eigh,
                      lambda2_householder, lambda2_rayleigh_grid,
@@ -292,8 +292,8 @@ class TestBatchedMetrics:
 
 class TestPairSquaredDistances:
     def test_equals_per_sample_indexed_gather(self):
-        # bit for bit, C-ordered, whatever the batch shape, and the same
-        # with the pair indices passed in
+        # bit for bit, C-ordered, whatever the batch shape, in the order
+        # of one read-only index pair per n that every call reuses
         rng = np.random.default_rng(26)
         for _ in range(300):
             n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
@@ -302,8 +302,10 @@ class TestPairSquaredDistances:
             got = pair_squared_distances(positions)
             assert got.flags.c_contiguous
             assert np.array_equal(got, pair_squares_indexed(positions))
-            pairs = np.triu_indices(n, 1)
-            assert np.array_equal(pair_squared_distances(positions, pairs), got)
+            pairs = pair_indices(n)
+            assert pair_indices(n) is pairs
+            for idx, want in zip(pairs, np.triu_indices(n, 1)):
+                assert np.array_equal(idx, want) and not idx.flags.writeable
 
 
 class TestDirichletEnergy:
