@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels, analysis, cli, dynamics
-from .graphs import algebraic_connectivity_batch
+from .graphs import algebraic_connectivity_unchecked
 from .signals import (Window, _critical_starts, certify, gen_blinking_pairs,
                       gen_rotating_star, window_average_batch)
 
@@ -126,7 +126,7 @@ def _cases(rng):
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs),
         "scrambling": lambda: _kernels.scrambling_min(star_avgs),
-        "lambda2": lambda: algebraic_connectivity_batch(star_avgs),
+        "lambda2": lambda: algebraic_connectivity_unchecked(star_avgs),
         "signal": lambda: gen_rotating_star(sim_n, SIMULATE_DWELL),
         "grid": lambda: dynamics._build_grid(sim_star, SIMULATE_T_END,
                                              SIMULATE_DT, forced),

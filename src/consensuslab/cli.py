@@ -43,8 +43,7 @@ MAX_SIGNAL_FLOATS = 1 << 25
 
 
 class ExperimentConfig:
-    """A validated config, as `parse_config` returns it; `raw` is the parsed
-    JSON, left out of the repr."""
+    """A validated config, as `parse_config` returns it."""
 
     _fields = ("n", "d", "kernel", "signal", "window", "t_end", "dt",
                "sample_every", "out_dir", "emit", "initial", "sweep",
@@ -55,14 +54,13 @@ class ExperimentConfig:
                  window: Window, t_end: float, dt: float, sample_every: int,
                  out_dir: str, emit: tuple, initial: np.ndarray | None = None,
                  sweep: dict | None = None, certify_kinds: tuple | None = None,
-                 observable: str = "diameter", raw: dict | None = None):
+                 observable: str = "diameter"):
         self.n, self.d, self.kernel = n, d, kernel
         self.signal, self.window = signal, window
         self.t_end, self.dt, self.sample_every = t_end, dt, sample_every
         self.out_dir, self.emit, self.initial = out_dir, emit, initial
         self.sweep, self.certify_kinds = sweep, certify_kinds
         self.observable = observable
-        self.raw = {} if raw is None else raw
 
 
 class OutputBundle:
@@ -87,22 +85,22 @@ class OutputBundle:
         return 0 if ok else 2
 
 
-def _get(data, key, where, expect=None, required=True, default=None):
+_REQUIRED = object()
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _get(data, key, where, expect=None, default=_REQUIRED):
+    """``data[key]``, named `where.key` (`key` when `where` is empty) in a
+    ConfigError when it is missing or not an `expect`; passing a `default`
+    makes it optional."""
+    field = f"{where}.{key}" if where else key
     if key not in data:
-        if required:
-            raise ConfigError(f"{where}.{key}", "missing")
+        if default is _REQUIRED:
+            raise ConfigError(field, "missing")
         return default
     value = data[key]
     if expect is not None and not isinstance(value, expect):
-        raise ConfigError(f"{where}.{key}", f"expected {expect}")
-    return value
-
-
-def _block(data, key):
-    """The optional top-level object `key` of a config, {} when absent."""
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(key, "expected an object")
+        raise ConfigError(field, f"expected {_TYPE_NAMES[expect]}")
     return value
 
 
@@ -124,9 +122,27 @@ def _integer(value):
     return number
 
 
-def default_dt(dwell_min: float, tau: float, cap: float = 1e-2) -> float:
+def default_dt(dwell_min: float, tau: float) -> float:
     """Step size resolving both switching and window structure."""
-    return min(cap, dwell_min / 20.0, tau / 100.0)
+    return min(1e-2, dwell_min / 20.0, tau / 100.0)
+
+
+def _positions(value, where, n, d):
+    """`value` as (n, d) float positions (n numbers when d = 1), all finite
+    and with a finite squared bounding-box diagonal: it bounds the squared
+    distance of every pair, so no pair's square (nor the diameter) is inf."""
+    pos = _number(lambda v: np.asarray(v, dtype=np.float64), value, where)
+    if pos.ndim == 1:
+        pos = pos[:, None]
+    if pos.shape != (n, d):
+        raise ConfigError(where, f"must be {n}x{d}, got {pos.shape}")
+    if not np.all(np.isfinite(pos)):
+        raise ConfigError(where, "positions must be finite")
+    with np.errstate(over="ignore"):
+        diagonal = np.square(np.ptp(pos, axis=0)).sum()
+    if not np.isfinite(diagonal):
+        raise ConfigError(where, "squared distances between positions overflow")
+    return pos
 
 
 def _parse_kernel(data):
@@ -174,7 +190,7 @@ def _parse_signal(data, n):
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dictionary; ConfigError diagnostics name the field."""
-    system = _get(data, "system", "config", dict)
+    system = _get(data, "system", "", dict)
     n = _number(_integer, _get(system, "n", "system"), "system.n")
     d = _number(_integer, _get(system, "d", "system"), "system.d")
     if n < 1:
@@ -182,16 +198,16 @@ def parse_config(data: dict) -> ExperimentConfig:
     if d < 1:
         raise ConfigError("system.d", "must be >= 1")
     kernel = _parse_kernel(_get(system, "kernel", "system", dict))
-    sig = _parse_signal(_get(data, "signal", "config", dict), n)
+    sig = _parse_signal(_get(data, "signal", "", dict), n)
 
-    window_data = _get(data, "window", "config", dict)
+    window_data = _get(data, "window", "", dict)
     try:
         window = Window(float(_get(window_data, "tau", "window")),
                         float(_get(window_data, "mu", "window")))
     except (TypeError, ValueError) as exc:
         raise ConfigError("window", str(exc)) from exc
 
-    run = _get(data, "run", "config", dict)
+    run = _get(data, "run", "", dict)
     t_end = _number(float, _get(run, "t_end", "run"), "run.t_end")
     if not t_end > 0:
         raise ConfigError("run.t_end", "must be > 0")
@@ -218,18 +234,11 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     initial = data.get("initial")
     if initial is not None:
-        initial = _number(lambda v: np.asarray(v, dtype=np.float64), initial,
-                          "initial")
-        if initial.ndim == 1:
-            initial = initial[:, None]
-        if initial.shape != (n, d):
-            raise ConfigError("initial", f"must be {n}x{d}, got {initial.shape}")
-        if not np.all(np.isfinite(initial)):
-            raise ConfigError("initial", "positions must be finite")
+        initial = _positions(initial, "initial", n, d)
 
-    sweep = data.get("sweep")
+    sweep = _get(data, "sweep", "", dict, default=None)
     if sweep is not None:
-        sweep = dict(_block(data, "sweep"))
+        sweep = dict(sweep)
         sweep.setdefault("num_initial", 32)
         sweep.setdefault("init_set", "unit_ball")
         sweep.setdefault("seed", 0)
@@ -238,17 +247,20 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not 0 <= _number(_integer, sweep["seed"], "sweep.seed") < 2**128:
             raise ConfigError("sweep.seed", "must be in [0, 2**128)")
         init_set = sweep["init_set"]
-        if not (init_set == "unit_ball" or isinstance(init_set, list)):
-            raise ConfigError("sweep.init_set",
-                              "must be 'unit_ball' or an explicit list")
+        if isinstance(init_set, list) and init_set:
+            sweep["init_set"] = np.stack([_positions(p, "sweep.init_set", n, d)
+                                          for p in init_set])
+        elif init_set != "unit_ball":
+            raise ConfigError("sweep.init_set", "must be 'unit_ball' or a "
+                                                "non-empty list of starts")
 
-    outputs = _get(data, "outputs", "config", dict, required=False, default={})
-    emit = tuple(_get(outputs, "emit", "outputs", list, required=False, default=[]))
+    outputs = _get(data, "outputs", "", dict, default={})
+    emit = tuple(_get(outputs, "emit", "outputs", list, default=[]))
     for entry in emit:
         if entry != "trajectories":
             raise ConfigError("outputs.emit", f"unknown entry {entry!r}")
-    certify_kinds = _get(_block(data, "certify"), "kinds", "certify", list,
-                         required=False)
+    certify = _get(data, "certify", "", dict, default={})
+    certify_kinds = _get(certify, "kinds", "certify", list, default=None)
     if certify_kinds is not None:
         certify_kinds = tuple(certify_kinds)
         if not certify_kinds:
@@ -257,17 +269,18 @@ def parse_config(data: dict) -> ExperimentConfig:
             if not (isinstance(kind, str) and kind in signals._KINDS):
                 raise ConfigError("certify.kinds", f"unknown kind {kind!r}")
 
-    observable = _block(data, "verify").get("observable", "diameter")
+    verify = _get(data, "verify", "", dict, default={})
+    observable = verify.get("observable", "diameter")
     if observable not in ("diameter", "variance"):
         raise ConfigError("verify.observable", "must be 'diameter' or 'variance'")
 
     return ExperimentConfig(
         n=n, d=d, kernel=kernel, signal=sig, window=window,
         t_end=t_end, dt=dt, sample_every=sample_every,
-        out_dir=_get(outputs, "dir", "outputs", str, required=False, default="."),
+        out_dir=_get(outputs, "dir", "outputs", str, default="."),
         emit=emit,
         initial=initial, sweep=sweep, certify_kinds=certify_kinds,
-        observable=observable, raw=data,
+        observable=observable,
     )
 
 
@@ -405,19 +418,9 @@ def cmd_certify(cfg: ExperimentConfig) -> OutputBundle:
 
 
 def _draw_initials(cfg):
-    """Every start of the sweep, stacked: shape (runs, n, d)."""
+    """The sweep's `num_initial` starts drawn from the unit ball, stacked:
+    shape (runs, n, d)."""
     sweep = cfg.sweep
-    init_set = sweep["init_set"]
-    if isinstance(init_set, list):
-        try:
-            starts = np.stack([np.asarray(p, dtype=np.float64).reshape(cfg.n, cfg.d)
-                               for p in init_set])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("sweep.init_set",
-                              f"must list starts of {cfg.n}x{cfg.d} positions") from exc
-        if not np.all(np.isfinite(starts)):
-            raise ConfigError("sweep.init_set", "positions must be finite")
-        return starts
     rng = np.random.Generator(np.random.Philox(key=int(sweep["seed"])))
     draws = []
     for _ in range(int(sweep["num_initial"])):
@@ -441,10 +444,11 @@ def cmd_verify(cfg: ExperimentConfig) -> OutputBundle:
 
     kind = "eta" if cfg.observable == "diameter" else "lambda2"
     [persistence] = signals.certify(cfg.signal, cfg.window, cfg.t_end, [kind])
-    persistence_path = _write_persistence(out, kind, persistence)
 
     # every start off consensus, normalised to diameter 1, in one batched run
-    starts = _draw_initials(cfg)
+    starts = cfg.sweep["init_set"]  # an explicit list, stacked by parse_config
+    if isinstance(starts, str):
+        starts = _draw_initials(cfg)
     at_consensus = dynamics.diameters(starts) <= 0.0
     runs = [{"run": idx, "consensus_at_t0": bool(flag)}
             for idx, flag in enumerate(at_consensus)]
@@ -466,6 +470,8 @@ def cmd_verify(cfg: ExperimentConfig) -> OutputBundle:
                                                   cfg.window.tau)
         keep = values > SERIES_FLOOR_REL * values[0]
         if keep.sum() < 3:
+            for path in traj_files:  # a failed verify leaves no file
+                Path(path).unlink()
             raise ConfigError("run.sample_every", f"run {idx} keeps {keep.sum()} "
                               "samples to fit, need at least 3")
         fit = analysis.fit_exponential(run.times[keep], values[keep])
@@ -480,6 +486,8 @@ def cmd_verify(cfg: ExperimentConfig) -> OutputBundle:
             analysis.analysis_report_json(cfg.observable, contraction, fit))
         fit_dicts.append(fit.to_json_dict())
 
+    # written after every run is fitted, so a failed verify writes no report
+    persistence_path = _write_persistence(out, kind, persistence)
     contraction_path = out / "analysis_reports.json"
     _write_json(contraction_path, contraction_dicts)
     fits_path = out / "decay_fits.json"
@@ -537,11 +545,12 @@ def main(argv=None) -> int:
         if not isinstance(data, dict):
             raise ConfigError("config", "expected an object")
         if args.out is not None:
-            data["outputs"] = dict(_block(data, "outputs"), dir=args.out)
+            data["outputs"] = dict(_get(data, "outputs", "", dict, default={}),
+                                   dir=args.out)
         if args.dt is not None:
-            data["run"] = dict(_block(data, "run"), dt=args.dt)
+            data["run"] = dict(_get(data, "run", "", dict, default={}), dt=args.dt)
         if args.seed is not None and "sweep" in data:
-            data["sweep"] = dict(_block(data, "sweep"), seed=args.seed)
+            data["sweep"] = dict(_get(data, "sweep", "", dict), seed=args.seed)
         cfg = parse_config(data)
         bundle = COMMANDS[args.command](cfg)
     except (ConsensusLabError, OSError, json.JSONDecodeError) as exc:

@@ -139,19 +139,6 @@ def _per_chunk(positions, floats, fn) -> np.ndarray:
     return out.reshape(positions.shape[:-2])
 
 
-def reduce_squared_distances(positions, reduce) -> np.ndarray:
-    """`reduce` applied to the pair squared distances of every sample.
-
-    ``positions`` has shape (..., n, d); ``reduce`` maps an (s, n(n-1)/2)
-    block of `pair_squared_distances` to s values.  A chunk's (s, pairs, d)
-    differences hold at most _CHUNK_FLOATS floats, or one sample.  Returns
-    shape positions.shape[:-2].
-    """
-    n, d = positions.shape[-2:]
-    return _per_chunk(positions, n * (n - 1) // 2 * d,
-                      lambda pts: reduce(pair_squared_distances(pts)))
-
-
 def _diameter_candidates(flat) -> np.ndarray:
     """(s, n) mask of the points of each (n, d) sample that can end its diameter.
 
@@ -189,7 +176,11 @@ def _chunk_diameters(pts) -> np.ndarray:
         # a sample with fewer than k kept points repeats its first one
         idx = np.where(np.arange(k) < counts[:, None], order[:, :k], order[:, :1])
         kept = np.take_along_axis(pts, idx[..., None], axis=1)
-    peak = reduce_squared_distances(kept, lambda sq: sq.max(axis=1, initial=0.0))
+    # a sub-chunk's (s, pairs, d) differences hold at most _CHUNK_FLOATS
+    # floats, or one sample
+    n, d = kept.shape[1:]
+    peak = _per_chunk(kept, n * (n - 1) // 2 * d, lambda sub:
+                      pair_squared_distances(sub).max(axis=1, initial=0.0))
     # the diagonal of a sample with an inf coordinate is NaN, and so is the
     # maximum over every ordered pair; the pair list has no diagonal
     if not np.isfinite(peak).all():
@@ -493,11 +484,12 @@ def dilate(states, origin) -> np.ndarray:
 
     ``origin`` is one (n, d) configuration or a stack of them that
     broadcasts against ``states``.  Raises DegenerateDiameter when a
-    diameter of ``origin`` is 0.
+    diameter of ``origin`` is 0 or infinite.
     """
     diam = diameters(origin)
-    if np.any(diam <= 0.0):
-        raise DegenerateDiameter("cannot rescale a zero-diameter configuration")
+    if np.any((diam <= 0.0) | (diam == np.inf)):
+        raise DegenerateDiameter("cannot rescale a configuration of zero or "
+                                 "infinite diameter")
     center = origin.mean(axis=-2, keepdims=True)
     return (states - center) / diam[..., None, None]
 
@@ -506,7 +498,8 @@ def rescale_dilation(x0: Configuration, traj: Trajectory) -> Trajectory:
     """Map every state to (x - mean(x0)) / diameter(x0).
 
     The rescaled initial state is centered, has diameter 1 and lies in the
-    unit max-norm ball.  Raises DegenerateDiameter when diameter(x0) is 0.
+    unit max-norm ball.  Raises DegenerateDiameter when diameter(x0) is 0
+    or infinite.
     """
     return Trajectory(traj.times, dilate(traj.states, x0.positions),
                       traj.signal_ref, traj.kernel_ref)

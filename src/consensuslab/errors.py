@@ -22,7 +22,8 @@ class NonFiniteState(ConsensusLabError):
 
 
 class DegenerateDiameter(ConsensusLabError):
-    """Dilation rescaling requested for a zero-diameter configuration."""
+    """Dilation rescaling requested for a configuration of zero or infinite
+    diameter."""
 
 
 class SpanTooShort(ConsensusLabError):

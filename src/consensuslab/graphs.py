@@ -145,22 +145,11 @@ def laplacian(adj: AdjacencyMatrix) -> LaplacianMatrix:
     return LaplacianMatrix(adj.n, entries[0], out_deg[0])
 
 
-def algebraic_connectivity_batch(stack) -> np.ndarray:
-    """`algebraic_connectivity` of every matrix of an (m, n, n) stack of
-    adjacency entries; shape (m,).  Raises UnbalancedGraph when a matrix
-    fails the balance check.  Certification skips it: its window averages
-    are convex combinations of checked pieces, whose degree gaps bound
-    theirs up to rounding.
-    """
-    if unbalanced(stack).any():
-        raise UnbalancedGraph(
-            f"algebraic connectivity requires a balanced graph (tol={BALANCE_TOL})"
-        )
-    return algebraic_connectivity_unchecked(stack)
-
-
 def algebraic_connectivity_unchecked(stack) -> np.ndarray:
-    """`algebraic_connectivity_batch` of a stack known to be balanced.
+    """`algebraic_connectivity` of every matrix of an (m, n, n) stack of
+    adjacency entries known to be balanced; shape (m,).  Certification
+    calls it without a check: its window averages are convex combinations
+    of checked pieces, whose degree gaps bound theirs up to rounding.
 
     The symmetric parts of the Laplacians are restricted to the orthogonal
     complement of the constants by the Householder reflection sending
@@ -185,10 +174,14 @@ def algebraic_connectivity(adj: AdjacencyMatrix) -> float:
     """Smallest eigenvalue of the symmetric part of the Laplacian on the
     complement of the constant vector; defined for balanced graphs only.
 
-    A batch of one through `algebraic_connectivity_batch`.
-    Raises UnbalancedGraph when the balance check fails.
+    A batch of one through `algebraic_connectivity_unchecked`, after
+    `is_balanced`; raises UnbalancedGraph when that check fails.
     """
-    return float(algebraic_connectivity_batch(adj.entries[None])[0])
+    if not is_balanced(adj):
+        raise UnbalancedGraph(
+            f"algebraic connectivity requires a balanced graph (tol={BALANCE_TOL})"
+        )
+    return float(algebraic_connectivity_unchecked(adj.entries[None])[0])
 
 
 @functools.cache

@@ -268,9 +268,9 @@ def _critical_starts(sig, tau, horizon):
     return cands[keep]
 
 
-# kind -> (name of its batched metric in this module, report kind)
-_KINDS = {"eta": ("scrambling_min", "scrambling"),
-          "lambda2": ("algebraic_connectivity_unchecked", "connectivity")}
+# kind -> (its batched metric, report kind)
+_KINDS = {"eta": (scrambling_min, "scrambling"),
+          "lambda2": (algebraic_connectivity_unchecked, "connectivity")}
 
 
 def certify(sig: PiecewiseConstantSignal, window: Window, horizon: float,
@@ -291,8 +291,7 @@ def certify(sig: PiecewiseConstantSignal, window: Window, horizon: float,
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     starts = _critical_starts(sig, window.tau, horizon)
-    # looked up at call time, so a metric patched on this module is called
-    metrics = [globals()[_KINDS[kind][0]] for kind in kinds]
+    metrics = [_KINDS[kind][0] for kind in kinds]
     step = max(1, _CHUNK_FLOATS // sig.n**2)
     values = np.empty((len(kinds), len(starts)))
     for lo in range(0, len(starts), step):

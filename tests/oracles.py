@@ -19,7 +19,7 @@ cumulative integrals by one `np.cumsum` over the whole stack.
 import numpy as np
 
 import consensuslab as cl
-from consensuslab.dynamics import reduce_squared_distances
+from consensuslab.graphs import pair_squared_distances
 from consensuslab.signals import PERIODIC
 
 
@@ -336,14 +336,13 @@ def dissipation_residual_loop(traj, sig):
 
 
 def dissipation_residual_per_piece(traj, sig):
-    """The dissipation residual as one batched energy per piece, reading each
-    piece's samples through `dynamics.reduce_squared_distances`, as
+    """The dissipation residual as one batched energy per piece, summing the
+    weighted `pair_squared_distances` of each piece's samples per sample, as
     `variance_dissipation_residual` took it before it walked chunks.
 
     Its sums are per sample, pairwise over the contiguous pairs of each
-    sample.  `pair_squared_distances` once laid the sample axis innermost,
-    so `sum(axis=1)` added the pairs in sequence unless a chunk held one
-    sample (`_CHUNK_FLOATS` = 1), as the callers still set it.
+    sample, however many samples a piece holds: `pair_squared_distances`
+    keeps each sample's pairs contiguous.
     """
     times = traj.times
     var = traj.variances
@@ -361,8 +360,8 @@ def dissipation_residual_per_piece(traj, sig):
     for k in np.unique(piece):
         sel, adj = piece == k, sig.piece_stack[k]
         weights = (adj + adj.T)[np.triu_indices(traj.n, 1)]
-        energy[sel] = reduce_squared_distances(
-            traj.states[mids[sel]], lambda sq, w=weights: (w * sq).sum(axis=1))
+        energy[sel] = (weights * pair_squared_distances(traj.states[mids[sel]])
+                       ).sum(axis=1)
     energy /= 2.0 * traj.n**2
     return float(np.abs(slope + 2.0 * energy).max())
 

@@ -290,6 +290,19 @@ class TestParseConfig:
             parse_config(data)
         assert err.value.field == "initial"
 
+    def test_overflowing_initial_exits_1_and_writes_nothing(self, tmp_path,
+                                                             capsys):
+        # finite positions whose squared distance (4e320) overflows to inf
+        data = two_agent_config(tmp_path / "out")
+        data["initial"] = [[-1e160], [1e160]]
+        path = write_config(tmp_path, data)
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        data["initial"] = [[-1e150], [1e150]]
+        assert parse_config(data).initial[1, 0] == 1e150
+
 
 class TestSimulate:
     def test_reference_run_matches_closed_form(self, tmp_path):
@@ -486,14 +499,17 @@ class TestVerify:
         assert summary["persistence_infimum"] == pytest.approx(0.4)
 
     def test_too_few_fit_samples_names_field(self, tmp_path, capsys):
-        # samples at t = 0 and at the window end t = 1 only: no fit
-        data = self.verify_config(tmp_path)
+        # samples at t = 0 and at the window end t = 1 only: no fit, and no
+        # report or trajectory left behind
+        data = self.verify_config(tmp_path / "out")
         data["run"] = {"t_end": 1.0, "dt": 0.01, "sample_every": 1000}
+        data["outputs"]["emit"] = ["trajectories"]
         path = write_config(tmp_path, data)
         assert main(["verify", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: run.sample_every: ") and "need at least 3" in err
         assert err.count("\n") == 1
+        assert list((tmp_path / "out").iterdir()) == []
         # a third sample at t = 0.5 is enough
         data["run"]["sample_every"] = 50
         assert main(["verify", "--config", str(write_config(tmp_path, data))]) in (0, 2)
@@ -527,14 +543,37 @@ class TestVerify:
         assert (check["value"], check["verdict"]) == (None, "pass")
 
     def test_malformed_init_set_rejected(self, tmp_path):
+        # checked as `initial` is, when the config is read: a transposed
+        # (d x n) or flat start is not reshaped into other positions
         start = np.zeros((5, 2))
         start[2, 1] = np.nan
-        for init_set in ([start.tolist()], [np.zeros((4, 2)).tolist()], []):
+        ramp = np.arange(10.0)
+        for init_set in ([start.tolist()], [np.zeros((4, 2)).tolist()], [],
+                         [ramp.reshape(2, 5).tolist()], [ramp.tolist()]):
             data = self.verify_config(tmp_path)
             data["sweep"] = {"init_set": init_set}
             with pytest.raises(ConfigError) as err:
-                cmd_verify(parse_config(data))
+                parse_config(data)
             assert err.value.field == "sweep.init_set"
+
+    @pytest.mark.parametrize("case", ("transposed", "non_finite", "overflow"))
+    def test_bad_init_set_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                     case):
+        start = np.random.default_rng(48).normal(size=(5, 2))
+        if case == "transposed":
+            start = start.T
+        elif case == "non_finite":
+            start[1, 0] = np.inf
+        else:
+            # finite, but its squared distances overflow to inf
+            start *= 1e200
+        data = self.verify_config(tmp_path / "out")
+        data["sweep"] = {"init_set": [np.zeros((5, 2)).tolist(), start.tolist()]}
+        path = write_config(tmp_path, data)
+        assert main(["verify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep.init_set: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("observable", ("diameter", "variance"))
     def test_mixed_sweep_matches_per_run_reference(self, tmp_path, observable):
@@ -646,7 +685,7 @@ class TestVerify:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [
             "error: integration produced non-finite coordinates"]
-        assert list((tmp_path / "out").glob("trajectory_*")) == []
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_sweep_required(self, tmp_path):
         data = self.verify_config(tmp_path)
@@ -695,12 +734,22 @@ class TestDeterminismAndOverrides:
         ("--seed", "1", "sweep")])
     def test_override_of_non_object_block(self, tmp_path, capsys, flag, value,
                                           block):
+        # one message, with the flag that overrides the block or without it
         data = TestVerify().verify_config(tmp_path)
         data[block] = 5
         path = write_config(tmp_path, data)
-        assert main(["verify", "--config", str(path), flag, value]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {block}: expected an object\n"
+        for argv in ([flag, value], []):
+            assert main(["verify", "--config", str(path)] + argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {block}: expected an object\n", argv
+
+    @pytest.mark.parametrize("block", ("system", "signal", "window", "run"))
+    def test_missing_block_named_by_key(self, tmp_path, block):
+        data = TestVerify().verify_config(tmp_path)
+        del data[block]
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert str(err.value) == f"{block}: missing"
 
     @pytest.mark.parametrize("flags", [[], ["--out", "elsewhere"],
                                        ["--dt", "0.01"], ["--seed", "1"]],
@@ -743,8 +792,9 @@ class TestDeterminismAndOverrides:
 
     def test_config_json_round_trip(self, tmp_path):
         data = blinking_config(tmp_path)
-        cfg = parse_config(json.loads(json.dumps(data)))
-        again = parse_config(cfg.raw)
+        text = json.dumps(data)
+        cfg = parse_config(json.loads(text))
+        again = parse_config(json.loads(text))
         assert again.window == cfg.window
         assert again.dt == cfg.dt
         assert np.array_equal(again.signal.breakpoints, cfg.signal.breakpoints)

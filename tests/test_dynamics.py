@@ -635,6 +635,15 @@ class TestRescaleDilation:
         with pytest.raises(DegenerateDiameter):
             cl.rescale_dilation(x0, traj)
 
+    def test_infinite_diameter(self):
+        # finite positions whose squared distance overflows: dividing by the
+        # infinite diameter would map the start to zeros
+        start = np.array([[[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+        with pytest.raises(DegenerateDiameter):
+            dynamics.dilate(start, start)
+        assert np.array_equal(dynamics.dilate(start[1:], start[1:]),
+                              [[[-0.5, 0.0], [0.5, 0.0]]])
+
 
 class TestTrajectoryTimes:
     @pytest.mark.parametrize("times", [

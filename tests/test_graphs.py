@@ -4,7 +4,7 @@ import pytest
 import consensuslab as cl
 from consensuslab import _kernels
 from consensuslab.errors import DimensionMismatch, UnbalancedGraph
-from consensuslab.graphs import (algebraic_connectivity_batch,
+from consensuslab.graphs import (algebraic_connectivity_unchecked,
                                  dirichlet_energies, pair_indices,
                                  pair_squared_distances, unbalanced)
 
@@ -274,7 +274,7 @@ class TestBatchedMetrics:
         stacks = [random_symmetric_stack(rng, m, n),
                   np.stack([random_balanced_adjacency(rng, n) for _ in range(m)])]
         for stack in stacks:
-            got = algebraic_connectivity_batch(stack)
+            got = algebraic_connectivity_unchecked(stack)
             assert got.shape == (m,)
             assert np.array_equal(got, [lambda2_householder(a) for a in stack])
 
@@ -284,10 +284,10 @@ class TestBatchedMetrics:
         stack[3, 0, 1] = 0.0 if stack[3, 1, 0] else 1.0
         assert np.array_equal(unbalanced(stack), [False] * 3 + [True, False])
         with pytest.raises(UnbalancedGraph):
-            algebraic_connectivity_batch(stack)
-        with pytest.raises(UnbalancedGraph):
-            algebraic_connectivity_batch(stack[3:4])
-        assert algebraic_connectivity_batch(np.delete(stack, 3, axis=0)).shape == (4,)
+            cl.algebraic_connectivity(cl.AdjacencyMatrix(6, stack[3]))
+        for entries in np.delete(stack, 3, axis=0):
+            assert cl.algebraic_connectivity(cl.AdjacencyMatrix(6, entries)) == \
+                algebraic_connectivity_unchecked(entries[None])[0]
 
 
 class TestPairSquaredDistances:

@@ -220,6 +220,5 @@ class TestRecords:
         cfg = cli.ExperimentConfig(n=1, d=1, kernel=cl.Constant(1.0), signal=None,
                                    window=cl.Window(1.0, 0.5), t_end=1.0, dt=0.1,
                                    sample_every=1, out_dir=".", emit=())
-        assert cfg.raw == {} and cfg.observable == "diameter"
+        assert cfg.observable == "diameter"
         assert repr(cfg).startswith("ExperimentConfig(n=1, d=1, kernel=Constant(c=1.0)")
-        assert "raw" not in repr(cfg)

@@ -329,11 +329,10 @@ class TestCertify:
         sig = lattice_random_signal(rng, 3, pieces=5, balanced=True)
         window = cl.Window(0.3, 0.1)
         seen, calls = [], []
-        for name in ("scrambling_min", "algebraic_connectivity_unchecked"):
-            metric = getattr(signals, name)
-            monkeypatch.setattr(signals, name, lambda avgs, metric=metric:
-                                calls.append(len(avgs)) or seen.extend(avgs)
-                                or metric(avgs))
+        for kind, (metric, report_kind) in list(signals._KINDS.items()):
+            monkeypatch.setitem(signals._KINDS, kind, (
+                lambda avgs, metric=metric: calls.append(len(avgs))
+                or seen.extend(avgs) or metric(avgs), report_kind))
 
         def certify_both():
             seen.clear()
