@@ -12,6 +12,17 @@ numpy's overhead per call, not arithmetic, and an inner loop of two
 elements pays that overhead for almost no work.  `rhs_velocity` keeps the
 public (..., n, d) layout by swapping axes at its boundary.
 
+For the same reason a step pays for nothing it can leave out.  `rk4_run`
+reads its step sizes, pieces and record flags as Python scalars,
+_STEP_CHUNK steps at a time, instead of a numpy scalar per step; each RK4
+stage sum and each velocity field finishes in place on an array it owns,
+instead of allocating a temporary per operation; and the fields bind their
+kernel constants once, dropping ``c *`` when c = 1 and ``** beta`` when
+beta = 1.  None of it changes a bit: every sum and product keeps its two
+operands (IEEE ``+`` and ``*`` commute), ``1.0 * x == x`` and
+``x ** 1.0 == x`` hold exactly, and a Python float is the same double as
+the numpy scalar it replaces.
+
 The float text of the CSV and JSON writers is in `_text`, which its callers
 import on first use, so a process that writes no float array (certify)
 never loads it.
@@ -111,24 +122,60 @@ def rhs_velocity(pos, adj, kernel: Kernel):
     return np.swapaxes(_velocity(adj, kernel)(x), -1, -2)
 
 
+# floats of the largest piece a Cucker-Smale field copies when it is not
+# contiguous, as a rotating star's pieces are not: numpy then multiplies the
+# weights in one inner loop per batch entry, not one per row.  On the
+# pipeline benchmark's sweep (n = 5) `wall_s` read 0.2069 -> 0.2007 with the
+# copy, lower in 6 of 6 pairs (25 s runs, 2 CPUs); at n = 16 to 128 a field
+# call took 2-5% less.
+# A run keeps the field of every piece it reaches, so the copies of a star's
+# n pieces take n^3 floats: this cap (n <= 45) keeps them under 0.75 MB.
+_COPIED_PIECE_FLOATS = 2048
+
+
 def _velocity(adj, kernel):
     """`rhs_velocity` on one adjacency, as a function of coordinate-major
     positions of shape (..., d, n); the velocity has the same shape.
 
-    The degree vector of the constant kernel is computed here, once.
+    The degree vector of the constant kernel, the kernel's constants and a
+    Cucker-Smale field's contiguous copy of a small piece (see
+    _COPIED_PIECE_FLOATS) are made here, once.  Each field finishes in
+    place (see the module docstring), bitwise ``c * (x @ A^T - deg * x) / n``
+    or the sum weighted by ``adj * (K / (1 + r2) ** beta)``, the expressions
+    `velocity_expression` in tests/oracles.py keeps.
     """
     if isinstance(kernel, Constant):
+        c = kernel.c
         deg = adj.sum(axis=-1)
         # (x @ A^T)[c, i] = sum_j a_ij x[c, j].  A view, not a copy: BLAS then
         # runs the product the (n, d) layout ran, bit for bit
         adj_t = adj.T
-        return lambda pos: kernel.c * (pos @ adj_t - deg * pos) / pos.shape[-1]
+
+        def linear(pos):
+            v = pos @ adj_t
+            v -= deg * pos
+            if c != 1.0:
+                v *= c
+            v /= pos.shape[-1]
+            return v
+        return linear
+
+    K, beta = kernel.K, kernel.beta
+    if adj.size <= _COPIED_PIECE_FLOATS:
+        adj = np.ascontiguousarray(adj)
 
     def field(pos):
         diff = pos[..., None, :] - pos[..., :, None]  # diff[c, i, j] = x_j - x_i
         r2 = np.einsum("...cij,...cij->...ij", diff, diff)
-        w = adj * (kernel.K / (1.0 + r2) ** kernel.beta)
-        return np.einsum("...ij,...cij->...ci", w, diff) / pos.shape[-1]
+        # w = adj * (K / (1 + r2) ** beta), built in r2
+        r2 += 1.0
+        if beta != 1.0:
+            r2 **= beta
+        np.divide(K, r2, out=r2)
+        r2 *= adj
+        v = np.einsum("...ij,...cij->...ci", r2, diff)
+        v /= pos.shape[-1]
+        return v
     return field
 
 
@@ -174,6 +221,23 @@ def scrambling_min(stack):
 # 8 s each, 2 CPUs).  Smaller blocks make more, shorter CSV and diameter calls.
 _RECORD_BLOCK_FLOATS = 1 << 17
 
+# steps whose step sizes, pieces and record flags `rk4_run` converts to
+# Python lists at a time, about 36 bytes a step.  Chunks of 64 to 4096 steps
+# timed the same on the bench `rk4` and `rk4_linear` rows (within 2%,
+# medians of 7, 2 CPUs); 10^5 steps at n = 5 peaked at 18, 55 and 203 kB
+# (tracemalloc) with 256-, 1024- and 4096-step chunks, against 4.8 MB for
+# lists of the whole grid, which would grow with the number of steps.
+_STEP_CHUNK = 1024
+
+
+def _step_data(piece_idx, hs, rec):
+    """(h, piece, recorded) of every step as Python scalars, converted
+    _STEP_CHUNK steps at a time."""
+    for lo in range(0, hs.shape[0], _STEP_CHUNK):
+        hi = lo + _STEP_CHUNK
+        yield from zip(hs[lo:hi].tolist(), piece_idx[lo:hi].tolist(),
+                       rec[lo + 1:hi + 1].tolist())
+
 
 def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     """Fixed-step RK4 over a prebuilt step grid; hands the recorded states
@@ -191,46 +255,75 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     block is reused for the next one, so a sink copies what it keeps.
 
     The states are stepped as one (..., d, n) copy (see the module
-    docstring) and written back transposed at each recorded point.  An
-    overflow or an invalid operation raises FloatingPointError at the step
-    that produced it, instead of warning and stepping on to the end.  Only
-    einsum's reductions overflow to inf without a report, so a block with a
-    non-finite state raises FloatingPointError before it reaches the sink.
-    The sink runs outside the raising error state.
+    docstring) and written back transposed at each recorded point.  The
+    step size, piece and record flag of each step are Python scalars, read
+    from the grid _STEP_CHUNK steps at a time, so a step does no numpy
+    scalar arithmetic and the lists stay bounded whatever the grid's length.
+    Each stage input is one product updated in place, ``t = (h/2) * k1;
+    t += x``, and the step sums into ``k2``: ``2 k2``, ``+ k1``, ``+ 2 k3``,
+    ``+ k4``, ``* (h/6)``, ``+ x``.  Every sum and product has the two
+    operands it has in ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, the sums
+    come in the same order, and IEEE ``+`` and ``*`` commute, so every
+    state is bitwise that expression's.
+
+    An overflow or an invalid operation raises FloatingPointError at the
+    step that produced it, instead of warning and stepping on to the end.
+    Only einsum's reductions overflow to inf without a report, so a block
+    with a non-finite state raises FloatingPointError before it reaches the
+    sink.  The sink runs outside the raising error state.
     """
     count = int(np.count_nonzero(rec))
     rows = max(1, min(count, _RECORD_BLOCK_FLOATS // max(1, x0.size)))
     block = np.empty((rows,) + x0.shape)
     x = np.swapaxes(x0, -1, -2).copy()
-    lo = r = s = 0
+
+    def emit(lo, r):
+        # NaN and inf fail min/max, so no block-sized mask is built
+        done = block[:r]
+        if not (np.isfinite(done.min()) and np.isfinite(done.max())):
+            raise FloatingPointError("non-finite state in the record")
+        sink(lo, done)
+        return lo + r
+
+    lo = r = 0
     if rec[0]:
         block[0] = x0
         r = 1
     fields = {}  # piece index -> its velocity, built on the piece's first step
+    steps = _step_data(piece_idx, hs, rec)
     while True:
+        if r == rows:
+            lo, r = emit(lo, r), 0
         with np.errstate(over="raise", invalid="raise"):
-            while r < rows and s < hs.shape[0]:
-                h = hs[s]
-                p = piece_idx[s]
-                if p not in fields:
-                    fields[p] = _velocity(pieces[p], kernel)
-                f = fields[p]
+            for h, p, keep in steps:
+                f = fields.get(p)
+                if f is None:
+                    f = fields[p] = _velocity(pieces[p], kernel)
+                half = 0.5 * h
                 k1 = f(x)
-                k2 = f(x + 0.5 * h * k1)
-                k3 = f(x + 0.5 * h * k2)
-                k4 = f(x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                s += 1
-                if rec[s]:
+                t = half * k1
+                t += x
+                k2 = f(t)
+                t = half * k2
+                t += x
+                k3 = f(t)
+                t = h * k3
+                t += x
+                k4 = f(t)
+                k2 *= 2.0
+                k2 += k1
+                k3 *= 2.0
+                k2 += k3
+                k2 += k4
+                k2 *= h / 6.0
+                k2 += x
+                x = k2
+                if keep:
                     block[r] = np.swapaxes(x, -1, -2)
                     r += 1
-        if r:
-            # NaN and inf fail min/max, so no block-sized mask is built
-            done = block[:r]
-            if not (np.isfinite(done.min()) and np.isfinite(done.max())):
-                raise FloatingPointError("non-finite state in the record")
-            sink(lo, done)
-            lo += r
-            r = 0
-        if s == hs.shape[0]:
-            return
+                    if r == rows:
+                        break
+            else:
+                break
+    if r:
+        emit(lo, r)

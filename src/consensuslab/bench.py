@@ -1,9 +1,11 @@
-"""Time the hot numeric kernels: best-of-`repeats` wall time per kernel.
+"""Time the hot numeric kernels: each row is the median and quartiles of
+`repeats` timed calls of one kernel, after one untimed warm-up call.
 
-Run with `python -m consensuslab.bench`.  The last row, `import`, is the
-best of `repeats` fresh interpreters, each timing `from consensuslab import
-cli` alone after importing numpy; it compiles the sources unless their
-bytecode is cached.
+Run with `python -m consensuslab.bench`.  The last row, `import`, times
+`from consensuslab import cli` alone in each of `repeats` fresh
+interpreters after importing numpy; it compiles the sources unless their
+bytecode is cached.  A median with its quartiles shows how far the calls of
+one run spread, which a best-of hides.
 """
 import argparse
 import os
@@ -66,13 +68,19 @@ print(time.perf_counter() - start)
 
 
 def _time(fn, repeats):
+    """Seconds of `repeats` calls of ``fn`` after a warm-up call."""
     fn()  # warm up (cache touch)
-    best = np.inf
+    seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        seconds.append(time.perf_counter() - start)
+    return seconds
+
+
+def _row(name, seconds):
+    median, q1, q3 = np.percentile(seconds, [50, 25, 75]) * 1e3
+    print(f"{name:<16} {median:>12.3f} {q1:>12.3f} {q3:>12.3f}")
 
 
 def _import_seconds():
@@ -164,12 +172,12 @@ def run(repeats=5):
           f"(tau {SIMULATE_TAU}), fit and residual on them, diameters_small "
           f"of {SWEEP_SHAPE[0]} x {SWEEP_SHAPE[1:]} states, json of "
           f"{SWEEP_SHAPE[0]} reports of {SWEEP_FACTORS} factors, and import of "
-          f"consensuslab.cli in a fresh interpreter after numpy, best of {repeats}")
-    print(f"{'kernel':<16} {'time [ms]':>12}")
+          f"consensuslab.cli in a fresh interpreter after numpy; median and "
+          f"quartiles of {repeats}")
+    print(f"{'kernel':<16} {'median [ms]':>12} {'q1 [ms]':>12} {'q3 [ms]':>12}")
     for name, fn in cases.items():
-        print(f"{name:<16} {_time(fn, repeats) * 1e3:>12.3f}")
-    best = min(_import_seconds() for _ in range(repeats))
-    print(f"{'import':<16} {best * 1e3:>12.3f}")
+        _row(name, _time(fn, repeats))
+    _row("import", [_import_seconds() for _ in range(repeats)])
 
 
 def main(argv=None):

@@ -27,10 +27,25 @@ def _as_readonly(arr):
     return out
 
 
+def _in_unit_range(arr) -> bool:
+    # NaN and inf fail min/max, so no mask is built
+    return bool(arr.min() >= -_ENTRY_TOL and arr.max() <= 1.0 + _ENTRY_TOL)
+
+
 def check_entries(entries) -> None:
     """Raise ValueError unless each (n, n) matrix of `entries` has weights in
-    [0, 1] and a unit diagonal; NaN and inf fail min/max, so no mask is built."""
-    if not (entries.min() >= -_ENTRY_TOL and entries.max() <= 1.0 + _ENTRY_TOL):
+    [0, 1] and a unit diagonal.
+
+    A broadcast view, such as a rotating star's n shifts of one hub, holds
+    more entries than the float64 array under it, and every entry of an
+    aligned view is one of that array's: the range is tested on the smaller
+    array first, and on the entries themselves only if it fails there.
+    """
+    base = entries.base
+    if not (isinstance(base, np.ndarray)
+            and base.dtype == entries.dtype == np.float64
+            and base.size < entries.size and entries.flags.aligned
+            and _in_unit_range(base)) and not _in_unit_range(entries):
         raise ValueError("entries must be finite and lie in [0, 1]")
     diag = np.diagonal(entries, 0, -2, -1)
     if not (diag.min() >= 1.0 - _ENTRY_TOL and diag.max() <= 1.0 + _ENTRY_TOL):

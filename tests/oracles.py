@@ -3,7 +3,8 @@
 These deliberately avoid the package's computational paths: the scrambling
 oracle is a literal triple loop or one (n, n, n) min-broadcast per matrix,
 the velocity field a literal double loop over agent pairs (stepped by a
-plain RK4 loop), the connectivity oracles use either a dense symmetric
+plain RK4 loop) or one array expression per kernel (stepped by one RK4
+expression per step), the connectivity oracles use either a dense symmetric
 eigensolver with the constant direction shifted away, one Householder
 projection and eigensolver call per matrix, or brute-force Rayleigh-quotient
 minimization over direction grids, and window averages are cross-checked by
@@ -79,6 +80,45 @@ def rk4_direct(x0, adj, h, steps, kernel):
         k4 = rhs_direct(x + h * k3, adj, kernel)
         states.append(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return np.stack(states)
+
+
+def velocity_expression(adj, kernel):
+    """The velocity field of `_kernels._velocity` as one expression per
+    kernel, on coordinate-major positions of shape (..., d, n)."""
+    if isinstance(kernel, cl.Constant):
+        deg = adj.sum(axis=-1)
+        adj_t = adj.T
+        return lambda pos: kernel.c * (pos @ adj_t - deg * pos) / pos.shape[-1]
+
+    def field(pos):
+        diff = pos[..., None, :] - pos[..., :, None]  # diff[c, i, j] = x_j - x_i
+        r2 = np.einsum("...cij,...cij->...ij", diff, diff)
+        w = adj * (kernel.K / (1.0 + r2) ** kernel.beta)
+        return np.einsum("...ij,...cij->...ci", w, diff) / pos.shape[-1]
+    return field
+
+
+def rk4_expression(x0, pieces, piece_idx, hs, rec, kernel):
+    """Every state `_kernels.rk4_run` records, shape (recorded,) + x0.shape:
+    one RK4 step expression on `velocity_expression` per step, with the
+    step data read as numpy scalars."""
+    x = np.swapaxes(x0, -1, -2).copy()
+    out = [np.array(x0, dtype=np.float64)] if rec[0] else []
+    fields = {}
+    for s in range(hs.shape[0]):
+        h = hs[s]
+        p = piece_idx[s]
+        if p not in fields:
+            fields[p] = velocity_expression(pieces[p], kernel)
+        f = fields[p]
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if rec[s + 1]:
+            out.append(np.swapaxes(x, -1, -2).copy())
+    return np.stack(out)
 
 
 def laplacian_sym(entries):

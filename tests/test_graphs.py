@@ -5,7 +5,7 @@ import consensuslab as cl
 from consensuslab import _kernels
 from consensuslab.errors import DimensionMismatch, UnbalancedGraph
 from consensuslab.graphs import (algebraic_connectivity_unchecked,
-                                 dirichlet_energies, pair_indices,
+                                 check_entries, dirichlet_energies, pair_indices,
                                  pair_squared_distances, unbalanced)
 
 from oracles import (dirichlet_energies_loop, lambda2_eigh,
@@ -64,6 +64,40 @@ class TestAdjacencyMatrix:
     def test_json_round_trip(self):
         a = adj([[1.0, 0.25], [0.75, 1.0]])
         assert cl.AdjacencyMatrix.from_json_dict(a.to_json_dict()) == a
+
+
+class TestCheckEntries:
+    """Broadcast views are range-checked on the array under them first."""
+
+    def test_rotating_star_hub_view_passes(self):
+        stack = cl.gen_rotating_star(64, 0.1).piece_stack
+        assert stack.base.size < stack.size
+        check_entries(stack)
+
+    def test_out_of_range_base_outside_the_view_passes(self):
+        base = np.ones((4, 4))
+        base[3, 3] = 5.0
+        base[0, 3] = np.nan
+        check_entries(np.broadcast_to(base[:3, :3], (10, 3, 3)))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, 1.5, -0.5))
+    def test_bad_value_inside_the_view_raises(self, bad):
+        base = np.ones((4, 4))
+        base[1, 2] = bad
+        with pytest.raises(ValueError, match="finite and lie in"):
+            check_entries(np.broadcast_to(base[:3, :3], (10, 3, 3)))
+
+    def test_unaligned_view_is_checked_on_its_entries(self):
+        # every float of the base is in range, but the view reads 8 bytes
+        # across two of them, the second's low word a NaN's high word
+        base = np.full(8, np.array(0x3FE000007FF00000).view(np.float64))
+        assert 0.5 <= base.min() <= base.max() <= 1.0
+        view = np.ndarray((5, 2, 2), np.float64, buffer=base, offset=4,
+                          strides=(0, 16, 8))
+        assert view.base is base and not view.flags.aligned
+        assert np.isnan(view).all()
+        with pytest.raises(ValueError, match="finite and lie in"):
+            check_entries(view)
 
 
 class TestScrambling:

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import consensuslab._text as text
 from consensuslab import dynamics
 
 from oracles import (csv_per_cell, lambda2_eigh, repr_join, rhs_direct,
-                     rk4_direct)
+                     rk4_direct, rk4_expression)
 
 
 def rk4_record(x0, pieces, piece_idx, hs, rec, kernel):
@@ -81,6 +82,64 @@ def test_rk4_equals_per_stage_rhs(kernel):
             want.append(x)
         got = rk4_record(want[0], pieces, piece_idx, hs, rec, kernel)
         assert np.array_equal(got, np.stack(want)), (n, d)
+
+
+# c = 1 and beta = 1 leave out a factor and a power; beta = 0.5 and 0 are
+# powers numpy computes as a square root and as ones
+EXPRESSION_CASES = (kernels.Constant(1.0), kernels.Constant(1.3),
+                    kernels.CuckerSmale(1.0, 1.0), kernels.CuckerSmale(0.9, 1.4),
+                    kernels.CuckerSmale(1.0, 0.5), kernels.CuckerSmale(1.0, 0.0))
+
+
+@pytest.mark.parametrize("star", (False, True), ids=("contiguous", "star_view"))
+@pytest.mark.parametrize("kernel", EXPRESSION_CASES, ids=repr)
+def test_rk4_equals_step_expression(kernel, star):
+    # in-place fields and stage sums, and step data read as Python scalars
+    # a chunk at a time, record bitwise what one expression per step gives,
+    # at and next to every chunk boundary
+    rng = np.random.default_rng(23)
+    n, chunk = 5, kernels._STEP_CHUNK
+    steps = 2 * chunk + 500
+    assert steps >= 2500
+    if star:
+        pieces = cl.gen_rotating_star(n, 0.1).piece_stack
+        assert not pieces.flags.c_contiguous
+    else:
+        pieces = rng.random((3, n, n))
+    piece_idx = rng.integers(0, len(pieces), size=steps)
+    hs = rng.uniform(5e-4, 2e-3, size=steps)
+    rec = np.zeros(steps + 1, dtype=bool)
+    rec[0] = rec[-1] = True
+    for edge in range(chunk, steps, chunk):
+        rec[edge - 1:edge + 2] = True
+    for batch in ((1,), (3,)):
+        for d in (1, 2, 3):
+            x0s = rng.normal(size=batch + (n, d))
+            got = rk4_record(x0s, pieces, piece_idx, hs, rec, kernel)
+            want = rk4_expression(x0s, pieces, piece_idx, hs, rec, kernel)
+            assert np.array_equal(got, want), (batch, d)
+
+
+def test_rk4_memory_does_not_grow_with_steps():
+    # 10^5 steps at n = 5, recorded at the two ends: the step data held as
+    # Python lists would peak near 4.8 MB, one 1024-step chunk at a time
+    # peaks near 55 kB
+    rng = np.random.default_rng(29)
+    steps = 10**5
+    pieces = rng.random((3, 5, 5))
+    piece_idx = rng.integers(0, 3, size=steps)
+    hs = np.full(steps, 1e-4)
+    rec = np.zeros(steps + 1, dtype=bool)
+    rec[0] = rec[-1] = True
+    x0 = rng.normal(size=(5, 2))
+    tracemalloc.start()
+    try:
+        kernels.rk4_run(x0, pieces, piece_idx, hs, rec, kernels.Constant(1.0),
+                        lambda lo, block: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def random_grid(rng, steps):
