@@ -122,26 +122,14 @@ def rhs_velocity(pos, adj, kernel: Kernel):
     return np.swapaxes(_velocity(adj, kernel)(x), -1, -2)
 
 
-# floats of the largest piece a Cucker-Smale field copies when it is not
-# contiguous, as a rotating star's pieces are not: numpy then multiplies the
-# weights in one inner loop per batch entry, not one per row.  On the
-# pipeline benchmark's sweep (n = 5) `wall_s` read 0.2069 -> 0.2007 with the
-# copy, lower in 6 of 6 pairs (25 s runs, 2 CPUs); at n = 16 to 128 a field
-# call took 2-5% less.
-# A run keeps the field of every piece it reaches, so the copies of a star's
-# n pieces take n^3 floats: this cap (n <= 45) keeps them under 0.75 MB.
-_COPIED_PIECE_FLOATS = 2048
-
-
 def _velocity(adj, kernel):
     """`rhs_velocity` on one adjacency, as a function of coordinate-major
     positions of shape (..., d, n); the velocity has the same shape.
 
-    The degree vector of the constant kernel, the kernel's constants and a
-    Cucker-Smale field's contiguous copy of a small piece (see
-    _COPIED_PIECE_FLOATS) are made here, once.  Each field finishes in
-    place (see the module docstring), bitwise ``c * (x @ A^T - deg * x) / n``
-    or the sum weighted by ``adj * (K / (1 + r2) ** beta)``, the expressions
+    The degree vector of the constant kernel and the kernel's constants are
+    made here, once.  Each field finishes in place (see the module
+    docstring), bitwise ``c * (x @ A^T - deg * x) / n`` or the sum weighted
+    by ``adj * (K / (1 + r2) ** beta)``, the expressions
     `velocity_expression` in tests/oracles.py keeps.
     """
     if isinstance(kernel, Constant):
@@ -161,8 +149,6 @@ def _velocity(adj, kernel):
         return linear
 
     K, beta = kernel.K, kernel.beta
-    if adj.size <= _COPIED_PIECE_FLOATS:
-        adj = np.ascontiguousarray(adj)
 
     def field(pos):
         diff = pos[..., None, :] - pos[..., :, None]  # diff[c, i, j] = x_j - x_i

@@ -37,14 +37,17 @@ def check_entries(entries) -> None:
     [0, 1] and a unit diagonal.
 
     A broadcast view, such as a rotating star's n shifts of one hub, holds
-    more entries than the float64 array under it, and every entry of an
-    aligned view is one of that array's: the range is tested on the smaller
-    array first, and on the entries themselves only if it fails there.
+    more entries than the float64 array under it.  When the view and that
+    array are both aligned, every entry is one of the array's values: the
+    range is tested on the smaller array first, and on the entries
+    themselves only if it fails there.  (Either one unaligned, an entry can
+    read the bytes of two of the array's values.)
     """
     base = entries.base
     if not (isinstance(base, np.ndarray)
             and base.dtype == entries.dtype == np.float64
-            and base.size < entries.size and entries.flags.aligned
+            and base.size < entries.size
+            and base.flags.aligned and entries.flags.aligned
             and _in_unit_range(base)) and not _in_unit_range(entries):
         raise ValueError("entries must be finite and lie in [0, 1]")
     diag = np.diagonal(entries, 0, -2, -1)

@@ -87,14 +87,21 @@ class TestCheckEntries:
         with pytest.raises(ValueError, match="finite and lie in"):
             check_entries(np.broadcast_to(base[:3, :3], (10, 3, 3)))
 
-    def test_unaligned_view_is_checked_on_its_entries(self):
-        # every float of the base is in range, but the view reads 8 bytes
-        # across two of them, the second's low word a NaN's high word
-        base = np.full(8, np.array(0x3FE000007FF00000).view(np.float64))
+    @pytest.mark.parametrize("word, offset", ((0x3FE000007FF00000, 0),
+                                              (0x7FF000003FE00000, 4)),
+                             ids=("unaligned_view", "unaligned_base"))
+    def test_view_across_two_base_floats_is_checked_on_its_entries(self, word,
+                                                                   offset):
+        # the view starts 4 bytes into its base, so one of the two is
+        # unaligned and each entry reads halves of two base floats: here
+        # every base float is 0.5 and a bit, and every entry a NaN
+        raw = np.full(10, word, dtype=np.int64).tobytes()
+        base = np.frombuffer(raw, np.float64, count=9, offset=offset)
         assert 0.5 <= base.min() <= base.max() <= 1.0
         view = np.ndarray((5, 2, 2), np.float64, buffer=base, offset=4,
                           strides=(0, 16, 8))
-        assert view.base is base and not view.flags.aligned
+        assert view.base is base
+        assert base.flags.aligned != view.flags.aligned
         assert np.isnan(view).all()
         with pytest.raises(ValueError, match="finite and lie in"):
             check_entries(view)
