@@ -165,38 +165,30 @@ def _velocity(adj, kernel):
     return field
 
 
-# rows of one matrix per block of `scrambling_min`.  A block takes
-# max(1, _SCRAMBLING_BLOCK // m) rows of all m matrices of the stack, so its
-# minima hold at most max(_SCRAMBLING_BLOCK, m) * n * n floats: no more than
-# 16 rows of one matrix, or than the stack itself (2 MB at n = 128, against
-# 16 MB for one (n, n, n) broadcast).  Over the four 16-start chunks of a
-# certify of blinking pairs at n = 32, one-row blocks across each chunk took
-# 4.1 ms against 5.1 ms for 16-row blocks of one matrix at a time, at a
-# tracemalloc peak of 260 kB against 265 kB; 2-, 4- and 8-row blocks across
-# the chunk took 3.3-3.7 ms but peaked at 395, 657 and 1181 kB (medians of
-# 41, 2 CPUs, BLAS on one thread).
-_SCRAMBLING_BLOCK = 16
-
-
 def scrambling_min(stack):
     """Minimum over ordered index pairs of the normalized shared-weight sum,
     for every matrix of an (m, n, n) stack; shape (m,).
 
-    The pair sums are symmetric, so each block of rows is compared only
-    with the rows at or below it.  A block takes the same rows of every
-    matrix, max(1, _SCRAMBLING_BLOCK // m) of them, and the running minimum
-    of each matrix is kept across blocks.  Every pair sum is still one
-    contiguous last-axis sum of n terms, as in a full (n, n, n) broadcast,
-    so the result does not depend on the block size.
+    The pair sums are symmetric, so row i of every matrix is compared only
+    with rows i to n - 1, one row at a time, and the running minimum of each
+    matrix is kept across rows.  Every pair sum is still one contiguous
+    last-axis sum of n terms, as in a full (n, n, n) broadcast, so the
+    result is bitwise the broadcast's, and the temporaries hold at most
+    m * n * n floats, the size of the stack.
     """
     m, n = stack.shape[0], stack.shape[-1]
-    rows = max(1, _SCRAMBLING_BLOCK // max(m, 1))
     out = np.full(m, np.inf)
-    for lo in range(0, n, rows):
-        sums = np.minimum(stack[:, lo:lo + rows, None, :],
-                          stack[:, None, lo:, :]).sum(axis=3)
-        np.minimum(out, sums.min(axis=(1, 2)), out=out)
+    for i in range(n):
+        sums = np.minimum(stack[:, i, None, :], stack[:, i:, :]).sum(axis=2)
+        np.minimum(out, sums.min(axis=1), out=out)
     return out / n
+
+
+def chunk_slices(count, per_item, budget):
+    """Slices of ``count`` items, as many a slice as ``budget`` holds at
+    ``per_item`` each, and at least one."""
+    step = max(1, budget // max(1, per_item))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 # floats of recorded states in one block that `rk4_run` hands its sink.  With
@@ -219,10 +211,10 @@ _STEP_CHUNK = 1024
 def _step_data(piece_idx, hs, rec):
     """(h, piece, recorded) of every step as Python scalars, converted
     _STEP_CHUNK steps at a time."""
-    for lo in range(0, hs.shape[0], _STEP_CHUNK):
-        hi = lo + _STEP_CHUNK
-        yield from zip(hs[lo:hi].tolist(), piece_idx[lo:hi].tolist(),
-                       rec[lo + 1:hi + 1].tolist())
+    ends = rec[1:]  # the flag of the point each step ends on
+    for part in chunk_slices(hs.shape[0], 1, _STEP_CHUNK):
+        yield from zip(hs[part].tolist(), piece_idx[part].tolist(),
+                       ends[part].tolist())
 
 
 def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):

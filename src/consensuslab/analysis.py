@@ -10,14 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import Constant, Record, ValueRecord
-from .dynamics import Configuration, Trajectory, chunk_slices, diameters, variances
+from .dynamics import (Configuration, Trajectory, diameters, sample_slices,
+                       variances)
 from .errors import DimensionMismatch, InvalidPair, NonPositiveValue, SpanTooShort
 from .graphs import dirichlet_energies, pair_indices, pair_squared_distances
 
 PAIR_TOL = 1e-9
 STRICT_MARGIN = 1e-12
 CONSENSUS_FLOOR = 1e-10
-_MATCH_TOL = 1e-9
+_MATCH_TOL = 1e-9  # of tau: how near a sample a window's end is matched
 
 
 class DecayFit(ValueRecord):
@@ -133,19 +134,20 @@ def series_contraction(times, series, tau: float) -> ContractionReport:
     """
     if not 0 < tau < np.inf:
         raise ValueError("tau must be finite and > 0")
-    if times[-1] - times[0] + 1e-12 < tau:
+    if times[-1] - times[0] + 1e-12 * tau < tau:
         raise SpanTooShort(f"trajectory spans {times[-1] - times[0]}, need {tau}")
 
+    tol = _MATCH_TOL * tau
     targets = times + tau
-    starts = np.flatnonzero(targets <= times[-1] + _MATCH_TOL)
+    starts = np.flatnonzero(targets <= times[-1] + tol)
     targets = targets[starts]
     # the endpoint is the sample just below the target if that matches, else
     # the one just above; clipping at either end only repeats the other index
     above = np.searchsorted(times, targets)
     below = np.maximum(above - 1, 0)
     above = np.minimum(above, len(times) - 1)
-    hit_below = np.abs(times[below] - targets) <= _MATCH_TOL
-    hit_above = np.abs(times[above] - targets) <= _MATCH_TOL
+    hit_below = np.abs(times[below] - targets) <= tol
+    hit_above = np.abs(times[above] - targets) <= tol
     ends = np.where(hit_below, below, above)
     keep = (hit_below | hit_above) & (series[starts] > CONSENSUS_FLOOR)
     factors = series[ends[keep]] / series[starts[keep]]
@@ -208,12 +210,13 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
 
     times = traj.times
     var = traj.variances
-    switch_times, switch_piece = sig.piece_starts(float(times[-1]) + 1e-12)
+    switch_times, switch_piece = sig.piece_starts(float(times[-1]))
     left, mid, right = times[:-2], times[1:-1], times[2:]
     even = np.abs((right - mid) - (mid - left)) <= 1e-9 * (right - left)
-    # a switch strictly inside a stencil makes lo < hi
-    lo = np.searchsorted(switch_times, left + 1e-12)
-    hi = np.searchsorted(switch_times, right - 1e-12)
+    # a switch inside a stencil, by a slack relative to its width, makes lo < hi
+    slack = 1e-12 * (right - left)
+    lo = np.searchsorted(switch_times, left + slack, side="right")
+    hi = np.searchsorted(switch_times, right - slack)
     mids = np.flatnonzero(even & (hi <= lo)) + 1
     if mids.size == 0:
         return 0.0
@@ -221,7 +224,7 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
 
     piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
     energy = np.empty(mids.size)
-    for part in chunk_slices(mids.size, traj.n * (traj.n - 1) // 2 * traj.d):
+    for part in sample_slices(mids.size, traj.n * (traj.n - 1) // 2 * traj.d):
         energy[part] = dirichlet_energies(sig.piece_stack[piece[part]],
                                           traj.states[mids[part]])
     return float(np.abs(slope + 2.0 * energy).max())

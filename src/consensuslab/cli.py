@@ -346,9 +346,9 @@ def _check(name, value, threshold, ok):
 
 
 def _window_grid(cfg):
-    """Multiples of tau inside [0, t_end]: forced onto the sample grid."""
+    """Multiples of tau up to t_end, clamped to it: forced sample times."""
     count = int(math.floor(cfg.t_end / cfg.window.tau + 1e-9))
-    return cfg.window.tau * np.arange(count + 1)
+    return np.minimum(cfg.window.tau * np.arange(count + 1), cfg.t_end)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> OutputBundle:

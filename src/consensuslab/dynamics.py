@@ -17,7 +17,7 @@ series; `integrate_batch` measures the identity and so keeps the
 failed run leaves no partial file.
 
 Diameters and variances go through one chunk loop, `_per_chunk`, over
-`chunk_slices` of at most _CHUNK_FLOATS floats, sized to the L2 cache; so
+`sample_slices` of at most _CHUNK_FLOATS floats, sized to the L2 cache; so
 beside the samples they are given their memory is bounded for any number of
 samples, and the dissipation residual walks its samples by the same slices.
 Their values do not depend on the chunking, so a block's are those of its
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._kernels import Constant, Kernel, Record
+from ._kernels import Constant, Kernel, Record, chunk_slices
 from .errors import DegenerateDiameter, DimensionMismatch, NonFiniteState
 from .graphs import pair_squared_distances
 from .signals import PiecewiseConstantSignal
@@ -118,23 +118,21 @@ _SCREEN_SLACK = 1e-12
 _SCREEN_RANGE = (1e-100, 1e100)
 
 
-def chunk_slices(count, floats):
-    """Slices of ``count`` samples, as many a chunk as fit in _CHUNK_FLOATS
-    floats at ``floats`` a sample, at least one."""
-    step = max(1, _CHUNK_FLOATS // max(1, floats))
-    return (slice(lo, lo + step) for lo in range(0, count, step))
+def sample_slices(count, floats):
+    """`chunk_slices` of ``count`` samples under _CHUNK_FLOATS floats."""
+    return chunk_slices(count, floats, _CHUNK_FLOATS)
 
 
 def _per_chunk(positions, floats, fn) -> np.ndarray:
     """``fn`` of every chunk of the (s, n, d) samples of (..., n, d) positions.
 
-    Chunks are `chunk_slices` at ``floats`` a sample; ``fn`` maps a chunk to
+    Chunks are `sample_slices` at ``floats`` a sample; ``fn`` maps a chunk to
     s values.  Returns shape positions.shape[:-2].
     """
     n, d = positions.shape[-2:]
     flat = positions.reshape(-1, n, d)
     out = np.empty(len(flat))
-    for part in chunk_slices(len(flat), floats):
+    for part in sample_slices(len(flat), floats):
         out[part] = fn(flat[part])
     return out.reshape(positions.shape[:-2])
 
@@ -309,11 +307,11 @@ def append_csv(path, times, rows) -> None:
     """
     from . import _text
 
-    step = max(1, _CSV_CHUNK_CELLS // (1 + rows.shape[1]))
     with open(path, "a") as fh:
-        for lo in range(0, len(times), step):
-            fh.write(_text.format_g17(np.column_stack(
-                [times[lo:lo + step], rows[lo:lo + step]])))
+        for part in chunk_slices(len(times), 1 + rows.shape[1],
+                                 _CSV_CHUNK_CELLS):
+            fh.write(_text.format_g17(np.column_stack([times[part],
+                                                       rows[part]])))
 
 
 @contextlib.contextmanager
@@ -346,12 +344,15 @@ def _build_grid(sig, t_end, dt, forced_times):
     piece starts) and is forced if any of its candidates is.  Measuring from
     the point kept so far would differ only on a chain of gaps within the
     tolerance spanning more than it; no config makes one, as every candidate
-    rounds an exact time.  Returns the grid, per-step pieces and forced flags.
+    rounds an exact time.  Forced times may pass t_end by 1e-9 * dt, or by
+    1e-12 t_end for their rounding, and are clamped to it.  Returns the grid,
+    per-step pieces and forced flags.
     """
     ev_t, ev_p = sig.piece_starts(t_end)
     n_uniform = int(np.ceil(t_end / dt - 1e-9))
     forced = np.asarray(forced_times, dtype=np.float64)
-    if forced.size and not (forced.min() >= 0 and forced.max() <= t_end + 1e-9):
+    past = max(1e-9 * dt, 1e-12 * t_end)
+    if forced.size and not (forced.min() >= 0 and forced.max() <= t_end + past):
         raise ValueError("forced record times must lie in [0, t_end]")
     forced = np.minimum(forced, t_end)
 

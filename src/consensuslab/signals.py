@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import Record, ValueRecord, scrambling_min
+from ._kernels import Record, ValueRecord, chunk_slices, scrambling_min
 from .errors import HorizonUncovered, UnbalancedGraph
 from .graphs import (AdjacencyMatrix, algebraic_connectivity_unchecked,
                      check_entries, unbalanced)
@@ -28,7 +28,7 @@ from .graphs import (AdjacencyMatrix, algebraic_connectivity_unchecked,
 PERIODIC = "periodic"
 CLAMPED = "clamped"
 
-_TIME_TOL = 1e-12
+_TIME_TOL = 1e-12  # of a window start's time scale; see `_critical_starts`
 
 # floats in one chunk of the (starts, n, n) window averages that `certify`
 # builds once and hands to the batched metric of every kind.  128 KB stays in
@@ -248,6 +248,10 @@ def _critical_starts(sig, tau, horizon):
     every start where t or t+tau crosses a breakpoint, plus the endpoints of
     the scanned interval [0, horizon].  In periodic mode the kinks repeat with
     the period, so a horizon of at least one period is scanned as [0, period].
+
+    Starts within _TIME_TOL of their time scale are one: max(period, tau) if
+    wrapped into [0, period), else t + tau (clamped kink t = b - tau rounds at
+    b), never the last clamped breakpoint, which the last piece lasts past.
     """
     bp = sig.breakpoints
     if sig.mode == PERIODIC:
@@ -255,16 +259,16 @@ def _critical_starts(sig, tau, horizon):
         kinks = np.concatenate([np.mod(bp, period), np.mod(bp - tau, period)])
         horizon = min(horizon, period)
     else:
-        if bp[-1] + _TIME_TOL < horizon + tau:
+        if bp[-1] + _TIME_TOL * (horizon + tau) < horizon + tau:
             raise HorizonUncovered(
                 f"clamped signal covers [0, {bp[-1]}] but certification needs "
                 f"[0, {horizon + tau}]"
             )
         kinks = np.concatenate([bp, bp - tau])
     cands = np.concatenate([kinks, [0.0, horizon]])
-    cands = cands[(cands >= 0.0) & (cands <= horizon + _TIME_TOL)]
-    cands = np.sort(np.minimum(cands, horizon))
-    keep = np.concatenate([[True], np.diff(cands) > _TIME_TOL])
+    cands = np.sort(np.minimum(cands[cands >= 0.0], horizon))
+    scale = max(period, tau) if sig.mode == PERIODIC else cands[1:] + tau
+    keep = np.concatenate([[True], np.diff(cands) > _TIME_TOL * scale])
     return cands[keep]
 
 
@@ -292,12 +296,11 @@ def certify(sig: PiecewiseConstantSignal, window: Window, horizon: float,
         raise ValueError("horizon must be > 0")
     starts = _critical_starts(sig, window.tau, horizon)
     metrics = [_KINDS[kind][0] for kind in kinds]
-    step = max(1, _CHUNK_FLOATS // sig.n**2)
     values = np.empty((len(kinds), len(starts)))
-    for lo in range(0, len(starts), step):
-        avgs = window_average_batch(sig, starts[lo:lo + step], window.tau)
+    for part in chunk_slices(len(starts), sig.n**2, _CHUNK_FLOATS):
+        avgs = window_average_batch(sig, starts[part], window.tau)
         for row, metric in zip(values, metrics):
-            row[lo:lo + step] = metric(avgs)
+            row[part] = metric(avgs)
     reports = []
     for kind, row in zip(kinds, values):
         worst = int(np.argmin(row))

@@ -223,6 +223,25 @@ class TestParseConfig:
         pytest.param("certify", lambda d: d.update(certify=[1]), id="list_certify"),
         pytest.param("verify", lambda d: d.update(verify="x"), id="string_verify"),
         pytest.param("sweep", lambda d: d.update(sweep=[1]), id="list_sweep"),
+        pytest.param("system.kernel.form", lambda d: d["system"]["kernel"].update(
+            form="quadratic"), id="unknown_kernel_form"),
+        pytest.param("signal.type", lambda d: d.update(
+            signal={"type": "random"}), id="unknown_signal_type"),
+        pytest.param("signal", lambda d: d["signal"]["data"].update(
+            n=3, pieces=[{"n": 3, "entries": np.eye(3).tolist()}]),
+            id="inline_n_mismatch"),
+        pytest.param("system.n", lambda d: d["system"].update(n=0), id="zero_n"),
+        pytest.param("system.d", lambda d: d["system"].update(d=0), id="zero_d"),
+        pytest.param("run.t_end", lambda d: d["run"].update(t_end=0.0),
+                     id="zero_t_end"),
+        pytest.param("run.sample_every", lambda d: d["run"].update(
+            sample_every=0), id="zero_sample_every"),
+        pytest.param("sweep.num_initial", lambda d: d.update(
+            sweep={"num_initial": 0}), id="zero_num_initial"),
+        pytest.param("verify.observable", lambda d: d.update(
+            verify={"observable": "energy"}), id="unknown_observable"),
+        pytest.param("initial", lambda d: d.pop("initial"),
+                     id="simulate_without_initial"),
     ])
     def test_invalid_value_names_field(self, tmp_path, capsys, field, edit):
         data = two_agent_config(tmp_path)
@@ -316,6 +335,23 @@ class TestSimulate:
         for path in bundle.trajectory_files + [bundle.summary_path]:
             assert Path(path).exists()
         assert (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("scale", (1.0, 2.0 ** 40), ids=("unit", "2^40"))
+    def test_last_window_end_rounding_past_t_end(self, tmp_path, capsys, scale):
+        # t_end / tau is 5e-10 short of 3, within the window count's 1e-9,
+        # so the last window end is 3 tau, past t_end: it is clamped to
+        # t_end at any time unit (c scales with 1 / unit)
+        data = two_agent_config(tmp_path)
+        data["system"]["kernel"]["c"] = 1.0 / scale
+        data["signal"]["data"]["breakpoints"] = [0.0, scale]
+        data["window"]["tau"] = scale
+        data["run"].update(t_end=2.9999999995 * scale, dt=0.01 * scale)
+        assert main(["simulate", "--config",
+                     str(write_config(tmp_path, data))]) == 0
+        assert capsys.readouterr().err == ""
+        times = np.loadtxt(tmp_path / "observables.csv", delimiter=",",
+                           skiprows=1)[:, 0]
+        assert times[-1] == 2.9999999995 * scale
 
     def test_identity_signal_constant_positions(self, tmp_path):
         data = two_agent_config(tmp_path)
@@ -468,6 +504,25 @@ class TestCertify:
             data = TestVerify().verify_config(tmp_path / observable, observable)
             cmd_verify(parse_config(data))
             assert calls == [[kind]]
+
+    def test_tiny_time_unit_fails_as_at_unit_scale(self, tmp_path):
+        # blinking pairs with every time in units of 1e-13: kinks 1e-13
+        # apart are distinct window starts, so the half-on window fails at
+        # 1/21 as it does with the same config in units of 0.1
+        data = {
+            "system": {"n": 6, "d": 1, "kernel": {"form": "constant", "c": 1.0}},
+            "signal": {"type": "blinking_pairs", "dwell": 1e-13, "duty": 0.5},
+            "window": {"tau": 3.5e-13, "mu": 0.06},
+            "run": {"t_end": 1e-12, "dt": 1e-12},
+            "outputs": {"dir": str(tmp_path)},
+        }
+        assert main(["certify", "--config",
+                     str(write_config(tmp_path, data))]) == 2
+        for kind in ("eta", "lambda2"):
+            report = json.loads(
+                (tmp_path / f"persistence_{kind}.json").read_text())
+            assert report["passes"] is False
+            assert report["infimum_value"] == pytest.approx(1 / 21, rel=1e-12)
 
     def test_round_trip_persistence_report(self, tmp_path):
         cmd_certify(parse_config(blinking_config(tmp_path)))

@@ -12,7 +12,7 @@ from consensuslab.errors import (
     NonFiniteState,
 )
 
-from consensuslab import _kernels, _text, dynamics
+from consensuslab import _kernels, _text, analysis, dynamics
 from consensuslab.dynamics import state_header
 from consensuslab.cli import _window_grid, cmd_simulate, parse_config
 
@@ -344,6 +344,63 @@ class TestStream:
         for b, traj in enumerate(trajs):
             assert np.array_equal(diams[b], traj.diameters)
             assert np.array_equal(variances[b], traj.variances)
+
+    def test_non_finite_record_raises_before_the_sink(self, tmp_path,
+                                                      monkeypatch):
+        # einsum can overflow to inf without raising a floating-point flag.
+        # A field that turns to np.full_like(pos, inf) after a few calls
+        # raises none either, so only the record's own check can stop its
+        # inf record before a block reaches a measure or a table
+        velocity, calls = _kernels._velocity, []
+
+        def overflowing(adj, kernel):
+            field = velocity(adj, kernel)
+
+            def f(pos):
+                calls.append(None)
+                return np.full_like(pos, np.inf) if len(calls) > 6 else field(pos)
+            return f
+
+        monkeypatch.setattr(_kernels, "_velocity", overflowing)
+        starts = np.random.default_rng(62).normal(size=(2, 3, 2))
+        run = dynamics.Integration(starts, cl.gen_rotating_star(3, 0.05),
+                                   cl.Constant(1.0), 0.1, 0.01)
+        seen = []
+        with pytest.raises(NonFiniteState):
+            run.series([lambda block: seen.append(len(block)) or block],
+                       [tmp_path / "a.csv", tmp_path / "b.csv"])
+        assert len(calls) > 6 and seen == []
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestTimeUnit:
+    @staticmethod
+    def run(starts, scale):
+        """Times, record and diameter contraction factors of a rotating-star
+        run with every time times ``scale`` and c times 1 / ``scale``."""
+        integration = dynamics.Integration(
+            starts, cl.gen_rotating_star(5, 0.2 * scale), cl.Constant(1.3 / scale),
+            10.0 * scale, 0.01 * scale, forced_times=scale * np.arange(11.0))
+        times = integration.times
+        record, diams = integration.series([lambda block: block,
+                                            dynamics.diameters])
+        factors = [analysis.series_contraction(times, series, scale).factors
+                   for series in diams]
+        return times, record, factors
+
+    @pytest.mark.parametrize("k", range(-60, 61, 4))
+    def test_run_independent_of_time_unit(self, k):
+        # metamorphic relation: times times 2^k and c times 2^-k scale every
+        # grid point and step exactly, so every state keeps its bits and
+        # every window end matches the same sample
+        starts = np.random.default_rng(63).normal(size=(4, 5, 2))
+        times, record, factors = self.run(starts, 1.0)
+        got_times, got_record, got_factors = self.run(starts, 2.0 ** k)
+        assert np.array_equal(got_times / 2.0 ** k, times)
+        assert np.array_equal(got_record, record)
+        assert [len(f) for f in factors] == [901] * 4
+        for got, want in zip(got_factors, factors):
+            assert np.array_equal(got, want)
 
 
 class TestIntegrateBatch:

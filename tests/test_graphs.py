@@ -282,7 +282,6 @@ class TestAlgebraicConnectivity:
             assert mixed >= split - 1e-9
 
 
-# agent counts on either side of the row blocks of `_kernels.scrambling_min`
 BLOCK_EDGE_NS = (1, 2, 15, 16, 17, 33)
 
 
@@ -298,7 +297,7 @@ def random_symmetric_stack(rng, m, n):
 
 class TestBatchedMetrics:
     @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
-    @pytest.mark.parametrize("m", (1, 6, 16, 17))  # 16, 2, 1 and 1 rows a block
+    @pytest.mark.parametrize("m", (1, 6, 16, 17))  # one row of m matrices a pass
     def test_scrambling_matches_broadcast(self, n, m):
         rng = np.random.default_rng(100 + n + m)
         stacks = [random_symmetric_stack(rng, m, n),

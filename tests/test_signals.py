@@ -26,6 +26,18 @@ def constant_signal(piece, span=1.0, mode="periodic"):
     return cl.PiecewiseConstantSignal(piece.n, np.array([0.0, span]), (piece,), mode)
 
 
+def clamped_blinking_pairs(last):
+    """The pieces of blinking pairs (n = 6, dwell 0.1, duty 0.5) that start
+    before 1.35, clamped, with the last breakpoint at ``last``."""
+    base = cl.gen_blinking_pairs(6, 0.1, 0.5)
+    starts = np.concatenate([base.breakpoints[:-1] + j * base.period
+                             for j in range(3)])
+    keep = starts < 1.35
+    return cl.PiecewiseConstantSignal(
+        6, np.append(starts[keep], last),
+        np.concatenate([base.piece_stack] * 3)[keep], "clamped")
+
+
 def scrambling_scan(sig, starts, tau):
     """Least scrambling coefficient of the window averages at `starts`."""
     return min(cl.scrambling(cl.AdjacencyMatrix(sig.n, avg))
@@ -510,6 +522,41 @@ class TestCertify:
             starts = shift + sig.period * np.arange(1500) / 1500.0
             scan = scrambling_scan(sig, starts, tau)
             assert scan >= base.infimum_value - 1e-12
+
+    @pytest.mark.parametrize("mode", ("periodic", "clamped"))
+    @pytest.mark.parametrize("k", range(-60, 61, 4))
+    def test_certificate_independent_of_time_unit(self, k, mode):
+        # metamorphic relation: breakpoints, tau and horizon times 2^k (an
+        # exact scaling) give the same infimum bits and critical starts, and
+        # the worst start times 2^k, for both kinds
+        scale = 2.0 ** k
+        base = (cl.gen_blinking_pairs(6, 0.1, 0.5) if mode == "periodic"
+                else clamped_blinking_pairs(1.0 + 0.35))
+        sig = cl.PiecewiseConstantSignal(6, base.breakpoints * scale,
+                                         base.piece_stack, mode)
+        kinds = ("eta", "lambda2")
+        want = signals.certify(base, cl.Window(0.35, 0.06), 1.0, kinds)
+        got = signals.certify(sig, cl.Window(0.35 * scale, 0.06), scale, kinds)
+        for g, w in zip(got, want):
+            assert g.infimum_value.hex() == w.infimum_value.hex()
+            assert g.checked_starts == w.checked_starts
+            assert g.worst_start == w.worst_start * scale
+
+    def test_clamped_certificate_independent_of_last_breakpoint(self):
+        # the last piece of a clamped signal lasts past its last breakpoint,
+        # so moving that breakpoint from horizon + tau out to 1e11 keeps the
+        # signal: kinks 0.05 apart stay distinct starts, and the half-on
+        # window fails at 1/21 either way
+        kinds = ("eta", "lambda2")
+        window = cl.Window(0.35, 0.06)
+        want = signals.certify(clamped_blinking_pairs(1.0 + 0.35), window,
+                               1.0, kinds)
+        got = signals.certify(clamped_blinking_pairs(1e11), window, 1.0, kinds)
+        for g, w in zip(got, want):
+            assert g.infimum_value.hex() == w.infimum_value.hex()
+            assert g.checked_starts == w.checked_starts
+            assert g.worst_start == w.worst_start
+            assert g.infimum_value == pytest.approx(1 / 21, rel=1e-12)
 
     def test_lambda2_concavity_direction(self):
         # lambda2(window average) >= window average of per-piece lambda2
