@@ -17,7 +17,7 @@ from .graphs import dirichlet_energies, pair_indices, pair_squared_distances
 
 PAIR_TOL = 1e-9
 STRICT_MARGIN = 1e-12
-CONSENSUS_FLOOR = 1e-10
+CONSENSUS_FLOOR = 1e-10  # of a series' largest value
 _MATCH_TOL = 1e-9  # of tau: how near a sample a window's end is matched
 
 
@@ -128,9 +128,10 @@ def window_contraction(traj: Trajectory, tau: float,
 def series_contraction(times, series, tau: float) -> ContractionReport:
     """Ratios value(t + tau) / value(t) of a series sampled at ``times`` at
     every sample whose endpoint is also a sample.  Window starts where the
-    value is below the consensus floor are skipped.  tau must be finite and
-    > 0, as a `Window`'s is.  Raises SpanTooShort when the samples span less
-    than tau.
+    value is at most CONSENSUS_FLOOR times the series' largest value are
+    skipped, so a series times 2^k gives the same report.  tau must be
+    finite and > 0, as a `Window`'s is.  Raises SpanTooShort when the
+    samples span less than tau.
     """
     if not 0 < tau < np.inf:
         raise ValueError("tau must be finite and > 0")
@@ -149,7 +150,8 @@ def series_contraction(times, series, tau: float) -> ContractionReport:
     hit_below = np.abs(times[below] - targets) <= tol
     hit_above = np.abs(times[above] - targets) <= tol
     ends = np.where(hit_below, below, above)
-    keep = (hit_below | hit_above) & (series[starts] > CONSENSUS_FLOOR)
+    floor = CONSENSUS_FLOOR * np.fmax.reduce(series)  # fmax skips NaN
+    keep = (hit_below | hit_above) & (series[starts] > floor)
     factors = series[ends[keep]] / series[starts[keep]]
     kappa_hat = float(factors.max()) if factors.size else 0.0
     all_strict = bool(np.all(factors < 1.0 - STRICT_MARGIN)) if factors.size else True

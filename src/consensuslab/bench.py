@@ -1,17 +1,19 @@
 """Time the hot numeric kernels: each row is the median and quartiles of
 `repeats` timed calls of one kernel, after one untimed warm-up call.
 
-Run with `python -m consensuslab.bench`.  The last row, `import`, times
-`from consensuslab import cli` alone in each of `repeats` fresh
-interpreters after importing numpy; it compiles the sources unless their
-bytecode is cached.  A median with its quartiles shows how far the calls of
-one run spread, which a best-of hides.
+Run with `python -m consensuslab.bench`.  A scaling row, one of
+TRACED_ROWS, also prints the tracemalloc peak of one more call, in MiB.  The
+last row, `import`, times `from consensuslab import cli` alone in each of
+`repeats` fresh interpreters after importing numpy; it compiles the sources
+unless their bytecode is cached.  A median with its quartiles shows how far
+the calls of one run spread, which a best-of hides.
 """
 import argparse
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,11 @@ KERNEL_D = 2
 # and the steps of that call
 RK4_BATCH = 32
 RK4_STEPS = 2000
+# (agents, starts) and steps of the `rk4_large` row, a Cucker-Smale `rk4` run
+# in the plane whose (B, d, n, n) pair differences, 32 MiB, outgrow the cache:
+# the field's cost is arithmetic there, not per-call overhead
+LARGE_RK4_SHAPE = (128, 128)
+LARGE_RK4_STEPS = 20
 # window length of the `scrambling`, `lambda2` and `window_avg` rows, over
 # one period of a rotating star
 WINDOW_TAU = 0.35
@@ -55,6 +62,8 @@ SIMULATE_TAU = 1.0
 # arrays as verify writes them: the README verify sweep
 SWEEP_SHAPE = (32, 1001, 5, 2)
 SWEEP_FACTORS = 901
+# the scaling rows, which also print the tracemalloc peak of one more call
+TRACED_ROWS = ("rk4_large",)
 # what the `import` row's interpreters run, with this package's parent
 # directory as argv[1]
 IMPORT_PROBE = """
@@ -78,9 +87,20 @@ def _time(fn, repeats):
     return seconds
 
 
-def _row(name, seconds):
+def _traced_peak(fn):
+    """Peak bytes tracemalloc traces during one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _row(name, seconds, peak=None):
     median, q1, q3 = np.percentile(seconds, [50, 25, 75]) * 1e3
-    print(f"{name:<16} {median:>12.3f} {q1:>12.3f} {q3:>12.3f}")
+    traced = "" if peak is None else f" {peak / 2**20:>12.1f}"
+    print(f"{name:<16} {median:>12.3f} {q1:>12.3f} {q3:>12.3f}{traced}")
 
 
 def _import_seconds():
@@ -130,6 +150,11 @@ def _cases(rng):
                 "all_strict": True, "fit": fit,
                 "factors": rng.uniform(0.6, 0.8, SWEEP_FACTORS)}
                for _ in range(SWEEP_SHAPE[0])]
+    large_n, large_batch = LARGE_RK4_SHAPE
+    large_pieces = rng.random((1, large_n, large_n))
+    large_starts = rng.normal(size=(large_batch, large_n, KERNEL_D))
+    large_rec = np.zeros(LARGE_RK4_STEPS + 1, dtype=bool)
+    large_rec[0] = large_rec[-1] = True
 
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs),
@@ -142,6 +167,9 @@ def _cases(rng):
                                         discard),
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
                                                rec, linear, discard),
+        "rk4_large": lambda: _kernels.rk4_run(
+            large_starts, large_pieces, piece_idx[:LARGE_RK4_STEPS],
+            hs[:LARGE_RK4_STEPS], large_rec, cs, discard),
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
         "certify": lambda: certify(pairs, pairs_window, pairs.period,
                                    ("eta", "lambda2")),
@@ -161,7 +189,9 @@ def run(repeats=5):
     cases = _cases(rng)
 
     print(f"kernel benchmark: n={KERNEL_N}, d={KERNEL_D}, rk4 steps={RK4_STEPS} "
-          f"on a batch of {RK4_BATCH} starts, scrambling, lambda2 and window_avg "
+          f"on a batch of {RK4_BATCH} starts, rk4_large steps="
+          f"{LARGE_RK4_STEPS} at (n, starts)={LARGE_RK4_SHAPE}, scrambling, "
+          f"lambda2 and window_avg "
           f"over the critical starts of a rotating star (tau {WINDOW_TAU}), "
           f"signal of a rotating star (n {TRAJECTORY_SHAPE[1]}, dwell "
           f"{SIMULATE_DWELL}) and grid of its steps (t_end {SIMULATE_T_END}, "
@@ -174,9 +204,11 @@ def run(repeats=5):
           f"{SWEEP_SHAPE[0]} reports of {SWEEP_FACTORS} factors, and import of "
           f"consensuslab.cli in a fresh interpreter after numpy; median and "
           f"quartiles of {repeats}")
-    print(f"{'kernel':<16} {'median [ms]':>12} {'q1 [ms]':>12} {'q3 [ms]':>12}")
+    print(f"{'kernel':<16} {'median [ms]':>12} {'q1 [ms]':>12} {'q3 [ms]':>12}"
+          f" {'peak [MiB]':>12}")
     for name, fn in cases.items():
-        _row(name, _time(fn, repeats))
+        seconds = _time(fn, repeats)
+        _row(name, seconds, _traced_peak(fn) if name in TRACED_ROWS else None)
     _row("import", [_import_seconds() for _ in range(repeats)])
 
 

@@ -436,7 +436,7 @@ class Integration(Record):
             def sink(lo, block):
                 hi = lo + len(block)
                 for k, measure in enumerate(measures):
-                    values = np.swapaxes(measure(block), 0, 1)
+                    values = measure(block).swapaxes(0, 1)
                     if kept[k] is None:
                         kept[k] = np.empty(values.shape[:1] + self.times.shape
                                            + values.shape[2:], values.dtype)

@@ -338,7 +338,9 @@ def repr_join(values, sep):
 def contraction_factors_loop(times, series, tau, match_tol=1e-9, floor=1e-10):
     """series(t + tau) / series(t) per sample t whose endpoint matches a sample
     within match_tol (the one just below the target first), skipping starts
-    with series(t) <= floor; stops at the first endpoint past the last sample."""
+    with series(t) <= floor * max(series); stops at the first endpoint past
+    the last sample."""
+    floor *= max(series)
     factors = []
     for i, t in enumerate(times):
         target = t + tau

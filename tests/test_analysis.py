@@ -11,7 +11,7 @@ from consensuslab.errors import (
     UnbalancedGraph,
 )
 
-from consensuslab import dynamics
+from consensuslab import analysis, dynamics
 
 from oracles import (contraction_factors_loop, dissipation_residual_loop,
                      dissipation_residual_per_piece)
@@ -201,6 +201,22 @@ class TestWindowContraction:
             assert np.array_equal(got, want)
             assert want.size > 0
         assert np.any(series <= 1e-10)
+
+    @pytest.mark.parametrize("k", range(-60, 61, 4))
+    def test_independent_of_series_unit(self, k):
+        # metamorphic relation: a series times 2^k keeps every ratio and every
+        # comparison with a floor relative to its largest value, so it gives
+        # the same report bit for bit.  The series holds 1 until t = 2, so
+        # its first windows do not contract, then decays past 1e-10 of it
+        times = np.linspace(0.0, 12.0, 1201)
+        series = np.exp(-3.0 * np.maximum(times - 2.0, 0.0))
+        want = analysis.series_contraction(times, series, 1.0)
+        got = analysis.series_contraction(times, series * 2.0 ** k, 1.0)
+        assert 0 < want.factors.size < 1101
+        assert not want.all_strict and want.kappa_hat == 1.0
+        assert np.array_equal(got.factors, want.factors)
+        assert got.kappa_hat == want.kappa_hat
+        assert got.all_strict == want.all_strict
 
     @pytest.mark.parametrize("tau", [np.nan, -1.0, 0.0, np.inf])
     def test_bad_tau_rejected(self, tau):

@@ -282,7 +282,9 @@ class TestAlgebraicConnectivity:
             assert mixed >= split - 1e-9
 
 
-BLOCK_EDGE_NS = (1, 2, 15, 16, 17, 33)
+# agent counts at the edges of a row sum of n terms: one and two agents, and
+# either side of the multiples of 8 that numpy's pairwise sum unrolls by
+SUM_EDGE_NS = (1, 2, 15, 16, 17, 33)
 
 
 def random_symmetric_stack(rng, m, n):
@@ -296,7 +298,7 @@ def random_symmetric_stack(rng, m, n):
 
 
 class TestBatchedMetrics:
-    @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+    @pytest.mark.parametrize("n", SUM_EDGE_NS)
     @pytest.mark.parametrize("m", (1, 6, 16, 17))  # one row of m matrices a pass
     def test_scrambling_matches_broadcast(self, n, m):
         rng = np.random.default_rng(100 + n + m)
@@ -307,7 +309,7 @@ class TestBatchedMetrics:
             assert got.shape == (m,)
             assert np.array_equal(got, [scrambling_broadcast(a) for a in stack])
 
-    @pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+    @pytest.mark.parametrize("n", SUM_EDGE_NS)
     @pytest.mark.parametrize("m", (1, 6))
     def test_connectivity_matches_per_matrix(self, n, m):
         rng = np.random.default_rng(200 + n + m)

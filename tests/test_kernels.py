@@ -1,4 +1,6 @@
 import inspect
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -11,7 +13,7 @@ import consensuslab._text as text
 from consensuslab import dynamics
 
 from oracles import (csv_per_cell, lambda2_eigh, repr_join, rhs_direct,
-                     rk4_direct, rk4_expression)
+                     rk4_direct, rk4_expression, velocity_expression)
 
 
 def rk4_record(x0, pieces, piece_idx, hs, rec, kernel):
@@ -233,6 +235,64 @@ def test_rhs_batch_equals_single_configurations(kernel):
             assert np.array_equal(got[b], one), (n, d, b)
 
 
+def test_field_calls_the_einsum_of_np_einsum():
+    # the Cucker-Smale field calls the C function np.einsum itself returns
+    # with optimize False, skipping only its Python dispatch
+    assert kernels.c_einsum is np.einsum._implementation.__globals__["c_einsum"]
+
+
+@pytest.mark.parametrize("batch", ((), (2, 3)), ids=("single", "2x3"))
+@pytest.mark.parametrize("kernel", EXPRESSION_CASES, ids=repr)
+def test_rhs_equals_field_expression(kernel, batch):
+    # the field's direct einsum entry against public np.einsum in the oracle,
+    # bit for bit, with no batch axis and with two
+    rng = np.random.default_rng(15)
+    for n in (1, 5, 33):
+        adj = rng.random((n, n))
+        for d in (1, 3):
+            pos = rng.normal(size=batch + (n, d))
+            want = velocity_expression(adj, kernel)(pos.swapaxes(-1, -2).copy())
+            got = kernels.rhs_velocity(pos, adj, kernel)
+            assert np.array_equal(got, want.swapaxes(-1, -2)), (n, d)
+
+
+def numpy_calls(run):
+    """Calls into Python functions defined in numpy's package while ``run()``
+    runs: numpy's Python wrappers, not its C functions and methods."""
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
+def test_rk4_step_calls_no_numpy_python_function(kernel):
+    # a numpy Python wrapper costs about 1 us a call, so none runs per step:
+    # what the run calls into numpy's Python code does not grow with the
+    # number of steps, every state recorded
+    rng = np.random.default_rng(16)
+    pieces = rng.random((3, 5, 5))
+    x0 = rng.normal(size=(4, 5, 2))
+    counts = []
+    for steps in (64, 128):
+        piece_idx = np.arange(steps) % 3
+        hs = np.full(steps, 1e-2)
+        rec = np.ones(steps + 1, dtype=bool)
+        calls = numpy_calls(lambda: kernels.rk4_run(
+            x0, pieces, piece_idx, hs, rec, kernel, lambda lo, block: None))
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
 def test_rk4_run_leads_with_the_step_grid():
     # the pipeline benchmark counts RK4 steps as len(args[3]) of each
     # `_kernels.rk4_run` call
@@ -256,11 +316,14 @@ def test_benchmark_runs(capsys):
     from consensuslab import bench
 
     assert bench.main(["--repeats", "1"]) == 0
-    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
-    assert rows == ["rhs", "scrambling", "lambda2", "signal", "grid", "rk4",
-                    "rk4_linear", "window_avg", "certify", "diameters",
-                    "diameters_small", "contraction", "fit", "residual", "csv",
-                    "json", "import"]
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[0] for row in rows] == [
+        "rhs", "scrambling", "lambda2", "signal", "grid", "rk4", "rk4_linear",
+        "rk4_large", "window_avg", "certify", "diameters", "diameters_small",
+        "contraction", "fit", "residual", "csv", "json", "import"]
+    # a scaling row adds its traced peak to the median and quartiles
+    assert [len(row) for row in rows] == [
+        5 if row[0] in bench.TRACED_ROWS else 4 for row in rows]
 
 
 @pytest.mark.parametrize("flag, value", [("--repeats", "0")])
