@@ -14,14 +14,25 @@ public (..., n, d) layout by swapping axes at its boundary.
 
 For the same reason a step pays for nothing it can leave out.  `rk4_run`
 reads its step sizes, pieces and record flags as Python scalars,
-_STEP_CHUNK steps at a time, instead of a numpy scalar per step; each RK4
-stage sum and each velocity field finishes in place on an array it owns,
-instead of allocating a temporary per operation; and the fields bind their
-kernel constants once, dropping ``c *`` when c = 1 and ``** beta`` when
-beta = 1.  None of it changes a bit: every sum and product keeps its two
-operands (IEEE ``+`` and ``*`` commute), ``1.0 * x == x`` and
-``x ** 1.0 == x`` hold exactly, and a Python float is the same double as
-the numpy scalar it replaces.
+_STEP_CHUNK steps at a time, instead of a numpy scalar per step, and the
+fields bind their kernel constants once, dropping ``c *`` when c = 1 and
+``** beta`` when beta = 1.  A step allocates no array either: `rk4_run`
+allocates one workspace per run, the state, the stage input and k1 to k4,
+all (..., d, n), and the field's scratch (`_scratch`): a (..., d, n)
+product for the constant kernel, or the (..., d, n, n) pair differences
+and the (..., n, n) weights for Cucker-Smale.  The two broadcast views
+each field source needs, ``x[..., None, :]`` and ``x[..., :, None]``, are
+built once per run for the state and for the stage input (`_source`).
+Every operation writes into an array of the workspace through ``out=`` or
+in place, and the field writes into the output its caller gives it.  The
+scratch holds one field's temporaries for the whole run, so the peak is
+that of the per-call arrays it replaces; at (n, B) = (128, 128) it also
+spares a fresh 32 MiB ``mmap`` and its page faults per field call.  None
+of it changes a bit: every sum and product keeps its two operands (IEEE
+``+`` and ``*`` commute), an ``out=`` call writes the values the
+allocating call returns, ``1.0 * x == x`` and ``x ** 1.0 == x`` hold
+exactly, and a Python float is the same double as the numpy scalar it
+replaces.
 
 The Cucker-Smale field calls numpy's C einsum, `c_einsum`, for its two
 reductions instead of `np.einsum`: a verify sweep makes about 8,000 such
@@ -131,23 +142,44 @@ def rhs_velocity(pos, adj, kernel: Kernel):
     adjacency, balanced or not.  It costs one (d, n) @ (n, n) product per
     configuration instead of a difference array.
 
-    ``pos`` is copied into the integrator's (..., d, n) layout, so the field
-    is bitwise the one `rk4_run` evaluates; the result is a (..., n, d) view.
+    ``pos`` is copied into the integrator's (..., d, n) layout and the field
+    runs on a workspace of its own, so it is bitwise the one `rk4_run`
+    evaluates; the result is a (..., n, d) view.
     """
     x = pos.swapaxes(-1, -2).copy()
-    return _velocity(adj, kernel)(x).swapaxes(-1, -2)
+    v = np.empty_like(x)
+    _velocity(adj, kernel)(_source(x, _scratch(x.shape, kernel)), v)
+    return v.swapaxes(-1, -2)
+
+
+def _scratch(shape, kernel):
+    """The field scratch for coordinate-major states of ``shape`` (..., d, n):
+    the (..., d, n) product ``deg * x`` of the constant kernel, or the
+    (..., d, n, n) pair differences and (..., n, n) weights of Cucker-Smale."""
+    if isinstance(kernel, Constant):
+        return (np.empty(shape),)
+    n = shape[-1]
+    return np.empty(shape + (n,)), np.empty(shape[:-2] + (n, n))
+
+
+def _source(x, scratch):
+    """A field input: ``x``, its two broadcast views and the field scratch."""
+    return (x, x[..., None, :], x[..., :, None]) + scratch
 
 
 def _velocity(adj, kernel):
-    """`rhs_velocity` on one adjacency, as a function of coordinate-major
-    positions of shape (..., d, n); the velocity has the same shape.
+    """`rhs_velocity` on one adjacency, as a function ``field(src, out)`` of
+    a `_source` of coordinate-major positions of shape (..., d, n) that
+    writes the velocity, of the same shape, into ``out``.
 
     The degree vector of the constant kernel and the kernel's constants are
-    made here, once.  Each field finishes in place (see the module
-    docstring), bitwise ``c * (x @ A^T - deg * x) / n`` or the sum weighted
-    by ``adj * (K / (1 + r2) ** beta)``, the expressions
-    `velocity_expression` in tests/oracles.py keeps.
+    made here, once.  Each field writes into the source's scratch and
+    ``out`` (see the module docstring), bitwise
+    ``c * (x @ A^T - deg * x) / n`` or the sum weighted by
+    ``adj * (K / (1 + r2) ** beta)``, the expressions `velocity_expression`
+    in tests/oracles.py keeps.
     """
+    n = adj.shape[-1]
     if isinstance(kernel, Constant):
         c = kernel.c
         deg = adj.sum(axis=-1)
@@ -155,32 +187,33 @@ def _velocity(adj, kernel):
         # runs the product the (n, d) layout ran, bit for bit
         adj_t = adj.T
 
-        def linear(pos):
-            v = pos @ adj_t
-            v -= deg * pos
+        def linear(src, out):
+            pos, _, _, prod = src
+            np.matmul(pos, adj_t, out=out)
+            np.multiply(deg, pos, out=prod)
+            out -= prod
             if c != 1.0:
-                v *= c
-            v /= pos.shape[-1]
-            return v
+                out *= c
+            out /= n
         return linear
 
     K, beta = kernel.K, kernel.beta
 
-    def field(pos):
-        diff = pos[..., None, :] - pos[..., :, None]  # diff[c, i, j] = x_j - x_i
+    def field(src, out):
+        _, rows, cols, diff, w = src
+        np.subtract(rows, cols, out=diff)  # diff[c, i, j] = x_j - x_i
         # np.einsum with optimize False runs "return c_einsum(*operands,
         # **kwargs)" (numpy/_core/einsumfunc.py): calling it directly keeps
         # every bit and saves about 1.2 us of Python dispatch, twice a field
-        r2 = c_einsum("...cij,...cij->...ij", diff, diff)
-        # w = adj * (K / (1 + r2) ** beta), built in r2
-        r2 += 1.0
+        c_einsum("...cij,...cij->...ij", diff, diff, out=w)
+        # w = adj * (K / (1 + r2) ** beta), built in the r2 it holds
+        w += 1.0
         if beta != 1.0:
-            r2 **= beta
-        np.divide(K, r2, out=r2)
-        r2 *= adj
-        v = c_einsum("...ij,...cij->...ci", r2, diff)
-        v /= pos.shape[-1]
-        return v
+            w **= beta
+        np.divide(K, w, out=w)
+        w *= adj
+        c_einsum("...ij,...cij->...ci", w, diff, out=out)
+        out /= n
     return field
 
 
@@ -256,9 +289,11 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     step size, piece and record flag of each step are Python scalars, read
     from the grid _STEP_CHUNK steps at a time, so a step does no numpy
     scalar arithmetic and the lists stay bounded whatever the grid's length.
-    Each stage input is one product updated in place, ``t = (h/2) * k1;
-    t += x``, and the step sums into ``k2``: ``2 k2``, ``+ k1``, ``+ 2 k3``,
-    ``+ k4``, ``* (h/6)``, ``+ x``.  Every sum and product has the two
+    The run allocates one workspace (see the module docstring) and no step
+    allocates an array.  Each stage input is one product into the stage
+    buffer, updated in place, ``t = (h/2) * k1; t += x``, and the step sums
+    into ``k2``: ``2 k2``, ``+ k1``, ``+ 2 k3``, ``+ k4``, ``* (h/6)``, and
+    adds that to ``x`` in place.  Every sum and product has the two
     operands it has in ``x + (h/6) * (k1 + 2 k2 + 2 k3 + k4)``, the sums
     come in the same order, and IEEE ``+`` and ``*`` commute, so every
     state is bitwise that expression's.
@@ -273,6 +308,9 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     rows = max(1, min(count, _RECORD_BLOCK_FLOATS // max(1, x0.size)))
     block = np.empty((rows,) + x0.shape)
     x = np.swapaxes(x0, -1, -2).copy()
+    t, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(5))
+    scratch = _scratch(x.shape, kernel)
+    xs, ts = _source(x, scratch), _source(t, scratch)
 
     def emit(lo, r):
         # NaN and inf fail min/max, so no block-sized mask is built
@@ -297,24 +335,23 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
                 if f is None:
                     f = fields[p] = _velocity(pieces[p], kernel)
                 half = 0.5 * h
-                k1 = f(x)
-                t = half * k1
+                f(xs, k1)
+                np.multiply(half, k1, out=t)
                 t += x
-                k2 = f(t)
-                t = half * k2
+                f(ts, k2)
+                np.multiply(half, k2, out=t)
                 t += x
-                k3 = f(t)
-                t = h * k3
+                f(ts, k3)
+                np.multiply(h, k3, out=t)
                 t += x
-                k4 = f(t)
+                f(ts, k4)
                 k2 *= 2.0
                 k2 += k1
                 k3 *= 2.0
                 k2 += k3
                 k2 += k4
                 k2 *= h / 6.0
-                k2 += x
-                x = k2
+                x += k2
                 if keep:
                     block[r] = x.swapaxes(-1, -2)
                     r += 1

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import _kernels, analysis, cli, dynamics
 from .graphs import algebraic_connectivity_unchecked
-from .signals import (Window, _critical_starts, certify, gen_blinking_pairs,
-                      gen_rotating_star, window_average_batch)
+from .signals import (Window, _critical_starts, certify, certify_lambda2,
+                      gen_blinking_pairs, gen_rotating_star,
+                      window_average_batch)
 
 # agents and dimension of the `rhs`, `rk4` and `rk4_linear` rows, and agents
 # of the rotating star of the `scrambling`, `lambda2` and `window_avg` rows:
@@ -38,8 +39,15 @@ RK4_STEPS = 2000
 LARGE_RK4_SHAPE = (128, 128)
 LARGE_RK4_STEPS = 20
 # window length of the `scrambling`, `lambda2` and `window_avg` rows, over
-# one period of a rotating star
+# one period of a rotating star, and of the `certify_large` and
+# `certify_huge` rows
 WINDOW_TAU = 0.35
+# agents of the `certify_large` and `certify_huge` rows, each a
+# `certify_lambda2` over one period of a rotating star (dwell
+# SIMULATE_DWELL) built in the call, so its (n + 1, n, n) prefix sums of
+# the pieces are built and held in every call: 16.1 and 128.5 MiB
+LARGE_STAR_N = 128
+HUGE_STAR_N = 256
 # agents and window length of the `certify` row, both kinds over one period
 # of blinking pairs (dwell 0.1, duty 0.5): the pipeline benchmark's certify
 # config
@@ -63,7 +71,7 @@ SIMULATE_TAU = 1.0
 SWEEP_SHAPE = (32, 1001, 5, 2)
 SWEEP_FACTORS = 901
 # the scaling rows, which also print the tracemalloc peak of one more call
-TRACED_ROWS = ("rk4_large",)
+TRACED_ROWS = ("rk4_large", "certify_large", "certify_huge")
 # what the `import` row's interpreters run, with this package's parent
 # directory as argv[1]
 IMPORT_PROBE = """
@@ -156,6 +164,10 @@ def _cases(rng):
     large_rec = np.zeros(LARGE_RK4_STEPS + 1, dtype=bool)
     large_rec[0] = large_rec[-1] = True
 
+    def certify_star(n):
+        star = gen_rotating_star(n, SIMULATE_DWELL)
+        return certify_lambda2(star, Window(WINDOW_TAU, 0.01), star.period)
+
     return {
         "rhs": lambda: _kernels.rhs_velocity(pos, adj, cs),
         "scrambling": lambda: _kernels.scrambling_min(star_avgs),
@@ -173,6 +185,8 @@ def _cases(rng):
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
         "certify": lambda: certify(pairs, pairs_window, pairs.period,
                                    ("eta", "lambda2")),
+        "certify_large": lambda: certify_star(LARGE_STAR_N),
+        "certify_huge": lambda: certify_star(HUGE_STAR_N),
         "diameters": lambda: dynamics.diameters(states),
         "diameters_small": lambda: [dynamics.diameters(x) for x in sweep_states],
         "contraction": lambda: analysis.window_contraction(traj, SIMULATE_TAU),
@@ -197,7 +211,9 @@ def run(repeats=5):
           f"{SIMULATE_DWELL}) and grid of its steps (t_end {SIMULATE_T_END}, "
           f"dt {SIMULATE_DT}, records every {SIMULATE_TAU}), "
           f"certify of both kinds over one period of blinking pairs (n "
-          f"{CERTIFY_N}, tau {CERTIFY_TAU}), "
+          f"{CERTIFY_N}, tau {CERTIFY_TAU}), certify_large and certify_huge "
+          f"of lambda2 over one period of a rotating star (n {LARGE_STAR_N} "
+          f"and {HUGE_STAR_N}, dwell {SIMULATE_DWELL}, tau {WINDOW_TAU}), "
           f"diameters and csv of {TRAJECTORY_SHAPE} states, and contraction "
           f"(tau {SIMULATE_TAU}), fit and residual on them, diameters_small "
           f"of {SWEEP_SHAPE[0]} x {SWEEP_SHAPE[1:]} states, json of "

@@ -348,17 +348,20 @@ class TestStream:
     def test_non_finite_record_raises_before_the_sink(self, tmp_path,
                                                       monkeypatch):
         # einsum can overflow to inf without raising a floating-point flag.
-        # A field that turns to np.full_like(pos, inf) after a few calls
-        # raises none either, so only the record's own check can stop its
-        # inf record before a block reaches a measure or a table
+        # A field that fills its output with inf after a few calls raises
+        # none either, so only the record's own check can stop its inf
+        # record before a block reaches a measure or a table
         velocity, calls = _kernels._velocity, []
 
         def overflowing(adj, kernel):
             field = velocity(adj, kernel)
 
-            def f(pos):
+            def f(src, out):
                 calls.append(None)
-                return np.full_like(pos, np.inf) if len(calls) > 6 else field(pos)
+                if len(calls) > 6:
+                    out.fill(np.inf)
+                else:
+                    field(src, out)
             return f
 
         monkeypatch.setattr(_kernels, "_velocity", overflowing)

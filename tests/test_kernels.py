@@ -293,6 +293,72 @@ def test_rk4_step_calls_no_numpy_python_function(kernel):
     assert counts[0] == counts[1], counts
 
 
+def ndarrays(obj):
+    """Every ndarray in ``obj``, a nest of tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in ndarrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
+def test_rk4_fields_reuse_one_workspace(kernel, monkeypatch):
+    # every array a field receives or returns is kept alive, so no id is
+    # reused: with one workspace per run their number does not grow with
+    # the steps, every state recorded
+    velocity = kernels._velocity
+    seen = []
+
+    def recording(adj, kernel):
+        field = velocity(adj, kernel)
+
+        def f(*args):
+            result = field(*args)
+            seen.extend(ndarrays((args, result)))
+            return result
+        return f
+
+    monkeypatch.setattr(kernels, "_velocity", recording)
+    rng = np.random.default_rng(18)
+    pieces = rng.random((3, 5, 5))
+    x0 = rng.normal(size=(4, 5, 2))
+    counts = []
+    for steps in (64, 128):
+        seen.clear()
+        piece_idx = np.arange(steps) % 3
+        hs = np.full(steps, 1e-2)
+        rec = np.ones(steps + 1, dtype=bool)
+        kernels.rk4_run(x0, pieces, piece_idx, hs, rec, kernel,
+                        lambda lo, block: None)
+        assert len(seen) >= 4 * steps
+        counts.append(len({id(a) for a in seen}))
+    assert counts[0] == counts[1], counts
+
+
+def test_rk4_workspace_memory_bound():
+    # one Cucker-Smale run holds one field scratch, (B, d, n, n) differences
+    # and (B, n, n) weights, beside its (B, d, n) state, stage input and
+    # k1 to k4 and its record block: a second scratch set would not fit
+    rng = np.random.default_rng(19)
+    n, batch, d, steps = 64, 16, 2, 8
+    pieces = rng.random((1, n, n))
+    piece_idx = np.zeros(steps, dtype=np.int64)
+    hs = np.full(steps, 1e-2)
+    rec = np.zeros(steps + 1, dtype=bool)
+    rec[0] = rec[-1] = True
+    x0 = rng.normal(size=(batch, n, d))
+    floats = batch * d * n * n + batch * n * n + 6 * x0.size + 2 * x0.size
+    tracemalloc.start()
+    try:
+        kernels.rk4_run(x0, pieces, piece_idx, hs, rec,
+                        kernels.CuckerSmale(1.0, 1.0), lambda lo, block: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * floats
+
+
 def test_rk4_run_leads_with_the_step_grid():
     # the pipeline benchmark counts RK4 steps as len(args[3]) of each
     # `_kernels.rk4_run` call
@@ -312,15 +378,20 @@ def test_certify_lambda2_n64_warning_free():
     assert rep.infimum_value > 0.0
 
 
-def test_benchmark_runs(capsys):
+def test_benchmark_runs(capsys, monkeypatch):
     from consensuslab import bench
 
+    # the scaling rows at small shapes: the rows and columns stay the same
+    monkeypatch.setattr(bench, "LARGE_RK4_SHAPE", (8, 4))
+    monkeypatch.setattr(bench, "LARGE_STAR_N", 8)
+    monkeypatch.setattr(bench, "HUGE_STAR_N", 16)
     assert bench.main(["--repeats", "1"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert [row[0] for row in rows] == [
         "rhs", "scrambling", "lambda2", "signal", "grid", "rk4", "rk4_linear",
-        "rk4_large", "window_avg", "certify", "diameters", "diameters_small",
-        "contraction", "fit", "residual", "csv", "json", "import"]
+        "rk4_large", "window_avg", "certify", "certify_large", "certify_huge",
+        "diameters", "diameters_small", "contraction", "fit", "residual",
+        "csv", "json", "import"]
     # a scaling row adds its traced peak to the median and quartiles
     assert [len(row) for row in rows] == [
         5 if row[0] in bench.TRACED_ROWS else 4 for row in rows]
