@@ -18,11 +18,10 @@ _STEP_CHUNK steps at a time, instead of a numpy scalar per step, and the
 fields bind their kernel constants once, dropping ``c *`` when c = 1 and
 ``** beta`` when beta = 1.  A step allocates no array either: `rk4_run`
 allocates one workspace per run, the state, the stage input and k1 to k4,
-all (..., d, n), and the field's scratch (`_scratch`): a (..., d, n)
+all (..., d, n), and the field's scratch (`_sources`): a (..., d, n)
 product for the constant kernel, or the (..., d, n, n) pair differences
-and the (..., n, n) weights for Cucker-Smale.  The two broadcast views
-each field source needs, ``x[..., None, :]`` and ``x[..., :, None]``, are
-built once per run for the state and for the stage input (`_source`).
+and the (..., n, n) weights for Cucker-Smale.  The views each field input
+needs are built once per run for the state and for the stage input.
 Every operation writes into an array of the workspace through ``out=`` or
 in place, and the field writes into the output its caller gives it.  The
 scratch holds one field's temporaries for the whole run, so the peak is
@@ -33,6 +32,26 @@ of it changes a bit: every sum and product keeps its two operands (IEEE
 allocating call returns, ``1.0 * x == x`` and ``x ** 1.0 == x`` hold
 exactly, and a Python float is the same double as the numpy scalar it
 replaces.
+
+Up to _PAIR_PRODUCT_MAX_N agents the Cucker-Smale field builds its pair
+differences as one BLAS product, x @ P, of the (-1, n) flat view of the
+states and the `_pair_operator` P, whose entries are 0, +1 and -1; above
+it, as the broadcast subtract ``x[..., None, :] - x[..., :, None]``.  At
+sweep sizes the subtract runs an inner loop over n = 5 agents per row of
+its output, 320 of them at B = 32, d = 2, where BLAS runs one (B*d, n) by
+(n, n^2) product.  Its column i * n + j sums x_j * 1, x_i * (-1) and n - 2
+products with 0, all exact, so in any order, with or without FMA, it rounds
+once, to fl(x_j - x_i), and adding an exact zero keeps a nonzero sum.  A
+diagonal column sums only zero products, and BLAS starts from +0 (as
+numpy's own loop does), so it reads +0, as x_i - x_i does.  The one bit the
+product moves is the sign of (-0) - (+0): -0 from the subtract, +0 from the
+product.  No velocity sees it: r2 squares it away, and the weighted sum
+over j reads the same nonzero sum, or +0 when every term is a zero, on both
+paths (its diagonal term w_ii * (+0) is +0 whenever a_ii > 0).  An
+overflowing difference raises FloatingPointError at the same step as the
+subtract did, as "overflow encountered in matmul".  P holds n^3 floats and
+the product costs n times the subtract's arithmetic, so it stops where it
+stops winning (see _PAIR_PRODUCT_MAX_N).
 
 The Cucker-Smale field calls numpy's C einsum, `c_einsum`, for its two
 reductions instead of `np.einsum`: a verify sweep makes about 8,000 such
@@ -56,6 +75,7 @@ define as a dataclass (compile and exec in fresh interpreters, medians of
 21, 2 CPUs); with no dataclass left, the package never imports
 `dataclasses`.
 """
+import functools
 import math
 from typing import Union
 
@@ -148,38 +168,82 @@ def rhs_velocity(pos, adj, kernel: Kernel):
     """
     x = pos.swapaxes(-1, -2).copy()
     v = np.empty_like(x)
-    _velocity(adj, kernel)(_source(x, _scratch(x.shape, kernel)), v)
+    _velocity(adj, kernel)(_sources(x.shape, kernel)(x), v)
     return v.swapaxes(-1, -2)
 
 
-def _scratch(shape, kernel):
-    """The field scratch for coordinate-major states of ``shape`` (..., d, n):
-    the (..., d, n) product ``deg * x`` of the constant kernel, or the
-    (..., d, n, n) pair differences and (..., n, n) weights of Cucker-Smale."""
+# agents up to which the Cucker-Smale field builds its pair differences as
+# the product x @ P (`_pair_operator`) rather than as a broadcast subtract.
+# The product's time over the subtract's (timeit best of 7, d = 2, 2 CPUs,
+# OpenBLAS on one thread, three processes) at B = 1, 32 and 128 starts:
+# n = 5 0.84-0.87, 0.32-0.34, 0.22-0.23; n = 8 0.77-0.79, 0.30, 0.21;
+# n = 12 0.73-0.76, 0.38-0.39, 0.29-0.46 (d = 1 and 3: 0.59-0.83,
+# 0.33-0.49, 0.32-0.38); n = 16 0.88-0.98, 0.44-0.51, 0.57-0.61, and
+# 0.86-1.03 at B = 128 with OpenBLAS on two threads; n = 32 1.72-2.10,
+# 1.21-1.87, 0.99-1.00.  12 is the largest n tried that won at every batch
+# size, dimension and thread count, at ratios of 0.86 or less; 16 breaks
+# even at B = 1.
+# Beyond that P's n^3 floats (16 MiB at n = 128) and the product's
+# B*d*n^3 multiply-adds, against the subtract's B*d*n^2, take over.
+_PAIR_PRODUCT_MAX_N = 12
+
+
+@functools.cache
+def _pair_operator(n):
+    """The (n, n * n) operator P whose product x @ P with a row x of n
+    coordinates holds x_j - x_i in column i * n + j: P[j, i * n + j] += 1
+    and P[i, i * n + j] -= 1, so the diagonal columns are 0.  Built once
+    per n, read-only."""
+    op = np.zeros((n, n * n))
+    cols = np.arange(n * n)
+    i, j = np.divmod(cols, n)
+    op[j, cols] += 1.0
+    op[i, cols] -= 1.0
+    op.setflags(write=False)
+    return op
+
+
+def _sources(shape, kernel):
+    """The field workspace of coordinate-major states of ``shape``
+    (..., d, n), as a function that makes the field input of a state
+    buffer of that shape.  Every input it makes shares one field scratch.
+
+    The constant kernel's input is ``(x, prod)``, prod the (..., d, n)
+    product ``deg * x``.  Cucker-Smale's is ``(pairs, a, b, into, diff,
+    w)``: ``pairs(a, b, into)`` writes the (..., d, n, n) pair differences
+    ``diff[..., c, i, j] = x_j - x_i``, and w holds the (..., n, n)
+    weights.  Up to _PAIR_PRODUCT_MAX_N agents that call is the product of
+    x's flat (-1, n) view and `_pair_operator` into diff's flat
+    (-1, n * n) view; above it, the subtract of ``x[..., None, :]`` and
+    ``x[..., :, None]`` into diff.
+    """
     if isinstance(kernel, Constant):
-        return (np.empty(shape),)
+        prod = np.empty(shape)
+        return lambda x: (x, prod)
     n = shape[-1]
-    return np.empty(shape + (n,)), np.empty(shape[:-2] + (n, n))
-
-
-def _source(x, scratch):
-    """A field input: ``x``, its two broadcast views and the field scratch."""
-    return (x, x[..., None, :], x[..., :, None]) + scratch
+    diff = np.empty(shape + (n,))
+    w = np.empty(shape[:-2] + (n, n))
+    if n <= _PAIR_PRODUCT_MAX_N:
+        op, flat = _pair_operator(n), diff.reshape(-1, n * n)
+        return lambda x: (np.matmul, x.reshape(-1, n), op, flat, diff, w)
+    return lambda x: (np.subtract, x[..., None, :], x[..., :, None], diff,
+                      diff, w)
 
 
 def _velocity(adj, kernel):
     """`rhs_velocity` on one adjacency, as a function ``field(src, out)`` of
-    a `_source` of coordinate-major positions of shape (..., d, n) that
-    writes the velocity, of the same shape, into ``out``.
+    a field input (`_sources`) of coordinate-major positions of shape
+    (..., d, n) that writes the velocity, of the same shape, into ``out``.
 
     The degree vector of the constant kernel and the kernel's constants are
-    made here, once.  Each field writes into the source's scratch and
+    made here, once.  Each field writes into its input's scratch and
     ``out`` (see the module docstring), bitwise
     ``c * (x @ A^T - deg * x) / n`` or the sum weighted by
     ``adj * (K / (1 + r2) ** beta)``, the expressions `velocity_expression`
     in tests/oracles.py keeps.
     """
-    n = adj.shape[-1]
+    # a float, so ``out /= n`` converts no Python int a call
+    n = float(adj.shape[-1])
     if isinstance(kernel, Constant):
         c = kernel.c
         deg = adj.sum(axis=-1)
@@ -188,7 +252,7 @@ def _velocity(adj, kernel):
         adj_t = adj.T
 
         def linear(src, out):
-            pos, _, _, prod = src
+            pos, prod = src
             np.matmul(pos, adj_t, out=out)
             np.multiply(deg, pos, out=prod)
             out -= prod
@@ -200,8 +264,8 @@ def _velocity(adj, kernel):
     K, beta = kernel.K, kernel.beta
 
     def field(src, out):
-        _, rows, cols, diff, w = src
-        np.subtract(rows, cols, out=diff)  # diff[c, i, j] = x_j - x_i
+        pairs, a, b, into, diff, w = src
+        pairs(a, b, into)  # diff[c, i, j] = x_j - x_i
         # np.einsum with optimize False runs "return c_einsum(*operands,
         # **kwargs)" (numpy/_core/einsumfunc.py): calling it directly keeps
         # every bit and saves about 1.2 us of Python dispatch, twice a field
@@ -309,8 +373,8 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     block = np.empty((rows,) + x0.shape)
     x = np.swapaxes(x0, -1, -2).copy()
     t, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(5))
-    scratch = _scratch(x.shape, kernel)
-    xs, ts = _source(x, scratch), _source(t, scratch)
+    source = _sources(x.shape, kernel)
+    xs, ts = source(x), source(t)
 
     def emit(lo, r):
         # NaN and inf fail min/max, so no block-sized mask is built

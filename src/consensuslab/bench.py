@@ -38,6 +38,11 @@ RK4_STEPS = 2000
 # the field's cost is arithmetic there, not per-call overhead
 LARGE_RK4_SHAPE = (128, 128)
 LARGE_RK4_STEPS = 20
+# starts and steps of the `rk4_long` row, a constant-kernel `rk4` run of
+# KERNEL_N agents in KERNEL_D dimensions recorded at its two ends: its traced
+# peak shows what a run holds as its steps grow, not its states
+LONG_RK4_BATCH = 1
+LONG_RK4_STEPS = 10**5
 # window length of the `scrambling`, `lambda2` and `window_avg` rows, over
 # one period of a rotating star, and of the `certify_large` and
 # `certify_huge` rows
@@ -71,7 +76,7 @@ SIMULATE_TAU = 1.0
 SWEEP_SHAPE = (32, 1001, 5, 2)
 SWEEP_FACTORS = 901
 # the scaling rows, which also print the tracemalloc peak of one more call
-TRACED_ROWS = ("rk4_large", "certify_large", "certify_huge")
+TRACED_ROWS = ("rk4_large", "rk4_long", "certify_large", "certify_huge")
 # what the `import` row's interpreters run, with this package's parent
 # directory as argv[1]
 IMPORT_PROBE = """
@@ -163,6 +168,11 @@ def _cases(rng):
     large_starts = rng.normal(size=(large_batch, large_n, KERNEL_D))
     large_rec = np.zeros(LARGE_RK4_STEPS + 1, dtype=bool)
     large_rec[0] = large_rec[-1] = True
+    long_starts = rng.normal(size=(LONG_RK4_BATCH, KERNEL_N, KERNEL_D))
+    long_idx = np.zeros(LONG_RK4_STEPS, dtype=np.int64)
+    long_hs = np.full(LONG_RK4_STEPS, 1e-3)
+    long_rec = np.zeros(LONG_RK4_STEPS + 1, dtype=bool)
+    long_rec[0] = long_rec[-1] = True
 
     def certify_star(n):
         star = gen_rotating_star(n, SIMULATE_DWELL)
@@ -182,6 +192,8 @@ def _cases(rng):
         "rk4_large": lambda: _kernels.rk4_run(
             large_starts, large_pieces, piece_idx[:LARGE_RK4_STEPS],
             hs[:LARGE_RK4_STEPS], large_rec, cs, discard),
+        "rk4_long": lambda: _kernels.rk4_run(long_starts, pieces, long_idx,
+                                             long_hs, long_rec, linear, discard),
         "window_avg": lambda: window_average_batch(star, star_starts, WINDOW_TAU),
         "certify": lambda: certify(pairs, pairs_window, pairs.period,
                                    ("eta", "lambda2")),
@@ -204,7 +216,9 @@ def run(repeats=5):
 
     print(f"kernel benchmark: n={KERNEL_N}, d={KERNEL_D}, rk4 steps={RK4_STEPS} "
           f"on a batch of {RK4_BATCH} starts, rk4_large steps="
-          f"{LARGE_RK4_STEPS} at (n, starts)={LARGE_RK4_SHAPE}, scrambling, "
+          f"{LARGE_RK4_STEPS} at (n, starts)={LARGE_RK4_SHAPE}, rk4_long "
+          f"steps={LONG_RK4_STEPS} of the constant kernel on {LONG_RK4_BATCH} "
+          f"start recorded at both ends, scrambling, "
           f"lambda2 and window_avg "
           f"over the critical starts of a rotating star (tau {WINDOW_TAU}), "
           f"signal of a rotating star (n {TRAJECTORY_SHAPE[1]}, dwell "

@@ -375,6 +375,25 @@ class TestStream:
         assert len(calls) > 6 and seen == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n", (4, 34), ids=("product", "broadcast"))
+    def test_pair_difference_overflow_raises(self, tmp_path, n):
+        # two agents at +-1.7e308: their difference overflows in the first
+        # Cucker-Smale field call, whether the field builds its pair
+        # differences as a product (n = 4) or as a broadcast subtract
+        # (n = 34), and the run stops there, before any block is handed on
+        assert (n <= _kernels._PAIR_PRODUCT_MAX_N) == (n == 4)
+        starts = np.random.default_rng(64).normal(size=(2, n, 2))
+        starts[:, 0], starts[:, 1] = 1.7e308, -1.7e308
+        run = dynamics.Integration(starts, cl.gen_rotating_star(n, 0.05),
+                                   cl.CuckerSmale(1.0, 1.0), 0.1, 0.01)
+        seen = []
+        with pytest.raises(NonFiniteState) as info:
+            run.series([lambda block: seen.append(len(block)) or block],
+                       [tmp_path / "a.csv", tmp_path / "b.csv"])
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert seen == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTimeUnit:
     @staticmethod

@@ -33,6 +33,11 @@ def random_case(seed, n=7, d=3):
     return pos, adj
 
 
+# agent counts of the batch and field tests: the two sides of the size up to
+# which the Cucker-Smale field builds its pair differences as a product
+PAIR_EDGE = (kernels._PAIR_PRODUCT_MAX_N, kernels._PAIR_PRODUCT_MAX_N + 1)
+
+
 # the ids keep the test names of the cases stable
 KERNEL_CASES = (pytest.param(kernels.Constant(1.3), id="0-1.3-0.0"),
                 pytest.param(kernels.CuckerSmale(0.9, 1.4), id="1-0.9-1.4"))
@@ -165,7 +170,7 @@ def test_rk4_batch_equals_single_starts(kernel, batch):
     rng = np.random.default_rng(11)
     steps = 40
     piece_idx, hs, rec = random_grid(rng, steps)
-    for n in (1, 5, 33):
+    for n in (1, 5, 33) + PAIR_EDGE:
         pieces = rng.random((3, n, n))
         for d in (1, 2, 3):
             x0s = rng.normal(size=batch + (n, d))
@@ -247,13 +252,55 @@ def test_rhs_equals_field_expression(kernel, batch):
     # the field's direct einsum entry against public np.einsum in the oracle,
     # bit for bit, with no batch axis and with two
     rng = np.random.default_rng(15)
-    for n in (1, 5, 33):
+    for n in (1, 5, 33) + PAIR_EDGE:
         adj = rng.random((n, n))
         for d in (1, 3):
             pos = rng.normal(size=batch + (n, d))
             want = velocity_expression(adj, kernel)(pos.swapaxes(-1, -2).copy())
             got = kernels.rhs_velocity(pos, adj, kernel)
             assert np.array_equal(got, want.swapaxes(-1, -2)), (n, d)
+
+
+@pytest.mark.parametrize("n", (1, 2, 5) + PAIR_EDGE)
+def test_pair_differences_equal_broadcast_subtract(n):
+    # the field's pair differences, one product x @ P up to
+    # _PAIR_PRODUCT_MAX_N agents and the broadcast subtract above, bit for
+    # bit against the subtract, on the inputs that test the signs of zero.
+    # The product moves one bit: where the subtract gives (-0) - (+0) = -0
+    # it gives +0.  The velocity does not see that sign
+    rng = np.random.default_rng(31)
+    kernel = kernels.CuckerSmale(0.9, 1.4)
+    adj = rng.random((n, n))
+    np.fill_diagonal(adj, 1.0)
+    field = kernels._velocity(adj, kernel)
+    moved = 0
+    for d in (1, 2, 3):
+        shape = (4, d, n)
+        negative = -rng.uniform(0.5, 2.0, size=shape)
+        zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        coincident = np.repeat(rng.normal(size=(4, d, 1)), n, axis=-1)
+        for x in (negative, zeros, coincident):
+            src = kernels._sources(shape, kernel)(x)
+            v = np.empty_like(x)
+            field(src, v)
+            diff = src[4]
+            want = x[..., None, :] - x[..., :, None]
+            if n <= kernels._PAIR_PRODUCT_MAX_N:
+                moved += np.count_nonzero(np.signbit(want) & (want == 0))
+                want = want + 0.0  # -0 + 0 = +0, every other value kept
+            assert np.array_equal(diff.view(np.int64), want.view(np.int64))
+            assert not np.signbit(np.diagonal(diff, 0, -2, -1)).any()
+            expected = velocity_expression(adj, kernel)(x)
+            assert np.array_equal(v.view(np.int64), expected.view(np.int64))
+    assert (moved > 0) == (2 <= n <= kernels._PAIR_PRODUCT_MAX_N)
+
+
+def test_pair_operator_is_built_once_and_read_only():
+    op = kernels._pair_operator(4)
+    assert op is kernels._pair_operator(4)
+    assert not op.flags.writeable
+    x = np.arange(4.0) ** 2
+    assert np.array_equal((x @ op).reshape(4, 4), x[None, :] - x[:, None])
 
 
 def numpy_calls(run):
@@ -383,15 +430,16 @@ def test_benchmark_runs(capsys, monkeypatch):
 
     # the scaling rows at small shapes: the rows and columns stay the same
     monkeypatch.setattr(bench, "LARGE_RK4_SHAPE", (8, 4))
+    monkeypatch.setattr(bench, "LONG_RK4_STEPS", 300)
     monkeypatch.setattr(bench, "LARGE_STAR_N", 8)
     monkeypatch.setattr(bench, "HUGE_STAR_N", 16)
     assert bench.main(["--repeats", "1"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert [row[0] for row in rows] == [
         "rhs", "scrambling", "lambda2", "signal", "grid", "rk4", "rk4_linear",
-        "rk4_large", "window_avg", "certify", "certify_large", "certify_huge",
-        "diameters", "diameters_small", "contraction", "fit", "residual",
-        "csv", "json", "import"]
+        "rk4_large", "rk4_long", "window_avg", "certify", "certify_large",
+        "certify_huge", "diameters", "diameters_small", "contraction", "fit",
+        "residual", "csv", "json", "import"]
     # a scaling row adds its traced peak to the median and quartiles
     assert [len(row) for row in rows] == [
         5 if row[0] in bench.TRACED_ROWS else 4 for row in rows]
