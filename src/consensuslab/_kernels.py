@@ -13,14 +13,16 @@ elements pays that overhead for almost no work.  `rhs_velocity` keeps the
 public (..., n, d) layout by swapping axes at its boundary.
 
 For the same reason a step pays for nothing it can leave out.  `rk4_run`
-reads its step sizes, pieces and record flags as Python scalars,
-_STEP_CHUNK steps at a time, instead of a numpy scalar per step, and the
-fields bind their kernel constants once, dropping ``c *`` when c = 1 and
-``** beta`` when beta = 1.  A step allocates no array either: `rk4_run`
-allocates one workspace per run, the state, the stage input and k1 to k4,
-all (..., d, n), and the field's scratch (`_sources`): a (..., d, n)
-product for the constant kernel, or the (..., d, n, n) pair differences
-and the (..., n, n) weights for Cucker-Smale.  The views each field input
+reads its step sizes, pieces and record flags as Python scalars from
+memoryviews of the grid, in one step loop, instead of a numpy scalar per
+step; a memoryview converts one item at a time and copies nothing of the
+grid, whatever its length.  The fields bind their kernel constants once,
+dropping ``c *`` when c = 1 and ``** beta`` when beta = 1.  A step
+allocates no array either: `rk4_run` allocates one workspace per run, the
+state, the stage input and k1 to k4, all (..., d, n), and the field's
+scratch (`_sources`): a (..., d, n) product for the constant kernel, or
+the (..., d, n, n) pair differences and the (..., n, n) weights for
+Cucker-Smale.  The views each field input
 needs are built once per run for the state and for the stage input.
 Every operation writes into an array of the workspace through ``out=`` or
 in place, and the field writes into the output its caller gives it.  The
@@ -315,23 +317,6 @@ def chunk_slices(count, per_item, budget):
 # 8 s each, 2 CPUs).  Smaller blocks make more, shorter CSV and diameter calls.
 _RECORD_BLOCK_FLOATS = 1 << 17
 
-# steps whose step sizes, pieces and record flags `rk4_run` converts to
-# Python lists at a time, about 36 bytes a step.  Chunks of 64 to 4096 steps
-# timed the same on the bench `rk4` and `rk4_linear` rows (within 2%,
-# medians of 7, 2 CPUs); 10^5 steps at n = 5 peaked at 18, 55 and 203 kB
-# (tracemalloc) with 256-, 1024- and 4096-step chunks, against 4.8 MB for
-# lists of the whole grid, which would grow with the number of steps.
-_STEP_CHUNK = 1024
-
-
-def _step_data(piece_idx, hs, rec):
-    """(h, piece, recorded) of every step as Python scalars, converted
-    _STEP_CHUNK steps at a time."""
-    ends = rec[1:]  # the flag of the point each step ends on
-    for part in chunk_slices(hs.shape[0], 1, _STEP_CHUNK):
-        yield from zip(hs[part].tolist(), piece_idx[part].tolist(),
-                       ends[part].tolist())
-
 
 def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     """Fixed-step RK4 over a prebuilt step grid; hands the recorded states
@@ -340,19 +325,23 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     ``x0`` holds states of shape (..., n, d), all stepped on the same grid,
     and is left as it is.  ``pieces`` is an (m, n, n) stack of adjacency
     matrices, such as a signal's ``piece_stack``; ``piece_idx`` assigns one
-    piece per step, ``hs`` the step sizes, ``rec`` flags which grid points
-    to record and ``kernel`` is phi.
+    piece per step (integers), ``hs`` the step sizes (float64), ``rec``
+    flags which grid points to record (bool, one more than the steps) and
+    ``kernel`` is phi.  ``hs``, ``piece_idx`` and ``rec`` are native-endian
+    1-D arrays, of any strides.
 
     ``sink(lo, block)`` gets every recorded state in order: ``block`` is a
     C-contiguous array of shape (k,) + x0.shape holding records lo to
-    lo + k - 1, at most _RECORD_BLOCK_FLOATS floats or one record.  The
-    block is reused for the next one, so a sink copies what it keeps.
+    lo + k - 1, at most _RECORD_BLOCK_FLOATS floats or one record.  A full
+    block is handed over just before the next record is written, and the
+    last one after the last step.  The block is reused for the next one, so
+    a sink copies what it keeps.
 
     The states are stepped as one (..., d, n) copy (see the module
-    docstring) and written back transposed at each recorded point.  The
-    step size, piece and record flag of each step are Python scalars, read
-    from the grid _STEP_CHUNK steps at a time, so a step does no numpy
-    scalar arithmetic and the lists stay bounded whatever the grid's length.
+    docstring) and written back transposed at each recorded point.  One
+    loop reads the step size, piece and record flag of each step as Python
+    scalars from memoryviews of the grid, so a step does no numpy scalar
+    arithmetic and nothing the run holds grows with the grid's length.
     The run allocates one workspace (see the module docstring) and no step
     allocates an array.  Each stage input is one product into the stage
     buffer, updated in place, ``t = (h/2) * k1; t += x``, and the step sums
@@ -366,8 +355,10 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     step that produced it, instead of warning and stepping on to the end.
     Only einsum's reductions overflow to inf without a report, so a block
     with a non-finite state raises FloatingPointError before it reaches the
-    sink.  The sink runs outside the raising error state.
+    sink.  The sink runs in the caller's error state, read when the run
+    starts.
     """
+    outer = np.geterr()  # the caller's error state, in which the sink runs
     count = int(np.count_nonzero(rec))
     rows = max(1, min(count, _RECORD_BLOCK_FLOATS // max(1, x0.size)))
     block = np.empty((rows,) + x0.shape)
@@ -389,39 +380,36 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
         block[0] = x0
         r = 1
     fields = {}  # piece index -> its velocity, built on the piece's first step
-    steps = _step_data(piece_idx, hs, rec)
-    while True:
-        if r == rows:
-            lo, r = emit(lo, r), 0
-        with np.errstate(over="raise", invalid="raise"):
-            for h, p, keep in steps:
-                f = fields.get(p)
-                if f is None:
-                    f = fields[p] = _velocity(pieces[p], kernel)
-                half = 0.5 * h
-                f(xs, k1)
-                np.multiply(half, k1, out=t)
-                t += x
-                f(ts, k2)
-                np.multiply(half, k2, out=t)
-                t += x
-                f(ts, k3)
-                np.multiply(h, k3, out=t)
-                t += x
-                f(ts, k4)
-                k2 *= 2.0
-                k2 += k1
-                k3 *= 2.0
-                k2 += k3
-                k2 += k4
-                k2 *= h / 6.0
-                x += k2
-                if keep:
-                    block[r] = x.swapaxes(-1, -2)
-                    r += 1
-                    if r == rows:
-                        break
-            else:
-                break
+    with np.errstate(over="raise", invalid="raise"):
+        # rec[1:] flags the point each step ends on
+        for h, p, keep in zip(memoryview(hs), memoryview(piece_idx),
+                              memoryview(rec[1:])):
+            f = fields.get(p)
+            if f is None:
+                f = fields[p] = _velocity(pieces[p], kernel)
+            half = 0.5 * h
+            f(xs, k1)
+            np.multiply(half, k1, out=t)
+            t += x
+            f(ts, k2)
+            np.multiply(half, k2, out=t)
+            t += x
+            f(ts, k3)
+            np.multiply(h, k3, out=t)
+            t += x
+            f(ts, k4)
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= h / 6.0
+            x += k2
+            if keep:
+                if r == rows:
+                    with np.errstate(**outer):
+                        lo, r = emit(lo, r), 0
+                block[r] = x.swapaxes(-1, -2)
+                r += 1
     if r:
         emit(lo, r)

@@ -38,46 +38,43 @@ MAX_GRID_STEPS = 1_000_000
 # oversized system.n must fail here instead of raising MemoryError or
 # exhausting memory; a rotating star (whose own stack is a view of one hub
 # pattern, but whose prefix sums are dense) fits up to n = 322, blinking pairs
-# up to n = 256.
+# up to n = 256, or n = 322 at duty 1.
 MAX_SIGNAL_FLOATS = 1 << 25
 
 
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """A validated config, as `parse_config` returns it."""
 
     _fields = ("n", "d", "kernel", "signal", "window", "t_end", "dt",
                "sample_every", "out_dir", "emit", "initial", "sweep",
                "certify_kinds", "observable")
-    __repr__ = Record.__repr__
 
     def __init__(self, n: int, d: int, kernel, signal: PiecewiseConstantSignal,
                  window: Window, t_end: float, dt: float, sample_every: int,
                  out_dir: str, emit: tuple, initial: np.ndarray | None = None,
                  sweep: dict | None = None, certify_kinds: tuple | None = None,
                  observable: str = "diameter"):
-        self.n, self.d, self.kernel = n, d, kernel
-        self.signal, self.window = signal, window
-        self.t_end, self.dt, self.sample_every = t_end, dt, sample_every
-        self.out_dir, self.emit, self.initial = out_dir, emit, initial
-        self.sweep, self.certify_kinds = sweep, certify_kinds
-        self.observable = observable
+        vars(self).update(n=n, d=d, kernel=kernel, signal=signal, window=window,
+                          t_end=t_end, dt=dt, sample_every=sample_every,
+                          out_dir=out_dir, emit=emit, initial=initial,
+                          sweep=sweep, certify_kinds=certify_kinds,
+                          observable=observable)
 
 
-class OutputBundle:
+class OutputBundle(Record):
     """The files a command wrote and its summary."""
 
     _fields = ("trajectory_files", "persistence_report", "contraction_report",
                "decay_fit", "summary_path", "summary")
-    __repr__ = Record.__repr__
 
     def __init__(self, trajectory_files: list, persistence_report: str | None,
                  contraction_report: str | None, decay_fit: str | None,
                  summary_path: str, summary: dict):
-        self.trajectory_files = trajectory_files
-        self.persistence_report = persistence_report
-        self.contraction_report = contraction_report
-        self.decay_fit = decay_fit
-        self.summary_path, self.summary = summary_path, summary
+        vars(self).update(trajectory_files=trajectory_files,
+                          persistence_report=persistence_report,
+                          contraction_report=contraction_report,
+                          decay_fit=decay_fit, summary_path=summary_path,
+                          summary=summary)
 
     @property
     def exit_code(self) -> int:
@@ -160,8 +157,12 @@ def _parse_kernel(data):
 
 def _parse_signal(data, n):
     kind = _get(data, "type", "signal", str)
-    # the most pieces a generator makes; an inline signal is as big as its JSON
-    pieces = {"rotating_star": n, "blinking_pairs": 2 * (n - 1)}.get(kind, 0)
+    # the pieces a generator makes; an inline signal is as big as its JSON.
+    # Blinking pairs show the identity after each matching unless duty is 1
+    pieces = n if kind == "rotating_star" else 0
+    if kind == "blinking_pairs":
+        duty = _number(float, _get(data, "duty", "signal"), "signal")
+        pieces = n - 1 if duty == 1 else 2 * (n - 1)
     if pieces * n * n > MAX_SIGNAL_FLOATS:
         raise ConfigError("system.n", f"a {kind} signal at n={n} holds "
                                       f"{pieces * n * n:.6g} floats of pieces, "
@@ -172,8 +173,7 @@ def _parse_signal(data, n):
                 n, float(_get(data, "dwell", "signal")))
         elif kind == "blinking_pairs":
             sig = signals.gen_blinking_pairs(
-                n, float(_get(data, "dwell", "signal")),
-                float(_get(data, "duty", "signal")))
+                n, float(_get(data, "dwell", "signal")), duty)
         elif kind == "inline":
             sig = PiecewiseConstantSignal.from_json_dict(
                 _get(data, "data", "signal", dict))

@@ -105,29 +105,22 @@ class PiecewiseConstantSignal(Record):
         cum.setflags(write=False)
         return cum
 
-    def _locate(self, ts):
-        """Split times t >= 0 (scalar or array) into (lead, rem, idx).
-
-        Piece idx is active at time rem in [0, period].  `lead` counts whole
-        periods (periodic) or the time past the last breakpoint (clamped), so
-        the integral over [0, t] is lead * (integral per unit of lead) plus the
-        integral over [0, rem].
-        """
-        bp = self.breakpoints
-        if self.mode == PERIODIC:
-            lead, rem = np.divmod(ts, self.period)
-        else:
-            rem = np.minimum(ts, bp[-1])
-            lead = ts - rem
-        idx = np.clip(np.searchsorted(bp, rem, side="right") - 1,
-                      0, len(self.pieces) - 1)
-        return lead, rem, idx
-
     def piece_index_at(self, t: float) -> int:
-        """Index of the piece active at finite time t >= 0 (right-continuous)."""
+        """Index of the piece active at finite time t >= 0 (right-continuous):
+        the piece of the last start at or before t, each start computed as
+        `piece_starts` computes it, so t's piece is the one the step grid
+        gives it."""
         if not 0 <= t < np.inf:
             raise ValueError("t must be >= 0 and finite")
-        return int(self._locate(t)[2])
+        starts = self.breakpoints[:-1]
+        if self.mode == PERIODIC:
+            # the starts of t's lap and of the next; a t before all of them
+            # (index -1) is in the last piece of the lap before
+            lap = t // self.period
+            starts = (np.array([[lap], [lap + 1.0]]) * self.period
+                      + starts).ravel()
+        index = int(np.searchsorted(starts, t, side="right")) - 1
+        return index % len(self.pieces)
 
     def piece_starts(self, t_end: float):
         """(times, piece indices) of every piece start inside [0, t_end).
@@ -145,11 +138,23 @@ class PiecewiseConstantSignal(Record):
     def _integrals(self, ts) -> np.ndarray:
         """Entrywise integral of the signal over [0, t] for every t in the
         1-d array ts >= 0; shape (len(ts), n, n)."""
-        lead, rem, idx = self._locate(ts)
+        # `lead` counts whole periods (periodic) or the time past the last
+        # breakpoint (clamped), so the integral over [0, t] is lead times the
+        # integral per unit of lead plus the integral over [0, rem].  The
+        # integral is continuous in t, so a piece that `divmod` places an
+        # ulp off a start moves no bit that matters
+        bp = self.breakpoints
+        if self.mode == PERIODIC:
+            lead, rem = np.divmod(ts, self.period)
+        else:
+            rem = np.minimum(ts, bp[-1])
+            lead = ts - rem
+        idx = np.clip(np.searchsorted(bp, rem, side="right") - 1,
+                      0, len(self.pieces) - 1)
         stack = self.piece_stack
         per_lead = self._cumulative[-1] if self.mode == PERIODIC else stack[-1]
         return (lead[:, None, None] * per_lead + self._cumulative[idx]
-                + (rem - self.breakpoints[idx])[:, None, None] * stack[idx])
+                + (rem - bp[idx])[:, None, None] * stack[idx])
 
     def to_json_dict(self) -> dict:
         return {

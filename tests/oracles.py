@@ -245,9 +245,10 @@ def riemann_window_average(sig, t, tau, steps=10_000):
 
 def integral_scalar(sig, t):
     """Entrywise integral of the signal over [0, t] for one time t >= 0,
-    from Python `divmod` laps (periodic) or an explicit clamped tail."""
+    from Python `divmod` laps (periodic) or an explicit clamped tail, and
+    the `cumulative_cumsum` integrals up to each breakpoint."""
     bp = sig.breakpoints
-    cum = sig._cumulative
+    cum = np.concatenate([np.zeros((1, sig.n, sig.n)), cumulative_cumsum(sig)])
     if sig.mode == PERIODIC:
         laps, rem = divmod(t, sig.period)
         total = laps * cum[-1]

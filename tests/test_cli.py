@@ -263,15 +263,18 @@ class TestParseConfig:
         data[block][key] = float(int(value))  # an integral float is accepted
         parse_config(data)
 
-    @pytest.mark.parametrize("kind, pieces", [("rotating_star", 6),
-                                              ("blinking_pairs", 10)])
-    def test_generated_signal_cap(self, tmp_path, monkeypatch, kind, pieces):
-        # the cap counts at most `pieces` (n, n) pieces at n = 6
+    @pytest.mark.parametrize("kind, duty, pieces", [
+        pytest.param("rotating_star", 0.5, 6, id="rotating_star-6"),
+        pytest.param("blinking_pairs", 0.5, 10, id="blinking_pairs-10"),
+        pytest.param("blinking_pairs", 1.0, 5, id="blinking_pairs-duty1-5")])
+    def test_generated_signal_cap(self, tmp_path, monkeypatch, kind, duty,
+                                  pieces):
+        # the cap counts the `pieces` (n, n) pieces made at n = 6
         monkeypatch.setattr(cli, "MAX_SIGNAL_FLOATS", pieces * 36)
         data = blinking_config(tmp_path)
         data["system"]["n"] = 6
-        data["signal"]["type"] = kind
-        assert parse_config(data).signal.n == 6
+        data["signal"].update(type=kind, duty=duty)
+        assert len(parse_config(data).signal.pieces) == pieces
         monkeypatch.setattr(cli, "MAX_SIGNAL_FLOATS", pieces * 36 - 1)
         with pytest.raises(ConfigError) as err:
             parse_config(data)

@@ -102,10 +102,10 @@ EXPRESSION_CASES = (kernels.Constant(1.0), kernels.Constant(1.3),
 @pytest.mark.parametrize("kernel", EXPRESSION_CASES, ids=repr)
 def test_rk4_equals_step_expression(kernel, star):
     # in-place fields and stage sums, and step data read as Python scalars
-    # a chunk at a time, record bitwise what one expression per step gives,
-    # at and next to every chunk boundary
+    # from memoryviews of the grid, record bitwise what one expression per
+    # step gives, at and next to every multiple of 1024 steps
     rng = np.random.default_rng(23)
-    n, chunk = 5, kernels._STEP_CHUNK
+    n, chunk = 5, 1024
     steps = 2 * chunk + 500
     assert steps >= 2500
     if star:
@@ -129,8 +129,8 @@ def test_rk4_equals_step_expression(kernel, star):
 
 def test_rk4_memory_does_not_grow_with_steps():
     # 10^5 steps at n = 5, recorded at the two ends: the step data held as
-    # Python lists would peak near 4.8 MB, one 1024-step chunk at a time
-    # peaks near 55 kB
+    # Python lists would peak near 4.8 MB; read through memoryviews of the
+    # grid, the run peaks near 6 kB
     rng = np.random.default_rng(29)
     steps = 10**5
     pieces = rng.random((3, 5, 5))
@@ -224,6 +224,52 @@ def test_rk4_layout_contract(kernel):
     assert not strided.flags.c_contiguous
     want = rk4_record(strided.copy(), pieces, piece_idx, hs, rec, kernel)
     got = rk4_record(strided, pieces, piece_idx, hs, rec, kernel)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("over", ("ignore", "raise"))
+def test_rk4_sink_runs_in_the_callers_error_state(over, monkeypatch):
+    # the steps raise on overflow; the sink, of full blocks mid-run as of
+    # the last block, does what its caller's error state says
+    rng = np.random.default_rng(31)
+    steps = 20
+    pieces = rng.random((3, 4, 4))
+    piece_idx, hs, rec = random_grid(rng, steps)
+    x0 = 10.0 + rng.random(size=(3, 4, 2))
+    monkeypatch.setattr(kernels, "_RECORD_BLOCK_FLOATS", 2 * x0.size)
+    products = []
+
+    def run():
+        kernels.rk4_run(x0, pieces, piece_idx, hs, rec, kernels.Constant(1.0),
+                        lambda lo, block: products.append(block * 1e308))
+
+    with np.errstate(over=over):
+        if over == "raise":
+            with pytest.raises(FloatingPointError, match="overflow"):
+                run()
+        else:
+            run()
+    if over == "ignore":
+        assert len(products) == 3  # 6 records, 2 a block
+        assert all(np.isinf(b).all() for b in products)
+
+
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
+def test_rk4_reads_strided_and_int32_step_grids(kernel):
+    # the grid is read through memoryviews: strided float64 step sizes, a
+    # strided bool record and int32 pieces step exactly like contiguous
+    # int64 copies
+    rng = np.random.default_rng(37)
+    steps, n = 30, 5
+    pieces = rng.random((3, n, n))
+    piece_idx, hs, rec = random_grid(rng, steps)
+    wide_hs = np.repeat(hs, 2)[::2]
+    wide_rec = np.repeat(rec, 3)[::3]
+    assert not (wide_hs.flags.c_contiguous or wide_rec.flags.c_contiguous)
+    x0 = rng.normal(size=(2, n, 2))
+    want = rk4_record(x0, pieces, piece_idx.astype(np.int64), hs, rec, kernel)
+    got = rk4_record(x0, pieces, piece_idx.astype(np.int32), wide_hs, wide_rec,
+                     kernel)
     assert np.array_equal(got, want)
 
 

@@ -205,6 +205,30 @@ class TestEvaluate:
                                          (first, second), "clamped")
         assert cl.evaluate(sig, 7.0) == second
 
+    @pytest.mark.parametrize("make, t_end", [
+        (lambda: cl.gen_rotating_star(5, 0.2), 10.0),
+        (lambda: cl.gen_rotating_star(128, 0.05), 10.0),
+        (lambda: cl.gen_blinking_pairs(32, 0.1, 0.5), 10.0),
+        (lambda: cl.gen_rotating_star(7, 0.13), 50.0),
+        (lambda: cl.PiecewiseConstantSignal(
+            7, 0.13 * np.arange(8.0), cl.gen_rotating_star(7, 0.13).piece_stack,
+            "clamped"), 50.0),
+    ], ids=("star5", "star128", "pairs32", "star7", "star7_clamped"))
+    def test_agrees_with_piece_starts(self, make, t_end):
+        # every piece starts where the step grid starts it: at the times
+        # `piece_starts` computes, not an ulp later (divmod(1.2, 1.0) leaves
+        # 0.19999999999999996, before the star5 start at 0.2, while
+        # 1.0 + 0.2 rounds to 1.2), and the ulp before a start is still in
+        # the piece before
+        sig = make()
+        m = len(sig.pieces)
+        times, pieces = sig.piece_starts(t_end)
+        assert len(times) >= m
+        for t, p in zip(times.tolist(), pieces.tolist()):
+            assert sig.piece_index_at(t) == p, t
+            if t > 0:
+                assert sig.piece_index_at(np.nextafter(t, -np.inf)) == (p - 1) % m, t
+
     @pytest.mark.parametrize("mode", ("periodic", "clamped"))
     def test_nan_time_rejected(self, mode):
         sig = constant_signal(cl.AdjacencyMatrix.ones(2), mode=mode)
