@@ -21,9 +21,9 @@ dropping ``c *`` when c = 1 and ``** beta`` when beta = 1.  A step
 allocates no array either: `rk4_run` allocates one workspace per run, the
 state, the stage input and k1 to k4, all (..., d, n), and the field's
 scratch (`_sources`): a (..., d, n) product for the constant kernel, or
-the (..., d, n, n) pair differences and the (..., n, n) weights for
-Cucker-Smale.  The views each field input
-needs are built once per run for the state and for the stage input.
+the (..., d, n, n) pair differences, the (..., n, n) kernel values and the
+weights for Cucker-Smale (see below).  The views each field input needs
+are built once per run for the state and for the stage input.
 Every operation writes into an array of the workspace through ``out=`` or
 in place, and the field writes into the output its caller gives it.  The
 scratch holds one field's temporaries for the whole run, so the peak is
@@ -54,6 +54,36 @@ overflowing difference raises FloatingPointError at the same step as the
 subtract did, as "overflow encountered in matmul".  P holds n^3 floats and
 the product costs n times the subtract's arithmetic, so it stops where it
 stops winning (see _PAIR_PRODUCT_MAX_N).
+
+Up to the same size the Cucker-Smale scratch holds the weights once per
+coordinate, a (..., d, n, n) array w beside the (..., n, n) kernel values
+r.  The field multiplies r by the piece in place, as before, and copies the
+product into every coordinate of w with one broadcast assignment,
+``w[...] = r[..., None, :, :]``, so the weighted sum
+``"...cij,...cij->...ci"`` reads two operands of one contiguous layout.
+With the (..., n, n) weights broadcast over the coordinates instead, einsum
+takes its broadcast path: at (B, d, n) = (32, 2, 5) the sum took 5.5 us
+that way and 3.1 us over per-coordinate weights (median of five best-of-5
+timeits, 2 CPUs).  An assignment runs no ufunc iteration: writing w as the
+broadcast product ``np.multiply(r[..., None, :, :], adj, out=w)`` instead
+allocated two buffers the size of w per call (26.8 kB traced at that
+shape, against 7.5 kB for the whole field), and its field ran 6% slower
+there and 10-23% slower at n = 12 (B = 32 and 128, in-process pairs).
+Every output is still the sum of the same n products w_ij * diff_cij in
+einsum's same sum-of-products kernel, so no bit moves.  Above
+_PAIR_PRODUCT_MAX_N agents w is r's (..., 1, n, n) view itself, and numpy
+skips assigning an array onto itself (same data, shape and strides), so
+that field does what it did before: there its arithmetic, not numpy's
+per-call overhead, sets its time, and per-coordinate weights would add
+B*d*n^2 floats, 32 MiB at (n, B) = (128, 128).
+
+For the same reason only the small-n field makes its piece C-contiguous,
+once, when `rk4_run` first steps on it.  A rotating star's pieces are
+strided views of one hub, and ``r *= adj`` ran 1.95 us over a strided
+piece against 1.39 us over its copy, which holds at most
+_PAIR_PRODUCT_MAX_N^2 = 144 floats.  Above that a copy would hold n^2
+floats per piece, 64 copies of 32 kB over the pieces of a rotating star
+at n = 64, for a multiply that arithmetic sets.
 
 The Cucker-Smale field calls numpy's C einsum, `c_einsum`, for its two
 reductions instead of `np.einsum`: a verify sweep makes about 8,000 such
@@ -211,25 +241,32 @@ def _sources(shape, kernel):
     buffer of that shape.  Every input it makes shares one field scratch.
 
     The constant kernel's input is ``(x, prod)``, prod the (..., d, n)
-    product ``deg * x``.  Cucker-Smale's is ``(pairs, a, b, into, diff,
-    w)``: ``pairs(a, b, into)`` writes the (..., d, n, n) pair differences
-    ``diff[..., c, i, j] = x_j - x_i``, and w holds the (..., n, n)
-    weights.  Up to _PAIR_PRODUCT_MAX_N agents that call is the product of
-    x's flat (-1, n) view and `_pair_operator` into diff's flat
-    (-1, n * n) view; above it, the subtract of ``x[..., None, :]`` and
-    ``x[..., :, None]`` into diff.
+    product ``deg * x``.  Cucker-Smale's is ``(pairs, a, b, into, diff, r,
+    r_c, w)``: ``pairs(a, b, into)`` writes the (..., d, n, n) pair
+    differences ``diff[..., c, i, j] = x_j - x_i``; r holds r2, then the
+    (..., n, n) kernel values, then the weights; r_c is r's (..., 1, n, n)
+    view, and w takes the weights of every coordinate, ``w[...] = r_c``.
+    Up to _PAIR_PRODUCT_MAX_N agents that call is the product of x's flat
+    (-1, n) view and `_pair_operator` into diff's flat (-1, n * n) view,
+    and w is a (..., d, n, n) array of its own, so the weighted sum runs
+    over contiguous operands (see the module docstring); above it, the call
+    is the subtract of ``x[..., None, :]`` and ``x[..., :, None]`` into
+    diff, and w is r_c itself, so the weights take no memory beyond r.
     """
     if isinstance(kernel, Constant):
         prod = np.empty(shape)
         return lambda x: (x, prod)
     n = shape[-1]
     diff = np.empty(shape + (n,))
-    w = np.empty(shape[:-2] + (n, n))
+    r = np.empty(shape[:-2] + (n, n))
+    r_c = r[..., None, :, :]
     if n <= _PAIR_PRODUCT_MAX_N:
         op, flat = _pair_operator(n), diff.reshape(-1, n * n)
-        return lambda x: (np.matmul, x.reshape(-1, n), op, flat, diff, w)
+        w = np.empty_like(diff)
+        return lambda x: (np.matmul, x.reshape(-1, n), op, flat, diff, r, r_c,
+                          w)
     return lambda x: (np.subtract, x[..., None, :], x[..., :, None], diff,
-                      diff, w)
+                      diff, r, r_c, r_c)
 
 
 def _velocity(adj, kernel):
@@ -238,11 +275,15 @@ def _velocity(adj, kernel):
     (..., d, n) that writes the velocity, of the same shape, into ``out``.
 
     The degree vector of the constant kernel and the kernel's constants are
-    made here, once.  Each field writes into its input's scratch and
-    ``out`` (see the module docstring), bitwise
-    ``c * (x @ A^T - deg * x) / n`` or the sum weighted by
-    ``adj * (K / (1 + r2) ** beta)``, the expressions `velocity_expression`
-    in tests/oracles.py keeps.
+    made here, once, and so, up to _PAIR_PRODUCT_MAX_N agents, is a
+    C-contiguous copy of a Cucker-Smale piece that is not one already: a
+    rotating star's strided piece, of at most 144 floats, that the weight
+    multiply would otherwise read strided at every call.  Above that size
+    the piece is read as it is, so no piece is copied where copies would be
+    large.  Each field writes into its input's scratch and ``out`` (see the
+    module docstring), bitwise ``c * (x @ A^T - deg * x) / n`` or the sum
+    weighted by ``adj * (K / (1 + r2) ** beta)``, the expressions
+    `velocity_expression` in tests/oracles.py keeps.
     """
     # a float, so ``out /= n`` converts no Python int a call
     n = float(adj.shape[-1])
@@ -264,21 +305,24 @@ def _velocity(adj, kernel):
         return linear
 
     K, beta = kernel.K, kernel.beta
+    if n <= _PAIR_PRODUCT_MAX_N:
+        adj = np.ascontiguousarray(adj)  # no copy if it is contiguous
 
     def field(src, out):
-        pairs, a, b, into, diff, w = src
+        pairs, a, b, into, diff, r, r_c, w = src
         pairs(a, b, into)  # diff[c, i, j] = x_j - x_i
         # np.einsum with optimize False runs "return c_einsum(*operands,
         # **kwargs)" (numpy/_core/einsumfunc.py): calling it directly keeps
         # every bit and saves about 1.2 us of Python dispatch, twice a field
-        c_einsum("...cij,...cij->...ij", diff, diff, out=w)
-        # w = adj * (K / (1 + r2) ** beta), built in the r2 it holds
-        w += 1.0
+        c_einsum("...cij,...cij->...ij", diff, diff, out=r)
+        # r = adj * (K / (1 + r2) ** beta), built in the r2 it holds
+        r += 1.0
         if beta != 1.0:
-            w **= beta
-        np.divide(K, w, out=w)
-        w *= adj
-        c_einsum("...ij,...cij->...ci", w, diff, out=out)
+            r **= beta
+        np.divide(K, r, out=r)
+        r *= adj
+        w[...] = r_c  # a no-op when w is r_c: numpy skips a copy onto itself
+        c_einsum("...cij,...cij->...ci", w, diff, out=out)
         out /= n
     return field
 

@@ -33,6 +33,12 @@ KERNEL_D = 2
 # and the steps of that call
 RK4_BATCH = 32
 RK4_STEPS = 2000
+# dwell and step size of the `rk4_star` row, the Cucker-Smale `rk4` run over
+# the pieces of a rotating star of KERNEL_N agents, switching every
+# STAR_DWELL / STAR_DT steps as the README verify does: its pieces are
+# strided views of one hub, where the `rk4` row steps one contiguous piece
+STAR_DWELL = 0.2
+STAR_DT = 0.01
 # (agents, starts) and steps of the `rk4_large` row, a Cucker-Smale `rk4` run
 # in the plane whose (B, d, n, n) pair differences, 32 MiB, outgrow the cache:
 # the field's cost is arithmetic there, not per-call overhead
@@ -140,6 +146,9 @@ def _cases(rng):
 
     cs = _kernels.CuckerSmale(1.0, 1.0)
     linear = _kernels.Constant(1.0)
+    sweep_star = gen_rotating_star(KERNEL_N, STAR_DWELL).piece_stack
+    star_idx = (np.arange(RK4_STEPS) // round(STAR_DWELL / STAR_DT)) % KERNEL_N
+    star_hs = np.full(RK4_STEPS, STAR_DT)
     star = gen_rotating_star(KERNEL_N, 0.1)
     star_starts = _critical_starts(star, WINDOW_TAU, star.period)
     star_avgs = window_average_batch(star, star_starts, WINDOW_TAU)
@@ -187,6 +196,8 @@ def _cases(rng):
                                              SIMULATE_DT, forced),
         "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec, cs,
                                         discard),
+        "rk4_star": lambda: _kernels.rk4_run(starts, sweep_star, star_idx,
+                                             star_hs, rec, cs, discard),
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
                                                rec, linear, discard),
         "rk4_large": lambda: _kernels.rk4_run(
@@ -215,7 +226,8 @@ def run(repeats=5):
     cases = _cases(rng)
 
     print(f"kernel benchmark: n={KERNEL_N}, d={KERNEL_D}, rk4 steps={RK4_STEPS} "
-          f"on a batch of {RK4_BATCH} starts, rk4_large steps="
+          f"on a batch of {RK4_BATCH} starts (rk4_star over the pieces of a "
+          f"rotating star, dwell {STAR_DWELL}, step {STAR_DT}), rk4_large steps="
           f"{LARGE_RK4_STEPS} at (n, starts)={LARGE_RK4_SHAPE}, rk4_long "
           f"steps={LONG_RK4_STEPS} of the constant kernel on {LONG_RK4_BATCH} "
           f"start recorded at both ends, scrambling, "

@@ -9,10 +9,12 @@ eigensolver with the constant direction shifted away, one Householder
 projection and eigensolver call per matrix, or brute-force Rayleigh-quotient
 minimization over direction grids, and window averages are cross-checked by
 Riemann summation or by a scalar integral that walks one time at a time.
-Piece starts come from a per-lap loop, and the step grid from a walk that
-merges one candidate time at a time.  Window contraction factors and the
-variance dissipation residual are literal per-sample loops (the residual
-also a batched energy per piece), diameters a full
+Piece starts come from a per-lap loop, the piece at a time from a forward
+walk over those starts, and the step grid from a walk that merges one
+candidate time at a time.  Window contraction factors and the variance
+dissipation residual are literal per-sample loops (the residual also a
+batched energy per piece), their energies and pair distances the per-sample
+indexed gathers of `dirichlet_energies_loop`, diameters a full
 (T, n, n, d) broadcast, and CSV output a per-cell f-string writer.  The
 signal generators are rebuilt one AdjacencyMatrix per piece, and the
 cumulative integrals by one `np.cumsum` over the whole stack.
@@ -20,7 +22,6 @@ cumulative integrals by one `np.cumsum` over the whole stack.
 import numpy as np
 
 import consensuslab as cl
-from consensuslab.graphs import pair_squared_distances
 from consensuslab.signals import PERIODIC
 
 
@@ -233,11 +234,13 @@ def lambda2_rayleigh_grid(entries, coarse=None, refine=61, stages=3, top=5):
 
 
 def riemann_window_average(sig, t, tau, steps=10_000):
-    """Left-endpoint Riemann sum of (1/tau) * integral A over [t, t+tau]."""
+    """Left-endpoint Riemann sum of (1/tau) * integral A over [t, t+tau],
+    each node's piece found by `pieces_at_loop`."""
     h = tau / steps
+    nodes = [t + k * h for k in range(steps)]
     total = np.zeros((sig.n, sig.n))
-    for k in range(steps):
-        total += sig.pieces[sig.piece_index_at(t + k * h)].entries
+    for p in pieces_at_loop(sig, nodes):
+        total += sig.pieces[p].entries
     avg = total * h / tau
     np.fill_diagonal(avg, 1.0)
     return avg
@@ -296,6 +299,20 @@ def breakpoint_events_loop(sig, t_end):
                 ev_t.append(bp[k])
                 ev_p.append(k)
     return np.asarray(ev_t, dtype=np.float64), np.asarray(ev_p, dtype=np.int64)
+
+
+def pieces_at_loop(sig, times):
+    """The index of the piece active at each of the ascending times >= 0
+    (right-continuous): the piece of the last `breakpoint_events_loop` start
+    at or before it, walking the starts forward once."""
+    ev_t, ev_p = breakpoint_events_loop(sig, np.nextafter(times[-1], np.inf))
+    e = 0
+    pieces = []
+    for t in times:
+        while e + 1 < len(ev_t) and ev_t[e + 1] <= t:
+            e += 1
+        pieces.append(int(ev_p[e]))
+    return pieces
 
 
 def two_agent_closed_form(times, x0=(-1.0, 1.0)):
@@ -358,10 +375,12 @@ def contraction_factors_loop(times, series, tau, match_tol=1e-9, floor=1e-10):
 
 def dissipation_residual_loop(traj, sig):
     """Max |centered dV/dt + 2 * Dirichlet energy| by a per-sample loop that
-    builds each state's Configuration and calls `dirichlet_energy`."""
+    takes each state's piece from `pieces_at_loop` and its energy from
+    `dirichlet_energies_loop`."""
     times = traj.times
     var = traj.variances
     switch_times, _ = breakpoint_events_loop(sig, float(times[-1]) + 1e-12)
+    pieces = pieces_at_loop(sig, times)
     worst = 0.0
     for i in range(1, len(times) - 1):
         left, right = times[i - 1], times[i + 1]
@@ -372,24 +391,26 @@ def dissipation_residual_loop(traj, sig):
         if hi > lo:  # a switch lies strictly inside the stencil
             continue
         slope = (var[i + 1] - var[i - 1]) / (right - left)
-        energy = cl.dirichlet_energy(cl.evaluate(sig, float(times[i])),
-                                     traj.state(i))
+        energy = float(dirichlet_energies_loop(sig.pieces[pieces[i]].entries,
+                                               traj.states[i]))
         worst = max(worst, abs(slope + 2.0 * energy))
     return worst
 
 
 def dissipation_residual_per_piece(traj, sig):
     """The dissipation residual as one batched energy per piece, summing the
-    weighted `pair_squared_distances` of each piece's samples per sample, as
-    `variance_dissipation_residual` took it before it walked chunks.
+    weighted `pair_squares_indexed` of each piece's samples per sample, as
+    `variance_dissipation_residual` took it before it walked chunks, over
+    the piece starts of `breakpoint_events_loop`.
 
     Its sums are per sample, pairwise over the contiguous pairs of each
-    sample, however many samples a piece holds: `pair_squared_distances`
+    sample, however many samples a piece holds: `pair_squares_indexed`
     keeps each sample's pairs contiguous.
     """
     times = traj.times
     var = traj.variances
-    switch_times, switch_piece = sig.piece_starts(float(times[-1]) + 1e-12)
+    switch_times, switch_piece = breakpoint_events_loop(sig,
+                                                        float(times[-1]) + 1e-12)
     left, mid, right = times[:-2], times[1:-1], times[2:]
     even = np.abs((right - mid) - (mid - left)) <= 1e-9 * (right - left)
     lo = np.searchsorted(switch_times, left + 1e-12)
@@ -403,7 +424,7 @@ def dissipation_residual_per_piece(traj, sig):
     for k in np.unique(piece):
         sel, adj = piece == k, sig.piece_stack[k]
         weights = (adj + adj.T)[np.triu_indices(traj.n, 1)]
-        energy[sel] = (weights * pair_squared_distances(traj.states[mids[sel]])
+        energy[sel] = (weights * pair_squares_indexed(traj.states[mids[sel]])
                        ).sum(axis=1)
     energy /= 2.0 * traj.n**2
     return float(np.abs(slope + 2.0 * energy).max())
@@ -480,10 +501,12 @@ def dirichlet_energies_loop(entries, positions):
 
 
 def build_grid_loop(sig, t_end, dt, forced_times):
-    """`dynamics._build_grid` as one Python walk over the sorted candidates:
-    each is merged into the last grid point kept when within 1e-9 * dt of
-    it, a breakpoint replacing that point's value, else starts a new one."""
-    ev_t, ev_p = sig.piece_starts(t_end)
+    """`dynamics._build_grid` as one Python walk over the sorted candidates
+    (the piece starts of `breakpoint_events_loop`, forced and uniform
+    times): each is merged into the last grid point kept when within
+    1e-9 * dt of it, a breakpoint replacing that point's value, else starts
+    a new one."""
+    ev_t, ev_p = breakpoint_events_loop(sig, t_end)
     n_uniform = int(np.ceil(t_end / dt - 1e-9))
     uniform = dt * np.arange(n_uniform)
     forced = np.asarray(forced_times, dtype=np.float64)

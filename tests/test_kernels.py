@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import os
 import sys
 import tracemalloc
@@ -103,28 +104,31 @@ EXPRESSION_CASES = (kernels.Constant(1.0), kernels.Constant(1.3),
 def test_rk4_equals_step_expression(kernel, star):
     # in-place fields and stage sums, and step data read as Python scalars
     # from memoryviews of the grid, record bitwise what one expression per
-    # step gives, at and next to every multiple of 1024 steps
+    # step gives, at and next to every multiple of 1024 steps: at n = 5 on
+    # one and three starts in every dimension, and on both sides of
+    # _PAIR_PRODUCT_MAX_N on two batch axes
     rng = np.random.default_rng(23)
-    n, chunk = 5, 1024
+    chunk = 1024
     steps = 2 * chunk + 500
     assert steps >= 2500
-    if star:
-        pieces = cl.gen_rotating_star(n, 0.1).piece_stack
-        assert not pieces.flags.c_contiguous
-    else:
-        pieces = rng.random((3, n, n))
-    piece_idx = rng.integers(0, len(pieces), size=steps)
     hs = rng.uniform(5e-4, 2e-3, size=steps)
     rec = np.zeros(steps + 1, dtype=bool)
     rec[0] = rec[-1] = True
     for edge in range(chunk, steps, chunk):
         rec[edge - 1:edge + 2] = True
-    for batch in ((1,), (3,)):
-        for d in (1, 2, 3):
-            x0s = rng.normal(size=batch + (n, d))
-            got = rk4_record(x0s, pieces, piece_idx, hs, rec, kernel)
-            want = rk4_expression(x0s, pieces, piece_idx, hs, rec, kernel)
-            assert np.array_equal(got, want), (batch, d)
+    cases = [(5, batch, d) for batch in ((1,), (3,)) for d in (1, 2, 3)]
+    cases += [(n, (2, 3), d) for n in PAIR_EDGE for d in (1, 3)]
+    for n, batch, d in cases:
+        if star:
+            pieces = cl.gen_rotating_star(n, 0.1).piece_stack
+            assert not pieces.flags.c_contiguous
+        else:
+            pieces = rng.random((3, n, n))
+        piece_idx = rng.integers(0, len(pieces), size=steps)
+        x0s = rng.normal(size=batch + (n, d))
+        got = rk4_record(x0s, pieces, piece_idx, hs, rec, kernel)
+        want = rk4_expression(x0s, pieces, piece_idx, hs, rec, kernel)
+        assert np.array_equal(got, want), (n, batch, d)
 
 
 def test_rk4_memory_does_not_grow_with_steps():
@@ -166,13 +170,16 @@ def random_grid(rng, steps):
 @pytest.mark.parametrize("kernel", KERNEL_CASES)
 def test_rk4_batch_equals_single_starts(kernel, batch):
     # a batch shares the grid but not the arithmetic: every start is bitwise
-    # what its own run gives, whatever the agent count and dimension
+    # what its own run gives, whatever the agent count and dimension, on
+    # random pieces and on a rotating star's strided views of its hub
     rng = np.random.default_rng(11)
     steps = 40
     piece_idx, hs, rec = random_grid(rng, steps)
     for n in (1, 5, 33) + PAIR_EDGE:
-        pieces = rng.random((3, n, n))
-        for d in (1, 2, 3):
+        stacks = [rng.random((3, n, n))]
+        if n > 1:
+            stacks.append(cl.gen_rotating_star(n, 0.1).piece_stack)
+        for pieces, d in itertools.product(stacks, (1, 2, 3)):
             x0s = rng.normal(size=batch + (n, d))
             got = rk4_record(x0s, pieces, piece_idx, hs, rec, kernel)
             assert got.shape == (np.count_nonzero(rec),) + x0s.shape
@@ -296,11 +303,15 @@ def test_field_calls_the_einsum_of_np_einsum():
 @pytest.mark.parametrize("kernel", EXPRESSION_CASES, ids=repr)
 def test_rhs_equals_field_expression(kernel, batch):
     # the field's direct einsum entry against public np.einsum in the oracle,
-    # bit for bit, with no batch axis and with two
+    # bit for bit, with no batch axis and with two, on a random piece and on
+    # a rotating star's piece, a strided view of its hub
     rng = np.random.default_rng(15)
     for n in (1, 5, 33) + PAIR_EDGE:
-        adj = rng.random((n, n))
-        for d in (1, 3):
+        adjs = [rng.random((n, n))]
+        if n > 1:
+            adjs.append(cl.gen_rotating_star(n, 0.1).piece_stack[1])
+            assert not adjs[-1].flags.c_contiguous
+        for adj, d in itertools.product(adjs, (1, 3)):
             pos = rng.normal(size=batch + (n, d))
             want = velocity_expression(adj, kernel)(pos.swapaxes(-1, -2).copy())
             got = kernels.rhs_velocity(pos, adj, kernel)
@@ -431,25 +442,36 @@ def test_rk4_fields_reuse_one_workspace(kernel, monkeypatch):
 
 def test_rk4_workspace_memory_bound():
     # one Cucker-Smale run holds one field scratch, (B, d, n, n) differences
-    # and (B, n, n) weights, beside its (B, d, n) state, stage input and
-    # k1 to k4 and its record block: a second scratch set would not fit
+    # and (B, n, n) kernel values, and up to _PAIR_PRODUCT_MAX_N agents
+    # (B, d, n, n) weights of their own, beside its (B, d, n) state, stage
+    # input and k1 to k4 and its record block: a second scratch set would
+    # not fit.  Nor does the field copy a piece above _PAIR_PRODUCT_MAX_N
+    # agents: over the 64 strided pieces of a rotating star, a copy of each
+    # would add 64 x 32 kB
     rng = np.random.default_rng(19)
-    n, batch, d, steps = 64, 16, 2, 8
-    pieces = rng.random((1, n, n))
-    piece_idx = np.zeros(steps, dtype=np.int64)
+    d, steps = 2, 128
     hs = np.full(steps, 1e-2)
     rec = np.zeros(steps + 1, dtype=bool)
     rec[0] = rec[-1] = True
-    x0 = rng.normal(size=(batch, n, d))
-    floats = batch * d * n * n + batch * n * n + 6 * x0.size + 2 * x0.size
-    tracemalloc.start()
-    try:
-        kernels.rk4_run(x0, pieces, piece_idx, hs, rec,
-                        kernels.CuckerSmale(1.0, 1.0), lambda lo, block: None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.1 * 8 * floats
+    m = kernels._PAIR_PRODUCT_MAX_N
+    star = cl.gen_rotating_star(64, 0.1).piece_stack
+    for pieces, batch in ((rng.random((1, 64, 64)), 16),
+                          (rng.random((1, m, m)), 256), (star, 32)):
+        n = pieces.shape[-1]
+        piece_idx = np.arange(steps) % len(pieces)
+        x0 = rng.normal(size=(batch, n, d))
+        weights = batch * d * n * n if n <= m else 0
+        floats = (batch * d * n * n + weights + batch * n * n + 6 * x0.size
+                  + 2 * x0.size)
+        tracemalloc.start()
+        try:
+            kernels.rk4_run(x0, pieces, piece_idx, hs, rec,
+                            kernels.CuckerSmale(1.0, 1.0),
+                            lambda lo, block: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * floats, (n, len(pieces))
 
 
 def test_rk4_run_leads_with_the_step_grid():
@@ -482,7 +504,8 @@ def test_benchmark_runs(capsys, monkeypatch):
     assert bench.main(["--repeats", "1"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert [row[0] for row in rows] == [
-        "rhs", "scrambling", "lambda2", "signal", "grid", "rk4", "rk4_linear",
+        "rhs", "scrambling", "lambda2", "signal", "grid", "rk4", "rk4_star",
+        "rk4_linear",
         "rk4_large", "rk4_long", "window_avg", "certify", "certify_large",
         "certify_huge", "diameters", "diameters_small", "contraction", "fit",
         "residual", "csv", "json", "import"]
