@@ -200,7 +200,7 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
     switch (or uneven sample spacing) are skipped: the slope of V jumps
     there, so a centered difference does not estimate either one-sided value.
     The energies are `graphs.dirichlet_energies` of a chunk of samples at a
-    time and of those samples' pieces, so memory scales with the chunk.
+    time and of their pieces by `pieces_at`, so memory scales with the chunk.
     Contract: residual = O(dt^2) + O(sample spacing^2).
     """
     kernel = traj.kernel_ref
@@ -212,7 +212,7 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
 
     times = traj.times
     var = traj.variances
-    switch_times, switch_piece = sig.piece_starts(float(times[-1]))
+    switch_times, _ = sig.piece_starts(float(times[-1]))
     left, mid, right = times[:-2], times[1:-1], times[2:]
     even = np.abs((right - mid) - (mid - left)) <= 1e-9 * (right - left)
     # a switch inside a stencil, by a slack relative to its width, makes lo < hi
@@ -224,7 +224,7 @@ def variance_dissipation_residual(traj: Trajectory, sig) -> float:
         return 0.0
     slope = (var[mids + 1] - var[mids - 1]) / (times[mids + 1] - times[mids - 1])
 
-    piece = switch_piece[np.searchsorted(switch_times, times[mids], side="right") - 1]
+    piece = sig.pieces_at(times[mids])
     energy = np.empty(mids.size)
     for part in sample_slices(mids.size, traj.n * (traj.n - 1) // 2 * traj.d):
         energy[part] = dirichlet_energies(sig.piece_stack[piece[part]],

@@ -209,8 +209,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     run = _get(data, "run", "", dict)
     t_end = _number(float, _get(run, "t_end", "run"), "run.t_end")
-    if not t_end > 0:
-        raise ConfigError("run.t_end", "must be > 0")
+    if not 0 < t_end < np.inf:
+        raise ConfigError("run.t_end", "must be finite and > 0")
     if window.tau > t_end:
         raise ConfigError("window.tau", f"tau={window.tau} exceeds run.t_end={t_end}")
     dt = run.get("dt")
@@ -218,8 +218,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         dwell_min = float(np.diff(sig.breakpoints).min())
         dt = default_dt(dwell_min, window.tau)
     dt = _number(float, dt, "run.dt")
-    if not dt > 0:
-        raise ConfigError("run.dt", "must be > 0")
+    if not 0 < dt <= t_end:
+        raise ConfigError("run.dt", f"must be > 0 and at most run.t_end={t_end}")
     laps = np.ceil(t_end / sig.period) if sig.mode == signals.PERIODIC else 1
     points = {"run.dt": np.ceil(t_end / dt), "signal": len(sig.pieces) * laps,
               "window.tau": np.floor(t_end / window.tau) + 1}

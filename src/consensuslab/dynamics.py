@@ -346,9 +346,9 @@ def _build_grid(sig, t_end, dt, forced_times):
     tolerance spanning more than it; no config makes one, as every candidate
     rounds an exact time.  Forced times may pass t_end by 1e-9 * dt, or by
     1e-12 t_end for their rounding, and are clamped to it.  Returns the grid,
-    per-step pieces and forced flags.
+    the signal's `pieces_at` of every step start and forced flags.
     """
-    ev_t, ev_p = sig.piece_starts(t_end)
+    ev_t, _ = sig.piece_starts(t_end)
     n_uniform = int(np.ceil(t_end / dt - 1e-9))
     forced = np.asarray(forced_times, dtype=np.float64)
     past = max(1e-9 * dt, 1e-12 * t_end)
@@ -369,8 +369,7 @@ def _build_grid(sig, t_end, dt, forced_times):
     np.maximum.at(times, point[cand_p == 0], cand_t[cand_p == 0])
     is_forced = np.bincount(point[cand_p == 1], minlength=len(times)) > 0
 
-    step_piece = ev_p[np.searchsorted(ev_t, times[:-1], side="right") - 1]
-    return times, step_piece, is_forced
+    return times, sig.pieces_at(times[:-1]), is_forced
 
 
 class Integration(Record):
@@ -399,10 +398,10 @@ class Integration(Record):
                 f"signal n={sig.n}, configuration n={x0s.shape[1]}")
         if not np.all(np.isfinite(x0s)):
             raise ValueError("positions must be finite")
-        if not t_end > 0:
-            raise ValueError("t_end must be > 0")
-        if not dt > 0:
-            raise ValueError("dt must be > 0")
+        if not 0 < t_end < np.inf:
+            raise ValueError("t_end must be finite and > 0")
+        if not 0 < dt <= t_end:
+            raise ValueError("dt must be > 0 and at most t_end")
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 

@@ -4,8 +4,8 @@ A signal holds adjacency pieces on consecutive intervals and either repeats
 periodically or clamps its last piece.  It holds its pieces once, in one
 read-only (m, n, n) stack read by the integrator, certifier and analysis.
 `PiecewiseConstantSignal` is the one place that maps time onto a signal
-(wrap or clamp, piece lookup, piece starts and exact integrals from cached
-cumulative sums), vectorized over times.
+(wrap or clamp, piece starts, the one piece lookup `pieces_at` and exact
+integrals from cached cumulative sums), vectorized over times.
 Persistence of the scrambling coefficient / algebraic connectivity over
 sliding windows is certified exactly by evaluating only critical window
 starts: the averaged matrix is piecewise-affine in the start time and both
@@ -105,35 +105,33 @@ class PiecewiseConstantSignal(Record):
         cum.setflags(write=False)
         return cum
 
-    def piece_index_at(self, t: float) -> int:
-        """Index of the piece active at finite time t >= 0 (right-continuous):
-        the piece of the last start at or before t, each start computed as
-        `piece_starts` computes it, so t's piece is the one the step grid
-        gives it."""
-        if not 0 <= t < np.inf:
-            raise ValueError("t must be >= 0 and finite")
-        starts = self.breakpoints[:-1]
-        if self.mode == PERIODIC:
-            # the starts of t's lap and of the next; a t before all of them
-            # (index -1) is in the last piece of the lap before
-            lap = t // self.period
-            starts = (np.array([[lap], [lap + 1.0]]) * self.period
-                      + starts).ravel()
-        index = int(np.searchsorted(starts, t, side="right")) - 1
-        return index % len(self.pieces)
+    def _lap_starts(self, lo, hi):
+        """(times, piece indices) of the piece starts of the laps of times
+        lo..hi and of the lap after, in order; a clamped signal has one lap."""
+        bp = self.breakpoints[:-1]
+        laps = (np.arange(lo // self.period, hi // self.period + 2)
+                if self.mode == PERIODIC else np.zeros(1))
+        times = ((laps * self.period)[:, None] + bp).ravel()
+        return times, np.tile(np.arange(bp.size), len(laps))
 
     def piece_starts(self, t_end: float):
-        """(times, piece indices) of every piece start inside [0, t_end).
-
-        Periodic signals repeat their starts every period; a clamped signal
-        starts each piece once.
-        """
-        bp = self.breakpoints[:-1]
-        laps = int(t_end // self.period) + 2 if self.mode == PERIODIC else 1
-        times = ((np.arange(laps) * self.period)[:, None] + bp).ravel()
-        pieces = np.tile(np.arange(bp.size), laps)
+        """(times, piece indices) of every piece start inside [0, t_end):
+        every lap's of a periodic signal, each piece's once of a clamped one."""
+        times, pieces = self._lap_starts(0.0, t_end)
         keep = times < t_end
         return times[keep], pieces[keep]
+
+    def pieces_at(self, times) -> np.ndarray:
+        """Index of the piece active at each finite time t >= 0 (right-
+        continuous), the package's one time-to-piece lookup: that of the
+        last start at or before t among the starts of the laps the times
+        span, computed as `piece_starts` computes them."""
+        times = np.asarray(times, dtype=np.float64)
+        if not np.all((times >= 0) & (times < np.inf)):
+            raise ValueError("t must be >= 0 and finite")
+        starts, pieces = self._lap_starts(times.min(), times.max())
+        # index -1, a t before every start, is the lap before's last piece
+        return pieces[np.searchsorted(starts, times, side="right") - 1]
 
     def _integrals(self, ts) -> np.ndarray:
         """Entrywise integral of the signal over [0, t] for every t in the
@@ -213,7 +211,7 @@ class PersistenceReport(ValueRecord):
 
 def evaluate(sig: PiecewiseConstantSignal, t: float) -> AdjacencyMatrix:
     """Active piece at time t (periodic wrap or clamp); right-continuous."""
-    return sig.pieces[sig.piece_index_at(t)]
+    return sig.pieces[sig.pieces_at(t)]
 
 
 def window_average(sig: PiecewiseConstantSignal, t: float, tau: float) -> AdjacencyMatrix:

@@ -17,7 +17,9 @@ batched energy per piece), their energies and pair distances the per-sample
 indexed gathers of `dirichlet_energies_loop`, diameters a full
 (T, n, n, d) broadcast, and CSV output a per-cell f-string writer.  The
 signal generators are rebuilt one AdjacencyMatrix per piece, and the
-cumulative integrals by one `np.cumsum` over the whole stack.
+cumulative integrals by one `np.cumsum` over the whole stack.  A linear
+run's window contraction is bounded through the product of its RK4 step
+matrices, each the step polynomial written out.
 """
 import numpy as np
 
@@ -540,3 +542,46 @@ def build_grid_loop(sig, t_end, dt, forced_times):
 
     step_piece = ev_p[np.searchsorted(ev_t, times[:-1], side="right") - 1]
     return times, step_piece, is_forced
+
+
+def window_transition_bounds(sig, c, t_end, dt, forced_times, tau):
+    """Contraction bounds of every window of a constant-kernel run recorded
+    at every step: (diameter bounds, variance bounds), one per grid point t
+    whose window end t + tau is a grid point within 1e-9 * tau (the one
+    just below first), in order of t.
+
+    One RK4 step of x' = M x, M = -(c/n) L(A), is x <- R(hM) x with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, its steps and pieces those of
+    `build_grid_loop` and `pieces_at_loop`.  A window maps its first state
+    by Phi_w, the product of its step matrices.  Each row of Phi_w sums to
+    1, so the diameter contracts by at most the coefficient of ergodicity
+    tau_1(Phi_w) = max over row pairs of half their l1 distance (Seneta
+    1981), and the variance by at most |Q Phi_w Q|_2^2, Q = I - 11^T/n.
+    """
+    grid = build_grid_loop(sig, t_end, dt, forced_times)[0]
+    n = sig.n
+    steps = []
+    for h, p in zip(np.diff(grid), pieces_at_loop(sig, grid[:-1])):
+        adj = sig.piece_stack[p]
+        z = -h * c / n * (np.diag(adj.sum(axis=1)) - adj)
+        z2 = z @ z
+        steps.append(np.eye(n) + z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0)
+    q = np.eye(n) - 1.0 / n
+    tol = 1e-9 * tau
+    diameter_bounds, variance_bounds = [], []
+    for i, t in enumerate(grid):
+        target = t + tau
+        if target > grid[-1] + tol:
+            break
+        j = int(np.searchsorted(grid, target))
+        ends = [e for e in (j - 1, j)
+                if 0 <= e < len(grid) and abs(grid[e] - target) <= tol]
+        if not ends:
+            continue
+        phi = np.eye(n)
+        for step in steps[i:ends[0]]:
+            phi = step @ phi
+        rows = np.abs(phi[:, None, :] - phi[None, :, :]).sum(axis=2)
+        diameter_bounds.append(0.5 * rows.max())
+        variance_bounds.append(np.linalg.norm(q @ phi @ q, 2) ** 2)
+    return np.asarray(diameter_bounds), np.asarray(variance_bounds)

@@ -14,7 +14,7 @@ from consensuslab.errors import (
 from consensuslab import analysis, dynamics
 
 from oracles import (contraction_factors_loop, dissipation_residual_loop,
-                     dissipation_residual_per_piece)
+                     dissipation_residual_per_piece, window_transition_bounds)
 
 
 def config(positions):
@@ -201,6 +201,33 @@ class TestWindowContraction:
             assert np.array_equal(got, want)
             assert want.size > 0
         assert np.any(series <= 1e-10)
+
+    @pytest.mark.parametrize("make, tau, t_end, sharp", [
+        (lambda: cl.gen_rotating_star(8, 0.25), 1.0, 5.0, True),
+        (lambda: cl.gen_rotating_star(32, 0.05), 1.0, 5.0, True),
+        (lambda: cl.gen_blinking_pairs(32, 0.1, 0.5), 3.2, 6.4, False),
+    ], ids=("star8", "star32", "pairs32"))
+    def test_within_the_window_transition_bounds(self, make, tau, t_end,
+                                                 sharp):
+        # a linear run maps each window's first state by the product of its
+        # RK4 step matrices, which bounds its diameter and variance factors
+        # (see `oracles.window_transition_bounds`).  On the stars some
+        # diameter factor attains its bound, so a window that ends a sample
+        # early (1e-3 and 3e-4 above it) or a step that contracts less fails
+        sig = make()
+        dt = 0.01
+        forced = tau * np.arange(int(t_end / tau + 1e-9) + 1)
+        x0 = config(np.random.default_rng(2).normal(size=(sig.n, 2)))
+        traj = cl.integrate(x0, sig, cl.Constant(1.0), t_end, dt,
+                            forced_times=forced)
+        bounds = window_transition_bounds(sig, 1.0, t_end, dt, forced, tau)
+        factors = [cl.window_contraction(traj, tau, observable).factors
+                   for observable in ("diameter", "variance")]
+        for got, bound in zip(factors, bounds):
+            assert got.size == bound.size > 0
+            assert np.all(got <= bound * (1.0 + 1e-12))
+        attained = np.abs(factors[0] / bounds[0] - 1.0) <= 1e-12
+        assert attained.any() == sharp
 
     @pytest.mark.parametrize("k", range(-60, 61, 4))
     def test_independent_of_series_unit(self, k):

@@ -234,6 +234,12 @@ class TestParseConfig:
         pytest.param("system.d", lambda d: d["system"].update(d=0), id="zero_d"),
         pytest.param("run.t_end", lambda d: d["run"].update(t_end=0.0),
                      id="zero_t_end"),
+        pytest.param("run.t_end", lambda d: d["run"].update(t_end=np.inf),
+                     id="infinite_t_end"),
+        pytest.param("run.dt", lambda d: d["run"].update(dt=np.inf),
+                     id="infinite_dt"),
+        pytest.param("run.dt", lambda d: d["run"].update(dt=1e300),
+                     id="dt_past_t_end"),
         pytest.param("run.sample_every", lambda d: d["run"].update(
             sample_every=0), id="zero_sample_every"),
         pytest.param("sweep.num_initial", lambda d: d.update(

@@ -176,6 +176,19 @@ class TestIntegrate:
             cl.integrate(config([0.0, 1.0]), identity_signal(3),
                          cl.Constant(1.0), 1.0, 1e-2)
 
+    def test_horizon_and_step_must_fit(self):
+        # an infinite horizon has no grid, and a step longer than the horizon
+        # would merge every grid point into one
+        x0 = np.array([[[-1.0], [1.0]]])
+        for t_end, dt in ((np.inf, 1e-2), (1.0, np.inf), (1.0, 1.0 + 1e-12),
+                          (3.5, 1e300)):
+            with pytest.raises(ValueError, match="t_end"):
+                dynamics.Integration(x0, all_ones_signal(), cl.Constant(1.0),
+                                     t_end, dt)
+        run = dynamics.Integration(x0, all_ones_signal(), cl.Constant(1.0),
+                                   1.0, 1.0)
+        assert run.times.tolist() == [0.0, 1.0]
+
     def test_nonfinite_state_detected(self):
         # absurdly large step makes RK4 unstable and overflows
         sig = cl.PiecewiseConstantSignal(

@@ -10,8 +10,9 @@ from consensuslab import graphs, signals
 from consensuslab.errors import HorizonUncovered, UnbalancedGraph
 
 from oracles import (blinking_pairs_loop, breakpoint_events_loop,
-                     cumulative_cumsum, lambda2_eigh, riemann_window_average,
-                     rotating_star_loop, scrambling_direct, window_average_scalar)
+                     cumulative_cumsum, lambda2_eigh, pieces_at_loop,
+                     riemann_window_average, rotating_star_loop,
+                     scrambling_direct, window_average_scalar)
 
 
 def adj(entries):
@@ -225,17 +226,39 @@ class TestEvaluate:
         times, pieces = sig.piece_starts(t_end)
         assert len(times) >= m
         for t, p in zip(times.tolist(), pieces.tolist()):
-            assert sig.piece_index_at(t) == p, t
+            assert sig.pieces_at(t) == p, t
             if t > 0:
-                assert sig.piece_index_at(np.nextafter(t, -np.inf)) == (p - 1) % m, t
+                assert sig.pieces_at(np.nextafter(t, -np.inf)) == (p - 1) % m, t
+        # one call on every start, and one on every ulp before a start, agree
+        # with the independent forward walk
+        before = np.nextafter(times[1:], -np.inf)
+        for at in (times, before):
+            assert sig.pieces_at(at).tolist() == pieces_at_loop(sig, at)
 
     @pytest.mark.parametrize("mode", ("periodic", "clamped"))
     def test_nan_time_rejected(self, mode):
+        # NaN, inf or a negative time anywhere in the array
         sig = constant_signal(cl.AdjacencyMatrix.ones(2), mode=mode)
-        with pytest.raises(ValueError, match="finite"):
-            sig.piece_index_at(np.nan)
+        for bad in (np.nan, np.inf, -1e-300):
+            with pytest.raises(ValueError, match="finite"):
+                sig.pieces_at(np.array([0.0, 0.5, bad, 2.0]))
         with pytest.raises(ValueError, match="finite"):
             cl.evaluate(sig, np.inf)
+
+    def test_lookup_is_lap_local(self):
+        # only the starts of the laps the time spans are built: a lookup
+        # from lap 0 would build 5e5 starts (4 MB of times) here
+        sig = cl.gen_rotating_star(5, 0.2)
+        t = 1e5 * sig.period + 0.1  # 0.1 into a lap: the first piece
+        cl.evaluate(sig, 0.1)
+        tracemalloc.start()
+        try:
+            piece = cl.evaluate(sig, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+        assert piece == sig.pieces[0]
 
 
 class TestWindow:
