@@ -105,7 +105,9 @@ They behave as frozen dataclasses do, but every process defines the records
 of the modules it imports, and each record took 0.65-1.12 ms longer to
 define as a dataclass (compile and exec in fresh interpreters, medians of
 21, 2 CPUs); with no dataclass left, the package never imports
-`dataclasses`.
+`dataclasses`.  A record names its fields once, in `_fields`, and
+`Record.__init__` binds them; a record that converts or checks its
+arguments keeps an `__init__` of its own.
 """
 import functools
 import math
@@ -122,12 +124,26 @@ except ImportError:  # numpy 1.x
 class Record:
     """An immutable record, compared and hashed by identity.
 
-    A subclass names its fields in `_fields` and sets them in `__init__`
-    through ``vars(self)``; assigning or deleting an attribute afterwards
-    raises AttributeError.  The repr lists `_fields` as a dataclass's does.
+    A subclass names its fields once, in `_fields`, and `__init__` binds
+    them; a record that converts or checks its arguments keeps an
+    `__init__` of its own, which sets its fields through ``vars(self)``.
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    The repr lists `_fields` as a dataclass's does.
     """
 
     _fields = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        """Bind `args` to `_fields` in order, `kwargs` by name and any field
+        left to its `_defaults` value; any other call raises TypeError."""
+        rest = self._fields[len(args):]
+        given = {**self._defaults, **kwargs}
+        if (len(args) > len(self._fields)
+                or not kwargs.keys() <= set(rest) <= given.keys()):
+            raise TypeError(f"{type(self).__qualname__}{self._fields} cannot take "
+                            f"{len(args)} positional arguments and {sorted(kwargs)}")
+        vars(self).update(zip(self._fields, args), **{f: given[f] for f in rest})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -26,29 +26,14 @@ class DecayFit(ValueRecord):
 
     _fields = ("alpha", "gamma", "rms_log_residual", "t_range")
 
-    def __init__(self, alpha: float, gamma: float, rms_log_residual: float,
-                 t_range: tuple):
-        vars(self).update(alpha=alpha, gamma=gamma,
-                          rms_log_residual=rms_log_residual, t_range=t_range)
-
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "rms_log_residual": self.rms_log_residual,
-            "t_range": list(self.t_range),
-        }
+        return dict(vars(self), t_range=list(self.t_range))
 
 
 class ContractionReport(Record):
     """Per-window observable ratios over a trajectory."""
 
     _fields = ("tau", "factors", "kappa_hat", "all_strict")
-
-    def __init__(self, tau: float, factors: np.ndarray, kappa_hat: float,
-                 all_strict: bool):
-        vars(self).update(tau=tau, factors=factors, kappa_hat=kappa_hat,
-                          all_strict=all_strict)
 
     def to_json_dict(self) -> dict:
         """The fields by name, `factors` the array itself: `cli._write_json`
@@ -60,9 +45,6 @@ class DiameterPairSet(Record):
     """Ordered index pairs attaining the diameter within tolerance."""
 
     _fields = ("pairs", "value")
-
-    def __init__(self, pairs: frozenset, value: float):
-        vars(self).update(pairs=pairs, value=value)
 
 
 def diameter(x: Configuration) -> float:
@@ -186,10 +168,9 @@ def fit_exponential(times, values) -> DecayFit:
 
 
 def analysis_report_json(kind: str, contraction: ContractionReport,
-                         fit: DecayFit | None) -> dict:
+                         fit: DecayFit) -> dict:
     """Combined per-run report: observable kind, contraction and fit."""
-    return {"kind": kind, **contraction.to_json_dict(),
-            "fit": fit.to_json_dict() if fit is not None else None}
+    return {"kind": kind, **contraction.to_json_dict(), "fit": fit.to_json_dict()}
 
 
 def variance_dissipation_residual(traj: Trajectory, sig) -> float:

@@ -40,6 +40,13 @@ MAX_GRID_STEPS = 1_000_000
 # pattern, but whose prefix sums are dense) fits up to n = 322, blinking pairs
 # up to n = 256, or n = 322 at duty 1.
 MAX_SIGNAL_FLOATS = 1 << 25
+# Most floats a sweep's starts and kept series may hold, counted before any
+# start is drawn: B * (n*d + grid points) for B starts, each keeping at most
+# one value a grid point.  The starts are drawn one at a time and held whole,
+# so an oversized sweep.num_initial or system.d must fail here instead of
+# drawing for hours or exhausting memory.  The reference sweep counts
+# 32 * 1,071.
+MAX_SWEEP_FLOATS = 1 << 25
 
 
 class ExperimentConfig(Record):
@@ -49,16 +56,8 @@ class ExperimentConfig(Record):
                "sample_every", "out_dir", "emit", "initial", "sweep",
                "certify_kinds", "observable")
 
-    def __init__(self, n: int, d: int, kernel, signal: PiecewiseConstantSignal,
-                 window: Window, t_end: float, dt: float, sample_every: int,
-                 out_dir: str, emit: tuple, initial: np.ndarray | None = None,
-                 sweep: dict | None = None, certify_kinds: tuple | None = None,
-                 observable: str = "diameter"):
-        vars(self).update(n=n, d=d, kernel=kernel, signal=signal, window=window,
-                          t_end=t_end, dt=dt, sample_every=sample_every,
-                          out_dir=out_dir, emit=emit, initial=initial,
-                          sweep=sweep, certify_kinds=certify_kinds,
-                          observable=observable)
+    _defaults = {"initial": None, "sweep": None, "certify_kinds": None,
+                 "observable": "diameter"}
 
 
 class OutputBundle(Record):
@@ -66,15 +65,6 @@ class OutputBundle(Record):
 
     _fields = ("trajectory_files", "persistence_report", "contraction_report",
                "decay_fit", "summary_path", "summary")
-
-    def __init__(self, trajectory_files: list, persistence_report: str | None,
-                 contraction_report: str | None, decay_fit: str | None,
-                 summary_path: str, summary: dict):
-        vars(self).update(trajectory_files=trajectory_files,
-                          persistence_report=persistence_report,
-                          contraction_report=contraction_report,
-                          decay_fit=decay_fit, summary_path=summary_path,
-                          summary=summary)
 
     @property
     def exit_code(self) -> int:
@@ -223,10 +213,11 @@ def parse_config(data: dict) -> ExperimentConfig:
     laps = np.ceil(t_end / sig.period) if sig.mode == signals.PERIODIC else 1
     points = {"run.dt": np.ceil(t_end / dt), "signal": len(sig.pieces) * laps,
               "window.tau": np.floor(t_end / window.tau) + 1}
-    if sum(points.values()) > MAX_GRID_STEPS:
+    grid = sum(points.values())
+    if grid > MAX_GRID_STEPS:
         raise ConfigError(max(points, key=points.get), f"the step grid would "
-                          f"hold {sum(points.values()):.6g} points, over the "
-                          f"cap of {MAX_GRID_STEPS}")
+                          f"hold {grid:.6g} points, over the cap of "
+                          f"{MAX_GRID_STEPS}")
     sample_every = _number(_integer, run.get("sample_every", 1),
                            "run.sample_every")
     if sample_every < 1:
@@ -242,17 +233,27 @@ def parse_config(data: dict) -> ExperimentConfig:
         sweep.setdefault("num_initial", 32)
         sweep.setdefault("init_set", "unit_ball")
         sweep.setdefault("seed", 0)
-        if _number(_integer, sweep["num_initial"], "sweep.num_initial") < 1:
+        num_initial = _number(_integer, sweep["num_initial"], "sweep.num_initial")
+        if num_initial < 1:
             raise ConfigError("sweep.num_initial", "must be >= 1")
         if not 0 <= _number(_integer, sweep["seed"], "sweep.seed") < 2**128:
             raise ConfigError("sweep.seed", "must be in [0, 2**128)")
         init_set = sweep["init_set"]
-        if isinstance(init_set, list) and init_set:
-            sweep["init_set"] = np.stack([_positions(p, "sweep.init_set", n, d)
-                                          for p in init_set])
-        elif init_set != "unit_ball":
+        listed = isinstance(init_set, list) and init_set
+        if not listed and init_set != "unit_ball":
             raise ConfigError("sweep.init_set", "must be 'unit_ball' or a "
                                                 "non-empty list of starts")
+        starts = len(init_set) if listed else num_initial
+        per_start = n * d + int(grid)  # an int: d may be past any float
+        if starts * per_start > MAX_SWEEP_FLOATS:
+            field = ("system.d" if per_start > MAX_SWEEP_FLOATS
+                     else "sweep.init_set" if listed else "sweep.num_initial")
+            raise ConfigError(field, f"{starts} starts of {n}x{d} positions, "
+                              f"each with a series of {int(grid)} points, "
+                              f"hold over the cap of {MAX_SWEEP_FLOATS} floats")
+        if listed:
+            sweep["init_set"] = np.stack([_positions(p, "sweep.init_set", n, d)
+                                          for p in init_set])
 
     outputs = _get(data, "outputs", "", dict, default={})
     emit = tuple(_get(outputs, "emit", "outputs", list, default=[]))

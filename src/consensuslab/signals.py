@@ -188,12 +188,6 @@ class PersistenceReport(ValueRecord):
     _fields = ("kind", "window", "infimum_value", "worst_start", "passes",
                "checked_starts")
 
-    def __init__(self, kind: str, window: Window, infimum_value: float,
-                 worst_start: float, passes: bool, checked_starts: int):
-        vars(self).update(kind=kind, window=window, infimum_value=infimum_value,
-                          worst_start=worst_start, passes=passes,
-                          checked_starts=checked_starts)
-
     def to_json_dict(self) -> dict:
         return dict(vars(self), window={"tau": self.window.tau, "mu": self.window.mu})
 
@@ -216,7 +210,10 @@ def evaluate(sig: PiecewiseConstantSignal, t: float) -> AdjacencyMatrix:
 
 def window_average(sig: PiecewiseConstantSignal, t: float, tau: float) -> AdjacencyMatrix:
     """Exact entrywise value of (1/tau) * integral of A over [t, t+tau]."""
-    return AdjacencyMatrix(sig.n, window_average_batch(sig, [t], tau)[0])
+    # the row is clipped to [0, 1] with a unit diagonal: wrapped unchecked
+    [row] = window_average_batch(sig, [t], tau)
+    row.setflags(write=False)
+    return AdjacencyMatrix._view(row)
 
 
 def window_average_batch(sig: PiecewiseConstantSignal, starts, tau: float) -> np.ndarray:

@@ -176,6 +176,12 @@ class TestParseConfig:
             system=dict(d["system"], n=100_000),
             signal={"type": "blinking_pairs", "dwell": 0.05, "duty": 1.0}),
             id="oversized_blinking_pairs"),
+        # sweeps of 10^12 and 10^10 floats are refused before any start is drawn
+        pytest.param("sweep.num_initial", lambda d: d.update(
+            sweep={"num_initial": 10**9}), id="oversized_num_initial"),
+        pytest.param("system.d", lambda d: d.update(
+            system=dict(d["system"], d=10**8), sweep={}, initial=None),
+            id="oversized_d"),
         pytest.param("run.t_end", lambda d: d["run"].update(t_end="soon"),
                      id="non_numeric_t_end"),
         pytest.param("run.dt", lambda d: d["run"].update(dt="small"),
@@ -285,6 +291,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert err.value.field == "system.n"
+
+    @pytest.mark.parametrize("field, sweep, starts", [
+        pytest.param("sweep.num_initial", {"num_initial": 3}, 3, id="drawn"),
+        pytest.param("sweep.init_set", {"init_set": [[[0.0], [1.0]]] * 3}, 3,
+                     id="listed"),
+        pytest.param("system.d", {"num_initial": 1}, 1, id="one_start")])
+    def test_sweep_cap(self, tmp_path, monkeypatch, field, sweep, starts):
+        # the cap counts each start's 2x1 positions and its series of 5,011
+        # grid points (5,000 steps, 5 laps of one piece, 6 window ends)
+        data = dict(two_agent_config(tmp_path), sweep=sweep)
+        monkeypatch.setattr(cli, "MAX_SWEEP_FLOATS", starts * 5013)
+        parse_config(data)
+        monkeypatch.setattr(cli, "MAX_SWEEP_FLOATS", starts * 5013 - 1)
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.field == field
 
     def test_certify_kinds_are_the_certifiers(self, tmp_path, monkeypatch):
         # parse_config accepts exactly the kinds signals.certify knows

@@ -101,21 +101,19 @@ EXPRESSION_CASES = (kernels.Constant(1.0), kernels.Constant(1.3),
 
 @pytest.mark.parametrize("star", (False, True), ids=("contiguous", "star_view"))
 @pytest.mark.parametrize("kernel", EXPRESSION_CASES, ids=repr)
-def test_rk4_equals_step_expression(kernel, star):
+def test_rk4_equals_step_expression(kernel, star, monkeypatch):
     # in-place fields and stage sums, and step data read as Python scalars
     # from memoryviews of the grid, record bitwise what one expression per
-    # step gives, at and next to every multiple of 1024 steps: at n = 5 on
-    # one and three starts in every dimension, and on both sides of
+    # step gives, at and next to every block hand-over: at n = 5 on one and
+    # three starts in every dimension, and on both sides of
     # _PAIR_PRODUCT_MAX_N on two batch axes
     rng = np.random.default_rng(23)
-    chunk = 1024
-    steps = 2 * chunk + 500
-    assert steps >= 2500
+    rows = 3  # records a block holds
+    records = 3 * rows + 2  # three full blocks and one of two
+    steps = 2 * (records - 1)  # every other point recorded, the ends among them
     hs = rng.uniform(5e-4, 2e-3, size=steps)
     rec = np.zeros(steps + 1, dtype=bool)
-    rec[0] = rec[-1] = True
-    for edge in range(chunk, steps, chunk):
-        rec[edge - 1:edge + 2] = True
+    rec[::2] = True
     cases = [(5, batch, d) for batch in ((1,), (3,)) for d in (1, 2, 3)]
     cases += [(n, (2, 3), d) for n in PAIR_EDGE for d in (1, 3)]
     for n, batch, d in cases:
@@ -126,7 +124,12 @@ def test_rk4_equals_step_expression(kernel, star):
             pieces = rng.random((3, n, n))
         piece_idx = rng.integers(0, len(pieces), size=steps)
         x0s = rng.normal(size=batch + (n, d))
-        got = rk4_record(x0s, pieces, piece_idx, hs, rec, kernel)
+        monkeypatch.setattr(kernels, "_RECORD_BLOCK_FLOATS", rows * x0s.size)
+        blocks = []
+        kernels.rk4_run(x0s, pieces, piece_idx, hs, rec, kernel,
+                        lambda lo, block: blocks.append((lo, block.copy())))
+        assert [lo for lo, _ in blocks] == list(range(0, records, rows))
+        got = np.concatenate([block for _, block in blocks])
         want = rk4_expression(x0s, pieces, piece_idx, hs, rec, kernel)
         assert np.array_equal(got, want), (n, batch, d)
 

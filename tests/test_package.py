@@ -176,6 +176,11 @@ RECORDS = [
 ]
 
 
+# the records whose constructor is `Record.__init__`
+STORING = [cli.ExperimentConfig, cli.OutputBundle, cl.PersistenceReport,
+           cl.DecayFit, cl.ContractionReport, cl.DiameterPairSet]
+
+
 class TestRecords:
     """Every record keeps a frozen dataclass's contract:
     keyword constructors, the dataclass repr, read-only fields, and value
@@ -199,6 +204,29 @@ class TestRecords:
             assert hash(a) == hash(b)
         else:
             assert a == a and hash(a) == object.__hash__(a)
+
+    @pytest.mark.parametrize("cls", STORING, ids=lambda cls: cls.__name__)
+    def test_constructor_contract(self, cls):
+        # fields bind by position and by name; too many, repeated, unknown
+        # and missing arguments raise TypeError, as a dataclass's do
+        fields = cls._fields
+        values = tuple(range(len(fields)))
+        record = cls(*values)
+        assert tuple(getattr(record, name) for name in fields) == values
+        assert vars(cls(**dict(zip(fields, values)))) == vars(record)
+        for args, kwargs in [(values + (0,), {}),
+                             (values, {fields[0]: 0}),
+                             (values, {"unknown": 0}),
+                             ((), dict(zip(fields[1:], values[1:])))]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_config_defaults(self):
+        cfg = cli.ExperimentConfig(*range(10))
+        assert (cfg.initial, cfg.sweep, cfg.certify_kinds, cfg.observable) == (
+            None, None, None, "diameter")
+        with pytest.raises(TypeError):
+            cli.ExperimentConfig(*range(9))
 
     def test_persistence_report_json_dict(self):
         report = cl.PersistenceReport("connectivity", cl.Window(2.0, 0.25), 0.5,

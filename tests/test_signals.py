@@ -282,6 +282,14 @@ class TestWindowAverage:
         off = cl.window_average(sig, 0.5, 0.5)
         assert np.array_equal(off.entries, np.eye(2))
 
+    def test_is_the_read_only_batch_row(self):
+        sig = cl.gen_blinking_pairs(6, 0.4, 0.5)
+        avg = cl.window_average(sig, 0.3, 1.1)
+        assert not avg.entries.flags.writeable
+        assert np.array_equal(avg.entries,
+                              cl.window_average_batch(sig, [0.3], 1.1)[0])
+        assert avg == cl.AdjacencyMatrix(6, avg.entries)
+
     def test_riemann_sum_agreement_lattice(self):
         # durations on the Riemann lattice, so the sums are exact
         rng = np.random.default_rng(31)
