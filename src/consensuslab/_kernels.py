@@ -35,6 +35,24 @@ allocating call returns, ``1.0 * x == x`` and ``x ** 1.0 == x`` hold
 exactly, and a Python float is the same double as the numpy scalar it
 replaces.
 
+Nor does a step convert a Python scalar.  A ufunc converts every Python
+float or int it is handed into a fresh 0-d array, on every call:
+``np.multiply(h, k, t)`` took 0.60 us with a Python float h and 0.40 us
+with a prebuilt 0-d float64 array at (B, d, n) = (32, 2, 5), and
+``r += 1.0`` 0.74 us against 0.53 us (interleaved medians, 2 CPUs).  So
+every scalar operand of the step loop is a 0-d float64 array built once:
+the fields build 1.0, K, n and c when they are made, `rk4_run` builds 2.0
+once per run and the operands h/2, h and h/6 once per distinct step size,
+in a dict of at most _STEP_OPERANDS_MAX step sizes; a step size past the
+cap, or a zero one, is handed over as Python floats.  Every ufunc also
+takes its output as a positional argument, which numpy parses a little
+faster than ``out=``.  Each operand is the same double in the same IEEE
+operation, so no bit moves; the states are float64 (`rk4_run` and
+`rhs_velocity` convert them), so no operand meets another dtype.  ``r **= beta`` keeps
+its Python float: no workload steps beta != 1, and ndarray's ``**`` maps
+some Python exponents, 2 among them, to ufuncs of their own.  The record
+writes the state through one (..., n, d) view of it, built once per run.
+
 Up to _PAIR_PRODUCT_MAX_N agents the Cucker-Smale field builds its pair
 differences as one BLAS product, x @ P, of the (-1, n) flat view of the
 states and the `_pair_operator` P, whose entries are 0, +1 and -1; above
@@ -210,11 +228,12 @@ def rhs_velocity(pos, adj, kernel: Kernel):
     adjacency, balanced or not.  It costs one (d, n) @ (n, n) product per
     configuration instead of a difference array.
 
-    ``pos`` is copied into the integrator's (..., d, n) layout and the field
-    runs on a workspace of its own, so it is bitwise the one `rk4_run`
-    evaluates; the result is a (..., n, d) view.
+    ``pos`` is converted to float64, as `rk4_run` converts its states, and
+    copied into the integrator's (..., d, n) layout, and the field runs on a
+    workspace of its own, so it is bitwise the one `rk4_run` evaluates; the
+    result is a (..., n, d) view.
     """
-    x = pos.swapaxes(-1, -2).copy()
+    x = np.asarray(pos, dtype=np.float64).swapaxes(-1, -2).copy()
     v = np.empty_like(x)
     _velocity(adj, kernel)(_sources(x.shape, kernel)(x), v)
     return v.swapaxes(-1, -2)
@@ -301,10 +320,13 @@ def _velocity(adj, kernel):
     weighted by ``adj * (K / (1 + r2) ** beta)``, the expressions
     `velocity_expression` in tests/oracles.py keeps.
     """
-    # a float, so ``out /= n`` converts no Python int a call
-    n = float(adj.shape[-1])
+    # every scalar operand a 0-d float64 array, built once: a Python float
+    # or int is converted to one on every ufunc call (see the module
+    # docstring)
+    n = np.array(float(adj.shape[-1]))
     if isinstance(kernel, Constant):
-        c = kernel.c
+        c = np.array(float(kernel.c))
+        scaled = kernel.c != 1.0
         deg = adj.sum(axis=-1)
         # (x @ A^T)[c, i] = sum_j a_ij x[c, j].  A view, not a copy: BLAS then
         # runs the product the (n, d) layout ran, bit for bit
@@ -312,16 +334,16 @@ def _velocity(adj, kernel):
 
         def linear(src, out):
             pos, prod = src
-            np.matmul(pos, adj_t, out=out)
-            np.multiply(deg, pos, out=prod)
+            np.matmul(pos, adj_t, out)
+            np.multiply(deg, pos, prod)
             out -= prod
-            if c != 1.0:
-                out *= c
-            out /= n
+            if scaled:
+                np.multiply(out, c, out)
+            np.divide(out, n, out)
         return linear
 
-    K, beta = kernel.K, kernel.beta
-    if n <= _PAIR_PRODUCT_MAX_N:
+    one, K, beta = np.array(1.0), np.array(float(kernel.K)), kernel.beta
+    if adj.shape[-1] <= _PAIR_PRODUCT_MAX_N:
         adj = np.ascontiguousarray(adj)  # no copy if it is contiguous
 
     def field(src, out):
@@ -332,14 +354,14 @@ def _velocity(adj, kernel):
         # every bit and saves about 1.2 us of Python dispatch, twice a field
         c_einsum("...cij,...cij->...ij", diff, diff, out=r)
         # r = adj * (K / (1 + r2) ** beta), built in the r2 it holds
-        r += 1.0
+        np.add(r, one, r)
         if beta != 1.0:
             r **= beta
-        np.divide(K, r, out=r)
+        np.divide(K, r, r)
         r *= adj
         w[...] = r_c  # a no-op when w is r_c: numpy skips a copy onto itself
         c_einsum("...cij,...cij->...ci", w, diff, out=out)
-        out /= n
+        np.divide(out, n, out)
     return field
 
 
@@ -377,6 +399,17 @@ def chunk_slices(count, per_item, budget):
 # 8 s each, 2 CPUs).  Smaller blocks make more, shorter CSV and diameter calls.
 _RECORD_BLOCK_FLOATS = 1 << 17
 
+# step sizes whose operands h/2, h and h/6 one `rk4_run` keeps as 0-d arrays;
+# a step size past them is handed to its ufuncs as Python floats.  An entry
+# traced 437 bytes (three 0-d arrays, their tuple and the key), 112 kB at
+# the cap, took 0.52 us to build and saves about 0.2 us on each of the four
+# ufunc calls of every step that reuses it ((B, d, n) = (32, 2, 5), timeit
+# best of 5, 2 CPUs).  The README and pipeline grids hold 13 to 20 distinct
+# step sizes from 10^3 to 10^5 steps; a grid whose piece starts miss the dt
+# grid adds one or two a piece start (358 in 1,012 steps of blinking pairs,
+# dwell 0.1, at dt 0.0123).
+_STEP_OPERANDS_MAX = 256
+
 
 def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     """Fixed-step RK4 over a prebuilt step grid; hands the recorded states
@@ -397,11 +430,14 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     last one after the last step.  The block is reused for the next one, so
     a sink copies what it keeps.
 
-    The states are stepped as one (..., d, n) copy (see the module
-    docstring) and written back transposed at each recorded point.  One
-    loop reads the step size, piece and record flag of each step as Python
-    scalars from memoryviews of the grid, so a step does no numpy scalar
-    arithmetic and nothing the run holds grows with the grid's length.
+    The states are converted to float64 and stepped as one (..., d, n) copy
+    (see the module docstring), written back transposed at each recorded
+    point.  One loop reads the step size, piece and record flag of each
+    step as Python scalars from memoryviews of the grid, so a step does no
+    numpy scalar arithmetic, and hands its ufuncs the 0-d operands of its
+    step size, built on the size's first step; past _STEP_OPERANDS_MAX
+    sizes it hands them Python floats, so what the run holds stays bounded
+    whatever the grid's length.
     The run allocates one workspace (see the module docstring) and no step
     allocates an array.  Each stage input is one product into the stage
     buffer, updated in place, ``t = (h/2) * k1; t += x``, and the step sums
@@ -419,10 +455,12 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     starts.
     """
     outer = np.geterr()  # the caller's error state, in which the sink runs
+    x0 = np.asarray(x0, dtype=np.float64)
     count = int(np.count_nonzero(rec))
     rows = max(1, min(count, _RECORD_BLOCK_FLOATS // max(1, x0.size)))
     block = np.empty((rows,) + x0.shape)
-    x = np.swapaxes(x0, -1, -2).copy()
+    x = x0.swapaxes(-1, -2).copy()
+    x_nd = x.swapaxes(-1, -2)  # the state in x0's (..., n, d) layout
     t, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(5))
     source = _sources(x.shape, kernel)
     xs, ts = source(x), source(t)
@@ -440,6 +478,8 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
         block[0] = x0
         r = 1
     fields = {}  # piece index -> its velocity, built on the piece's first step
+    steps = {}  # step size -> its operands (h/2, h, h/6), up to the cap
+    two = np.array(2.0)
     with np.errstate(over="raise", invalid="raise"):
         # rec[1:] flags the point each step ends on
         for h, p, keep in zip(memoryview(hs), memoryview(piece_idx),
@@ -447,29 +487,36 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
             f = fields.get(p)
             if f is None:
                 f = fields[p] = _velocity(pieces[p], kernel)
-            half = 0.5 * h
+            ops = steps.get(h)
+            if ops is None:
+                ops = (0.5 * h, h, h / 6.0)
+                # a zero step keeps none: -0.0 == 0.0 as a key, but the
+                # operands of the two differ in sign
+                if h and len(steps) < _STEP_OPERANDS_MAX:
+                    ops = steps[h] = tuple(map(np.array, ops))
+            half, full, sixth = ops
             f(xs, k1)
-            np.multiply(half, k1, out=t)
+            np.multiply(half, k1, t)
             t += x
             f(ts, k2)
-            np.multiply(half, k2, out=t)
+            np.multiply(half, k2, t)
             t += x
             f(ts, k3)
-            np.multiply(h, k3, out=t)
+            np.multiply(full, k3, t)
             t += x
             f(ts, k4)
-            k2 *= 2.0
+            np.multiply(k2, two, k2)
             k2 += k1
-            k3 *= 2.0
+            np.multiply(k3, two, k3)
             k2 += k3
             k2 += k4
-            k2 *= h / 6.0
+            np.multiply(k2, sixth, k2)
             x += k2
             if keep:
                 if r == rows:
                     with np.errstate(**outer):
                         lo, r = emit(lo, r), 0
-                block[r] = x.swapaxes(-1, -2)
+                block[r] = x_nd
                 r += 1
     if r:
         emit(lo, r)

@@ -6,7 +6,9 @@ TRACED_ROWS, also prints the tracemalloc peak of one more call, in MiB.  The
 last row, `import`, times `from consensuslab import cli` alone in each of
 `repeats` fresh interpreters after importing numpy; it compiles the sources
 unless their bytecode is cached.  A median with its quartiles shows how far
-the calls of one run spread, which a best-of hides.
+the calls of one run spread, which a best-of hides.  `--rows rk4,rk4_star`
+times only the rows it names, so two trees can be timed in alternating
+processes on the rows a change touches.
 """
 import argparse
 import os
@@ -33,12 +35,16 @@ KERNEL_D = 2
 # and the steps of that call
 RK4_BATCH = 32
 RK4_STEPS = 2000
-# dwell and step size of the `rk4_star` row, the Cucker-Smale `rk4` run over
-# the pieces of a rotating star of KERNEL_N agents, switching every
-# STAR_DWELL / STAR_DT steps as the README verify does: its pieces are
-# strided views of one hub, where the `rk4` row steps one contiguous piece
+# dwell, step size, end time and window length of the `rk4_star` row, the
+# Cucker-Smale `rk4` run over the pieces of a rotating star of KERNEL_N
+# agents on the step grid `dynamics._build_grid` builds for the README
+# verify, window ends forced: its pieces are strided views of one hub, where
+# the `rk4` row steps one contiguous piece, and its 1,000 step sizes take 13
+# values, where the `rk4` row's take one
 STAR_DWELL = 0.2
 STAR_DT = 0.01
+STAR_T_END = 10.0
+STAR_TAU = 1.0
 # (agents, starts) and steps of the `rk4_large` row, a Cucker-Smale `rk4` run
 # in the plane whose (B, d, n, n) pair differences, 32 MiB, outgrow the cache:
 # the field's cost is arithmetic there, not per-call overhead
@@ -146,9 +152,13 @@ def _cases(rng):
 
     cs = _kernels.CuckerSmale(1.0, 1.0)
     linear = _kernels.Constant(1.0)
-    sweep_star = gen_rotating_star(KERNEL_N, STAR_DWELL).piece_stack
-    star_idx = (np.arange(RK4_STEPS) // round(STAR_DWELL / STAR_DT)) % KERNEL_N
-    star_hs = np.full(RK4_STEPS, STAR_DT)
+    sweep_star = gen_rotating_star(KERNEL_N, STAR_DWELL)
+    star_grid, star_idx, _ = dynamics._build_grid(
+        sweep_star, STAR_T_END, STAR_DT,
+        STAR_TAU * np.arange(STAR_T_END // STAR_TAU + 1))
+    star_hs = np.diff(star_grid)
+    star_rec = np.zeros(len(star_grid), dtype=bool)
+    star_rec[0] = star_rec[-1] = True
     star = gen_rotating_star(KERNEL_N, 0.1)
     star_starts = _critical_starts(star, WINDOW_TAU, star.period)
     star_avgs = window_average_batch(star, star_starts, WINDOW_TAU)
@@ -196,8 +206,9 @@ def _cases(rng):
                                              SIMULATE_DT, forced),
         "rk4": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs, rec, cs,
                                         discard),
-        "rk4_star": lambda: _kernels.rk4_run(starts, sweep_star, star_idx,
-                                             star_hs, rec, cs, discard),
+        "rk4_star": lambda: _kernels.rk4_run(starts, sweep_star.piece_stack,
+                                             star_idx, star_hs, star_rec, cs,
+                                             discard),
         "rk4_linear": lambda: _kernels.rk4_run(starts, pieces, piece_idx, hs,
                                                rec, linear, discard),
         "rk4_large": lambda: _kernels.rk4_run(
@@ -221,13 +232,13 @@ def _cases(rng):
     }
 
 
-def run(repeats=5):
-    rng = np.random.default_rng(7)
-    cases = _cases(rng)
-
+def run(cases, rows, repeats=5):
+    """Print the header and one row per name in ``rows``, of ``cases`` (see
+    `_cases`) or `import`."""
     print(f"kernel benchmark: n={KERNEL_N}, d={KERNEL_D}, rk4 steps={RK4_STEPS} "
           f"on a batch of {RK4_BATCH} starts (rk4_star over the pieces of a "
-          f"rotating star, dwell {STAR_DWELL}, step {STAR_DT}), rk4_large steps="
+          f"rotating star, dwell {STAR_DWELL}, on the grid to {STAR_T_END} of "
+          f"step {STAR_DT} with window ends every {STAR_TAU}), rk4_large steps="
           f"{LARGE_RK4_STEPS} at (n, starts)={LARGE_RK4_SHAPE}, rk4_long "
           f"steps={LONG_RK4_STEPS} of the constant kernel on {LONG_RK4_BATCH} "
           f"start recorded at both ends, scrambling, "
@@ -248,19 +259,31 @@ def run(repeats=5):
           f"quartiles of {repeats}")
     print(f"{'kernel':<16} {'median [ms]':>12} {'q1 [ms]':>12} {'q3 [ms]':>12}"
           f" {'peak [MiB]':>12}")
-    for name, fn in cases.items():
+    for name in rows:
+        if name == "import":
+            _row(name, [_import_seconds() for _ in range(repeats)])
+            continue
+        fn = cases[name]
         seconds = _time(fn, repeats)
         _row(name, seconds, _traced_peak(fn) if name in TRACED_ROWS else None)
-    _row("import", [_import_seconds() for _ in range(repeats)])
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--rows", type=lambda text: text.split(","),
+                        help="comma-separated rows to time, in that order "
+                             "(default: every row)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    run(args.repeats)
+    cases = _cases(np.random.default_rng(7))
+    names = [*cases, "import"]
+    unknown = [name for name in args.rows or () if name not in names]
+    if unknown:
+        parser.error(f"--rows: unknown rows {', '.join(map(repr, unknown))}; "
+                     f"the rows are {', '.join(names)}")
+    run(cases, args.rows or names, args.repeats)
     return 0
 
 

@@ -92,11 +92,12 @@ def test_rk4_equals_per_stage_rhs(kernel):
         assert np.array_equal(got, np.stack(want)), (n, d)
 
 
-# c = 1 and beta = 1 leave out a factor and a power; beta = 0.5 and 0 are
-# powers numpy computes as a square root and as ones
+# c = 1 and beta = 1 leave out a factor and a power; beta = 0.5, 0 and 2 are
+# powers numpy computes as a square root, as ones and as a square
 EXPRESSION_CASES = (kernels.Constant(1.0), kernels.Constant(1.3),
                     kernels.CuckerSmale(1.0, 1.0), kernels.CuckerSmale(0.9, 1.4),
-                    kernels.CuckerSmale(1.0, 0.5), kernels.CuckerSmale(1.0, 0.0))
+                    kernels.CuckerSmale(1.0, 0.5), kernels.CuckerSmale(1.0, 0.0),
+                    kernels.CuckerSmale(1.0, 2.0))
 
 
 @pytest.mark.parametrize("star", (False, True), ids=("contiguous", "star_view"))
@@ -154,6 +155,73 @@ def test_rk4_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("kernel", EXPRESSION_CASES, ids=repr)
+def test_rk4_past_the_step_operand_cap(kernel, monkeypatch):
+    # two step sizes keep 0-d operands and the other 38 of a 40-size grid
+    # are handed over as Python floats: the record is bitwise the step
+    # expression's either way.  The grid opens with zero steps of both
+    # signs, which keep no operands (-0.0 == 0.0 as a key), on states with
+    # signed zeros, whose signs an operand of the other zero would flip
+    monkeypatch.setattr(kernels, "_STEP_OPERANDS_MAX", 2)
+    rng = np.random.default_rng(41)
+    sizes = np.concatenate([[-0.0, 0.0], rng.uniform(5e-4, 2e-3, size=38)])
+    hs = sizes[np.concatenate([np.arange(40), rng.integers(0, 40, size=40)])]
+    piece_idx = rng.integers(0, 3, size=hs.size)
+    rec = np.ones(hs.size + 1, dtype=bool)
+    pieces = rng.random((3, 5, 5))
+    x0 = rng.normal(size=(3, 5, 2))
+    x0[:, ::2, 0] = -0.0
+    got = rk4_record(x0, pieces, piece_idx, hs, rec, kernel)
+    want = rk4_expression(x0, pieces, piece_idx, hs, rec, kernel)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rk4_step_operands_stay_capped(monkeypatch):
+    # every step size distinct, two of them kept: ten times the steps hold
+    # no more operands, where 9,000 more entries would add about 3.9 MB.
+    # The first, untraced run leaves out what a first call builds once
+    monkeypatch.setattr(kernels, "_STEP_OPERANDS_MAX", 2)
+    x0, pieces = np.ones((5, 2)), np.eye(5)[None]
+    peaks = []
+    for steps in (10**3, 10**3, 10**4):
+        piece_idx = np.zeros(steps, dtype=np.int64)
+        hs = 1e-4 * (1.0 + np.arange(steps) / steps)
+        rec = np.zeros(steps + 1, dtype=bool)
+        rec[0] = rec[-1] = True
+        tracemalloc.start()
+        try:
+            kernels.rk4_run(x0, pieces, piece_idx, hs, rec, kernels.Constant(1.0),
+                            lambda lo, block: None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + 4096, peaks
+
+
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
+def test_states_of_other_types_step_as_float64(kernel):
+    # int, float32 and nested-list states are converted to float64 on entry
+    # and give bitwise the result of their float64 copy
+    rng = np.random.default_rng(43)
+    n, d, steps = 5, 2, 12
+    adj = rng.random((n, n))
+    piece_idx, hs, rec = random_grid(rng, steps)
+    ints = rng.integers(-3, 4, size=(2, n, d))
+    for pos in (ints, rng.normal(size=(2, n, d)).astype(np.float32),
+                rng.normal(size=(2, n, d)).tolist()):
+        wide = np.asarray(pos, dtype=np.float64)
+        got = kernels.rhs_velocity(pos, adj, kernel)
+        want = kernels.rhs_velocity(wide, adj, kernel)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = rk4_record(pos, adj[None], np.zeros(steps, dtype=np.int64), hs,
+                         rec, kernel)
+        want = rk4_record(wide, adj[None], np.zeros(steps, dtype=np.int64), hs,
+                          rec, kernel)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def random_grid(rng, steps):
@@ -516,15 +584,25 @@ def test_benchmark_runs(capsys, monkeypatch):
     assert [len(row) for row in rows] == [
         5 if row[0] in bench.TRACED_ROWS else 4 for row in rows]
 
+    # --rows times only the rows it names, in the order it names them
+    assert bench.main(["--repeats", "1", "--rows", "rk4_long,rk4,import"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [(row[0], len(row)) for row in rows] == [
+        ("rk4_long", 5), ("rk4", 4), ("import", 4)]
 
-@pytest.mark.parametrize("flag, value", [("--repeats", "0")])
-def test_benchmark_rejects_too_small_sizes(capsys, flag, value):
+
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--repeats", "0", "--repeats must be >= ", id="--repeats-0"),
+    pytest.param("--rows", "rk4,rk5",
+                 "--rows: unknown rows 'rk5'; the rows are rhs, ", id="--rows-rk5"),
+    pytest.param("--rows", "", "--rows: unknown rows ''; ", id="--rows-empty")])
+def test_benchmark_rejects_too_small_sizes(capsys, flag, value, message):
     from consensuslab import bench
 
     with pytest.raises(SystemExit) as exc:
         bench.main([flag, value])
     assert exc.value.code == 2
-    assert f"{flag} must be >= " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def exact_ties(rng, per_k=100, digits=18):
