@@ -16,14 +16,15 @@ For the same reason a step pays for nothing it can leave out.  `rk4_run`
 reads its step sizes, pieces and record flags as Python scalars from
 memoryviews of the grid, in one step loop, instead of a numpy scalar per
 step; a memoryview converts one item at a time and copies nothing of the
-grid, whatever its length.  The fields bind their kernel constants once,
-dropping ``c *`` when c = 1 and ``** beta`` when beta = 1.  A step
+grid, whatever its length.  The workspace binds the kernel constants once
+a run, dropping ``c *`` when c = 1 and ``** beta`` when beta = 1.  A step
 allocates no array either: `rk4_run` allocates one workspace per run, the
 state, the stage input and k1 to k4, all (..., d, n), and the field's
 scratch (`_sources`): a (..., d, n) product for the constant kernel, or
 the (..., d, n, n) pair differences, the (..., n, n) kernel values and the
-weights for Cucker-Smale (see below).  The views each field input needs
-are built once per run for the state and for the stage input.
+weights for Cucker-Smale, and the piece slot (see below).  The views each
+field input needs are built once per run for the state and for the stage
+input.
 Every operation writes into an array of the workspace through ``out=`` or
 in place, and the field writes into the output its caller gives it.  The
 scratch holds one field's temporaries for the whole run, so the peak is
@@ -41,17 +42,18 @@ float or int it is handed into a fresh 0-d array, on every call:
 with a prebuilt 0-d float64 array at (B, d, n) = (32, 2, 5), and
 ``r += 1.0`` 0.74 us against 0.53 us (interleaved medians, 2 CPUs).  So
 every scalar operand of the step loop is a 0-d float64 array built once:
-the fields build 1.0, K, n and c when they are made, `rk4_run` builds 2.0
-once per run and the operands h/2, h and h/6 once per distinct step size,
-in a dict of at most _STEP_OPERANDS_MAX step sizes; a step size past the
-cap, or a zero one, is handed over as Python floats.  Every ufunc also
+the workspace builds 1.0, K, n and c, and `rk4_run` builds 2.0, once per
+run, and the operands h/2, h and h/6 once per distinct step size, in a
+dict of at most _STEP_OPERANDS_MAX step sizes; a step size past the cap,
+or a zero one, is handed over as Python floats.  Every ufunc also
 takes its output as a positional argument, which numpy parses a little
 faster than ``out=``.  Each operand is the same double in the same IEEE
 operation, so no bit moves; the states are float64 (`rk4_run` and
-`rhs_velocity` convert them), so no operand meets another dtype.  ``r **= beta`` keeps
-its Python float: no workload steps beta != 1, and ndarray's ``**`` maps
-some Python exponents, 2 among them, to ufuncs of their own.  The record
-writes the state through one (..., n, d) view of it, built once per run.
+`rhs_velocity` convert them), so no operand meets another dtype.
+``r **= beta`` keeps its Python float: no workload steps beta != 1, and
+ndarray's ``**`` maps some Python exponents, 2 among them, to ufuncs of
+their own.  The record writes the state through one (..., n, d) view of
+it, built once per run.
 
 Up to _PAIR_PRODUCT_MAX_N agents the Cucker-Smale field builds its pair
 differences as one BLAS product, x @ P, of the (-1, n) flat view of the
@@ -75,7 +77,7 @@ stops winning (see _PAIR_PRODUCT_MAX_N).
 
 Up to the same size the Cucker-Smale scratch holds the weights once per
 coordinate, a (..., d, n, n) array w beside the (..., n, n) kernel values
-r.  The field multiplies r by the piece in place, as before, and copies the
+r.  The field multiplies r by the piece slot in place, and copies the
 product into every coordinate of w with one broadcast assignment,
 ``w[...] = r[..., None, :, :]``, so the weighted sum
 ``"...cij,...cij->...ci"`` reads two operands of one contiguous layout.
@@ -95,13 +97,29 @@ that field does what it did before: there its arithmetic, not numpy's
 per-call overhead, sets its time, and per-coordinate weights would add
 B*d*n^2 floats, 32 MiB at (n, B) = (128, 128).
 
-For the same reason only the small-n field makes its piece C-contiguous,
-once, when `rk4_run` first steps on it.  A rotating star's pieces are
-strided views of one hub, and ``r *= adj`` ran 1.95 us over a strided
-piece against 1.39 us over its copy, which holds at most
-_PAIR_PRODUCT_MAX_N^2 = 144 floats.  Above that a copy would hold n^2
-floats per piece, 64 copies of 32 kB over the pieces of a rotating star
-at n = 64, for a multiply that arithmetic sets.
+No field ufunc broadcasts its piece either.  The piece reaches the field
+through the workspace's piece slot (`_sources`), shaped like the batch: a
+(..., n, n) tile of the Cucker-Smale piece up to _PAIR_PRODUCT_MAX_N
+agents, a (..., d, n) tile of the degrees for the constant kernel.
+`rk4_run` fills it with one assignment, ``slot[...] = tile``, only on a
+step whose piece index differs from the step before's, and the field
+multiplies by the slot, an operand of its other operand's shape and
+layout.  At (B, d, n) = (32, 2, 5) ``r *= adj`` took 1.78-2.09 us over a
+rotating star's strided piece and 1.13-1.21 us over a contiguous one, and
+0.47-0.51 us over the tile; at (1, 2, 128) ``deg * x`` took 0.86-0.92 us
+and the tile's product 0.36-0.41 us.  A fill costs 1.05-1.14 us and
+0.15-0.17 us there, once a switch, where a step makes four field calls
+(timeit best of 7, five interleaved rounds, BLAS on one thread, 2 CPUs).
+The fill reads a strided piece as it is, so no piece is copied first, and
+the run holds one slot, B*n^2 floats (B*d*n for the constant kernel),
+however many pieces it steps on, where a contiguous copy of each piece
+would hold n^2 floats a piece.  The assignment casts the piece or its
+degrees to float64, the values each product converted them to before, so
+no bit moves; it is an assignment, not ``np.copyto``, which is a numpy
+Python function (see below).  Above _PAIR_PRODUCT_MAX_N agents the slot
+holds the piece itself and no tile is made: there arithmetic, not a
+broadcast operand, sets the multiply's time, and a tile would add B*n^2
+floats, 16 MiB at (n, B) = (128, 128).
 
 The Cucker-Smale field calls numpy's C einsum, `c_einsum`, for its two
 reductions instead of `np.einsum`: a verify sweep makes about 8,000 such
@@ -229,13 +247,17 @@ def rhs_velocity(pos, adj, kernel: Kernel):
     configuration instead of a difference array.
 
     ``pos`` is converted to float64, as `rk4_run` converts its states, and
-    copied into the integrator's (..., d, n) layout, and the field runs on a
-    workspace of its own, so it is bitwise the one `rk4_run` evaluates; the
-    result is a (..., n, d) view.
+    copied into the integrator's (..., d, n) layout; ``adj``, a nested list
+    too, is read as an array of its own dtype, so an int or float32 piece
+    sums its degrees as `rk4_run` sums them.  The field runs on a workspace
+    of its own, its piece slot filled once, so it is bitwise the one
+    `rk4_run` evaluates; the result is a (..., n, d) view.
     """
     x = np.asarray(pos, dtype=np.float64).swapaxes(-1, -2).copy()
     v = np.empty_like(x)
-    _velocity(adj, kernel)(_sources(x.shape, kernel)(x), v)
+    source, fill = _sources(x.shape, kernel)
+    tile, field = _velocity(np.asarray(adj), kernel)
+    field(source(x), fill(tile), v)
     return v.swapaxes(-1, -2)
 
 
@@ -272,97 +294,114 @@ def _pair_operator(n):
 
 def _sources(shape, kernel):
     """The field workspace of coordinate-major states of ``shape``
-    (..., d, n), as a function that makes the field input of a state
-    buffer of that shape.  Every input it makes shares one field scratch.
+    (..., d, n), as two functions: ``source(x)`` makes the field input of a
+    state buffer x of that shape, and ``fill(tile)`` puts a piece's tile
+    (`_velocity`) into the workspace's piece slot and returns the operand
+    the field reads in place of the piece.  Every input shares one field
+    scratch, one slot and the kernel's constants, built here once a run.
 
-    The constant kernel's input is ``(x, prod)``, prod the (..., d, n)
-    product ``deg * x``.  Cucker-Smale's is ``(pairs, a, b, into, diff, r,
-    r_c, w)``: ``pairs(a, b, into)`` writes the (..., d, n, n) pair
-    differences ``diff[..., c, i, j] = x_j - x_i``; r holds r2, then the
-    (..., n, n) kernel values, then the weights; r_c is r's (..., 1, n, n)
-    view, and w takes the weights of every coordinate, ``w[...] = r_c``.
-    Up to _PAIR_PRODUCT_MAX_N agents that call is the product of x's flat
-    (-1, n) view and `_pair_operator` into diff's flat (-1, n * n) view,
-    and w is a (..., d, n, n) array of its own, so the weighted sum runs
-    over contiguous operands (see the module docstring); above it, the call
-    is the subtract of ``x[..., None, :]`` and ``x[..., :, None]`` into
-    diff, and w is r_c itself, so the weights take no memory beyond r.
+    The constant kernel's input is ``(x, prod, c, n)``, prod the (..., d,
+    n) product ``deg * x`` and c None when c = 1, and its slot a (..., d, n)
+    tile of the degrees.  Cucker-Smale's is ``(pairs, a, b, into, diff, r,
+    r_c, w, one, K, beta, n)``: ``pairs(a, b, into)`` writes the (..., d,
+    n, n) pair differences ``diff[..., c, i, j] = x_j - x_i``; r holds r2,
+    then the (..., n, n) kernel values, then the weights; r_c is r's (...,
+    1, n, n) view, and w takes the weights of every coordinate, ``w[...] =
+    r_c``.  Up to _PAIR_PRODUCT_MAX_N agents that call is the product of
+    x's flat (-1, n) view and `_pair_operator` into diff's flat (-1, n * n)
+    view, w is a (..., d, n, n) array of its own, so the weighted sum runs
+    over contiguous operands, and the slot is a (..., n, n) tile of the
+    piece (see the module docstring); above it, the call is the subtract of
+    ``x[..., None, :]`` and ``x[..., :, None]`` into diff, w is r_c itself,
+    so the weights take no memory beyond r, and the slot holds the piece
+    itself: ``fill`` returns it, and no tile is made.
     """
+    # every scalar operand a 0-d float64 array, built once: a Python float
+    # or int is converted to one on every ufunc call (see the module
+    # docstring)
+    n = shape[-1]
+    count = np.array(float(n))
     if isinstance(kernel, Constant):
         prod = np.empty(shape)
-        return lambda x: (x, prod)
-    n = shape[-1]
+        c = np.array(float(kernel.c)) if kernel.c != 1.0 else None
+        return (lambda x: (x, prod, c, count)), _slot(np.empty(shape))
+    consts = (np.array(1.0), np.array(float(kernel.K)), kernel.beta, count)
     diff = np.empty(shape + (n,))
     r = np.empty(shape[:-2] + (n, n))
     r_c = r[..., None, :, :]
     if n <= _PAIR_PRODUCT_MAX_N:
         op, flat = _pair_operator(n), diff.reshape(-1, n * n)
         w = np.empty_like(diff)
-        return lambda x: (np.matmul, x.reshape(-1, n), op, flat, diff, r, r_c,
-                          w)
-    return lambda x: (np.subtract, x[..., None, :], x[..., :, None], diff,
-                      diff, r, r_c, r_c)
+        return (lambda x: (np.matmul, x.reshape(-1, n), op, flat, diff, r, r_c,
+                           w) + consts), _slot(np.empty_like(r))
+    return (lambda x: (np.subtract, x[..., None, :], x[..., :, None], diff,
+                       diff, r, r_c, r_c) + consts), lambda tile: tile
+
+
+def _slot(slot):
+    """The ``fill`` of a batch-shaped piece slot: ``fill(tile)`` assigns
+    ``tile`` to every batch entry of ``slot``, casting it to the slot's
+    float64, and returns the slot."""
+    def fill(tile):
+        slot[...] = tile
+        return slot
+    return fill
 
 
 def _velocity(adj, kernel):
-    """`rhs_velocity` on one adjacency, as a function ``field(src, out)`` of
-    a field input (`_sources`) of coordinate-major positions of shape
-    (..., d, n) that writes the velocity, of the same shape, into ``out``.
+    """`rhs_velocity` on one adjacency, as a pair ``(tile, field)``.
 
-    The degree vector of the constant kernel and the kernel's constants are
-    made here, once, and so, up to _PAIR_PRODUCT_MAX_N agents, is a
-    C-contiguous copy of a Cucker-Smale piece that is not one already: a
-    rotating star's strided piece, of at most 144 floats, that the weight
-    multiply would otherwise read strided at every call.  Above that size
-    the piece is read as it is, so no piece is copied where copies would be
-    large.  Each field writes into its input's scratch and ``out`` (see the
-    module docstring), bitwise ``c * (x @ A^T - deg * x) / n`` or the sum
-    weighted by ``adj * (K / (1 + r2) ** beta)``, the expressions
-    `velocity_expression` in tests/oracles.py keeps.
+    ``tile`` is what the run's piece slot (`_sources`) takes for this
+    piece: the degree vector ``deg_i = sum_j a_ij`` of the constant kernel,
+    summed in the piece's own dtype, or, for Cucker-Smale, the piece
+    itself, strided or not.  ``field(src, piece, out)`` takes a field input
+    (`_sources`) of coordinate-major positions of shape (..., d, n) and the
+    operand ``piece = fill(tile)`` of the same workspace, and writes the
+    velocity, of the positions' shape, into ``out``.
+
+    The tile and the constant kernel's transposed view are made here, once
+    per piece; the Cucker-Smale field, `_cucker_smale`, is one function for
+    every piece.  Each field writes into its input's scratch and ``out``
+    (see the module docstring), bitwise ``c * (x @ A^T - deg * x) / n`` or
+    the sum weighted by ``adj * (K / (1 + r2) ** beta)``, the expressions
+    `velocity_expression` in tests/oracles.py keeps: the slot holds the
+    float64 values that a product with the piece or its degrees converts
+    them to.
     """
-    # every scalar operand a 0-d float64 array, built once: a Python float
-    # or int is converted to one on every ufunc call (see the module
-    # docstring)
-    n = np.array(float(adj.shape[-1]))
     if isinstance(kernel, Constant):
-        c = np.array(float(kernel.c))
-        scaled = kernel.c != 1.0
-        deg = adj.sum(axis=-1)
         # (x @ A^T)[c, i] = sum_j a_ij x[c, j].  A view, not a copy: BLAS then
         # runs the product the (n, d) layout ran, bit for bit
         adj_t = adj.T
 
-        def linear(src, out):
-            pos, prod = src
+        def linear(src, deg, out):
+            pos, prod, c, n = src
             np.matmul(pos, adj_t, out)
             np.multiply(deg, pos, prod)
             out -= prod
-            if scaled:
+            if c is not None:
                 np.multiply(out, c, out)
             np.divide(out, n, out)
-        return linear
+        return adj.sum(axis=-1), linear
+    return adj, _cucker_smale
 
-    one, K, beta = np.array(1.0), np.array(float(kernel.K)), kernel.beta
-    if adj.shape[-1] <= _PAIR_PRODUCT_MAX_N:
-        adj = np.ascontiguousarray(adj)  # no copy if it is contiguous
 
-    def field(src, out):
-        pairs, a, b, into, diff, r, r_c, w = src
-        pairs(a, b, into)  # diff[c, i, j] = x_j - x_i
-        # np.einsum with optimize False runs "return c_einsum(*operands,
-        # **kwargs)" (numpy/_core/einsumfunc.py): calling it directly keeps
-        # every bit and saves about 1.2 us of Python dispatch, twice a field
-        c_einsum("...cij,...cij->...ij", diff, diff, out=r)
-        # r = adj * (K / (1 + r2) ** beta), built in the r2 it holds
-        np.add(r, one, r)
-        if beta != 1.0:
-            r **= beta
-        np.divide(K, r, r)
-        r *= adj
-        w[...] = r_c  # a no-op when w is r_c: numpy skips a copy onto itself
-        c_einsum("...cij,...cij->...ci", w, diff, out=out)
-        np.divide(out, n, out)
-    return field
+def _cucker_smale(src, piece, out):
+    """The Cucker-Smale field of every piece (`_velocity`)."""
+    pairs, a, b, into, diff, r, r_c, w, one, K, beta, n = src
+    pairs(a, b, into)  # diff[c, i, j] = x_j - x_i
+    # np.einsum with optimize False runs "return c_einsum(*operands,
+    # **kwargs)" (numpy/_core/einsumfunc.py): calling it directly keeps
+    # every bit and saves about 1.2 us of Python dispatch, twice a field
+    c_einsum("...cij,...cij->...ij", diff, diff, out=r)
+    # r = adj * (K / (1 + r2) ** beta), built in the r2 it holds
+    np.add(r, one, r)
+    if beta != 1.0:
+        r **= beta
+    np.divide(K, r, r)
+    r *= piece
+    w[...] = r_c  # a no-op when w is r_c: numpy skips a copy onto itself
+    c_einsum("...cij,...cij->...ci", w, diff, out=out)
+    np.divide(out, n, out)
 
 
 def scrambling_min(stack):
@@ -437,7 +476,10 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     numpy scalar arithmetic, and hands its ufuncs the 0-d operands of its
     step size, built on the size's first step; past _STEP_OPERANDS_MAX
     sizes it hands them Python floats, so what the run holds stays bounded
-    whatever the grid's length.
+    whatever the grid's length.  A step whose piece index differs from the
+    step before's fills the piece slot with that piece's tile, built with
+    its field on the piece's first step (`_velocity`); every other step
+    reads the slot as the step before left it.
     The run allocates one workspace (see the module docstring) and no step
     allocates an array.  Each stage input is one product into the stage
     buffer, updated in place, ``t = (h/2) * k1; t += x``, and the step sums
@@ -462,7 +504,7 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     x = x0.swapaxes(-1, -2).copy()
     x_nd = x.swapaxes(-1, -2)  # the state in x0's (..., n, d) layout
     t, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(5))
-    source = _sources(x.shape, kernel)
+    source, fill = _sources(x.shape, kernel)
     xs, ts = source(x), source(t)
 
     def emit(lo, r):
@@ -477,16 +519,21 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
     if rec[0]:
         block[0] = x0
         r = 1
-    fields = {}  # piece index -> its velocity, built on the piece's first step
+    # piece index -> (tile, field), made on the piece's first step
+    fields = {}
+    last = None  # the piece index of the step before
     steps = {}  # step size -> its operands (h/2, h, h/6), up to the cap
     two = np.array(2.0)
     with np.errstate(over="raise", invalid="raise"):
         # rec[1:] flags the point each step ends on
         for h, p, keep in zip(memoryview(hs), memoryview(piece_idx),
                               memoryview(rec[1:])):
-            f = fields.get(p)
-            if f is None:
-                f = fields[p] = _velocity(pieces[p], kernel)
+            if p != last:  # a switch: the slot takes the step's piece
+                entry = fields.get(p)
+                if entry is None:
+                    entry = fields[p] = _velocity(pieces[p], kernel)
+                tile, f = entry
+                piece, last = fill(tile), p
             ops = steps.get(h)
             if ops is None:
                 ops = (0.5 * h, h, h / 6.0)
@@ -495,16 +542,16 @@ def rk4_run(x0, pieces, piece_idx, hs, rec, kernel: Kernel, sink):
                 if h and len(steps) < _STEP_OPERANDS_MAX:
                     ops = steps[h] = tuple(map(np.array, ops))
             half, full, sixth = ops
-            f(xs, k1)
+            f(xs, piece, k1)
             np.multiply(half, k1, t)
             t += x
-            f(ts, k2)
+            f(ts, piece, k2)
             np.multiply(half, k2, t)
             t += x
-            f(ts, k3)
+            f(ts, piece, k3)
             np.multiply(full, k3, t)
             t += x
-            f(ts, k4)
+            f(ts, piece, k4)
             np.multiply(k2, two, k2)
             k2 += k1
             np.multiply(k3, two, k3)

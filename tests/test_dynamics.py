@@ -367,15 +367,15 @@ class TestStream:
         velocity, calls = _kernels._velocity, []
 
         def overflowing(adj, kernel):
-            field = velocity(adj, kernel)
+            tile, field = velocity(adj, kernel)
 
-            def f(src, out):
+            def f(src, piece, out):
                 calls.append(None)
                 if len(calls) > 6:
                     out.fill(np.inf)
                 else:
-                    field(src, out)
-            return f
+                    field(src, piece, out)
+            return tile, f
 
         monkeypatch.setattr(_kernels, "_velocity", overflowing)
         starts = np.random.default_rng(62).normal(size=(2, 3, 2))

@@ -224,6 +224,50 @@ def test_states_of_other_types_step_as_float64(kernel):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
+def test_rhs_reads_list_and_narrow_adjacencies(kernel):
+    # a nested-list adjacency gives bitwise the result of the array it
+    # lists, and an int or float32 piece keeps its dtype: a float32 piece
+    # sums its degrees in float32, as the oracle does
+    rng = np.random.default_rng(47)
+    n, d = 5, 2
+    pos = rng.normal(size=(3, n, d))
+    for adj in (rng.random((n, n)), rng.integers(0, 4, size=(n, n))):
+        got = kernels.rhs_velocity(pos, adj.tolist(), kernel)
+        want = kernels.rhs_velocity(pos, adj, kernel)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    narrow = rng.random((n, n)).astype(np.float32)
+    assert kernels._velocity(narrow, kernel)[0].dtype == np.float32
+    got = kernels.rhs_velocity(pos, narrow, kernel)
+    want = velocity_expression(narrow, kernel)(pos.swapaxes(-1, -2).copy())
+    want = want.swapaxes(-1, -2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    wide = kernels.rhs_velocity(pos, narrow.astype(np.float64), kernel)
+    assert np.array_equal(got, wide) == isinstance(kernel, kernels.CuckerSmale)
+
+
+@pytest.mark.parametrize("pattern", ((0, 1, 2), (0, 0, 1, 1)),
+                         ids=("every-step", "every-other-step"))
+@pytest.mark.parametrize("batch", (1, 4))
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
+def test_rk4_refills_the_piece_slot_on_every_switch(kernel, batch, pattern):
+    # the piece switches on every step, 0, 1, 2, 0, 1, 2, ..., or on every
+    # other step, 0, 0, 1, 1, 0, 0, ..., and comes back: every switch must
+    # refill the piece slot, so every record is bitwise the per-step
+    # expression's, on both sides of _PAIR_PRODUCT_MAX_N
+    rng = np.random.default_rng(53)
+    steps = 24
+    hs = rng.uniform(0.005, 0.02, size=steps)
+    rec = np.ones(steps + 1, dtype=bool)
+    piece_idx = np.resize(pattern, steps)
+    for n in (5,) + PAIR_EDGE:
+        pieces = rng.random((3, n, n))
+        x0 = rng.normal(size=(batch, n, 2))
+        got = rk4_record(x0, pieces, piece_idx, hs, rec, kernel)
+        want = rk4_expression(x0, pieces, piece_idx, hs, rec, kernel)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+
 def random_grid(rng, steps):
     """Piece indices over three pieces, step sizes and every 4th point
     recorded, plus the last."""
@@ -400,7 +444,7 @@ def test_pair_differences_equal_broadcast_subtract(n):
     kernel = kernels.CuckerSmale(0.9, 1.4)
     adj = rng.random((n, n))
     np.fill_diagonal(adj, 1.0)
-    field = kernels._velocity(adj, kernel)
+    tile, field = kernels._velocity(adj, kernel)
     moved = 0
     for d in (1, 2, 3):
         shape = (4, d, n)
@@ -408,9 +452,10 @@ def test_pair_differences_equal_broadcast_subtract(n):
         zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
         coincident = np.repeat(rng.normal(size=(4, d, 1)), n, axis=-1)
         for x in (negative, zeros, coincident):
-            src = kernels._sources(shape, kernel)(x)
+            source, fill = kernels._sources(shape, kernel)
+            src = source(x)
             v = np.empty_like(x)
-            field(src, v)
+            field(src, fill(tile), v)
             diff = src[4]
             want = x[..., None, :] - x[..., :, None]
             if n <= kernels._PAIR_PRODUCT_MAX_N:
@@ -486,13 +531,13 @@ def test_rk4_fields_reuse_one_workspace(kernel, monkeypatch):
     seen = []
 
     def recording(adj, kernel):
-        field = velocity(adj, kernel)
+        tile, field = velocity(adj, kernel)
 
         def f(*args):
             result = field(*args)
             seen.extend(ndarrays((args, result)))
             return result
-        return f
+        return tile, f
 
     monkeypatch.setattr(kernels, "_velocity", recording)
     rng = np.random.default_rng(18)
@@ -514,10 +559,11 @@ def test_rk4_fields_reuse_one_workspace(kernel, monkeypatch):
 def test_rk4_workspace_memory_bound():
     # one Cucker-Smale run holds one field scratch, (B, d, n, n) differences
     # and (B, n, n) kernel values, and up to _PAIR_PRODUCT_MAX_N agents
-    # (B, d, n, n) weights of their own, beside its (B, d, n) state, stage
-    # input and k1 to k4 and its record block: a second scratch set would
-    # not fit.  Nor does the field copy a piece above _PAIR_PRODUCT_MAX_N
-    # agents: over the 64 strided pieces of a rotating star, a copy of each
+    # (B, d, n, n) weights of their own and a (B, n, n) piece slot, beside
+    # its (B, d, n) state, stage input and k1 to k4 and its record block: a
+    # second scratch set would not fit.  Nor does the field copy a piece
+    # above _PAIR_PRODUCT_MAX_N agents, where the slot holds the piece
+    # itself: over the 64 strided pieces of a rotating star, a copy of each
     # would add 64 x 32 kB
     rng = np.random.default_rng(19)
     d, steps = 2, 128
@@ -532,8 +578,9 @@ def test_rk4_workspace_memory_bound():
         piece_idx = np.arange(steps) % len(pieces)
         x0 = rng.normal(size=(batch, n, d))
         weights = batch * d * n * n if n <= m else 0
-        floats = (batch * d * n * n + weights + batch * n * n + 6 * x0.size
-                  + 2 * x0.size)
+        slot = batch * n * n if n <= m else 0
+        floats = (batch * d * n * n + weights + slot + batch * n * n
+                  + 6 * x0.size + 2 * x0.size)
         tracemalloc.start()
         try:
             kernels.rk4_run(x0, pieces, piece_idx, hs, rec,
@@ -543,6 +590,38 @@ def test_rk4_workspace_memory_bound():
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * 8 * floats, (n, len(pieces))
+
+
+def test_rk4_star_holds_one_piece_slot():
+    # over the 12 strided pieces of a rotating star, a Cucker-Smale run
+    # holds one (B, n, n) piece slot that every switch refills, so its
+    # traced peak is within a few kB of the same run's on one contiguous
+    # piece: a contiguous copy of each piece would add 12 x 1,152 B, and a
+    # tile of each 12 x 288 kB.  The first, untraced run leaves out what a
+    # first call builds once
+    n, batch, steps = kernels._PAIR_PRODUCT_MAX_N, 256, 48
+    star = cl.gen_rotating_star(n, 0.1).piece_stack
+    assert len(star) == n and not star.flags.c_contiguous
+    rng = np.random.default_rng(59)
+    x0 = rng.normal(size=(batch, n, 2))
+    hs = np.full(steps, 1e-2)
+    rec = np.zeros(steps + 1, dtype=bool)
+    rec[0] = rec[-1] = True
+
+    def peak(pieces, piece_idx):
+        tracemalloc.start()
+        try:
+            kernels.rk4_run(x0, pieces, piece_idx, hs, rec,
+                            kernels.CuckerSmale(1.0, 1.0),
+                            lambda lo, block: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    every = np.arange(steps) % n
+    peak(star, every)
+    one = peak(np.ascontiguousarray(star[:1]), np.zeros(steps, dtype=np.int64))
+    assert peak(star, every) < one + 4096
 
 
 def test_rk4_run_leads_with_the_step_grid():
